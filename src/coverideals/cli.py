@@ -75,19 +75,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_payload(args) -> dict:
-    if args.input is not None:
+def load_payload(path: str | None, inline: str | None = None):
+    """Parse JSON from the file at path, or else from the inline text."""
+    if path is not None:
         try:
-            with open(args.input, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = fh.read()
         except OSError as exc:
-            raise ValidationError(f"cannot read {args.input}: {exc}") from exc
+            raise ValidationError(f"cannot read {path}: {exc}") from exc
     else:
-        raw = args.json
+        raw = inline
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"input is not valid JSON: {exc}") from exc
+        source = "input" if path is None else path
+        raise ValidationError(f"{source} is not valid JSON: {exc}") from exc
 
 
 def classify_input(data):
@@ -186,8 +188,7 @@ def run_cm_check(obj, args):
     cm_text = "inconclusive" if rep.cm is None else str(rep.cm).lower()
     lines = [f"route: {route} / {rep.route}", f"cohen_macaulay: {cm_text}"]
     if args.base_ideal is not None:
-        with open(args.base_ideal, encoding="utf-8") as fh:
-            base = MonomialIdeal.from_json_dict(json.load(fh))
+        base = MonomialIdeal.from_json_dict(load_payload(args.base_ideal))
         loops = _resolve_loops(obj, args)
         verdict = cm_by_loop_saturation(base, loops)
         report["saturation"] = verdict.to_json_dict()
@@ -267,7 +268,7 @@ def render(report: dict, lines: list[str], fmt: str) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        obj = classify_input(load_payload(args))
+        obj = classify_input(load_payload(args.input, args.json))
         report, lines = HANDLERS[args.verb](obj, args)
     except OracleDisagreementError as exc:
         if exc.report is not None:

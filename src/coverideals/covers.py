@@ -132,8 +132,8 @@ def cover_ideal_by_intersection(g: LoopGraph, limit: int = BRUTE_FORCE_LIMIT) ->
     return result
 
 
-def kprime_candidate_covers(spec: KPrimeSpec) -> list[Cover]:
-    """Candidate minimal covers of a complete-core-plus-stars graph.
+def _kprime_candidate_masks(spec: KPrimeSpec) -> list[int]:
+    """Candidate minimal covers of a complete-core-plus-stars graph, as masks.
 
     The core forces all centers but one into any cover, and a skipped center
     forces its whole block in. That leaves exactly these candidates:
@@ -142,26 +142,38 @@ def kprime_candidate_covers(spec: KPrimeSpec) -> list[Cover]:
     * per unlooped center a, all other centers, all of a's block except a,
       and the looped leaves of the other blocks.
 
-    Divisible candidates (an all-centers set swallowing an omit-one set)
-    are discarded downstream by ideal minimalization.
+    Each block is the interval (prev, a], so a candidate takes O(m) integer
+    operations on n-bit masks. Divisible candidates (an all-centers set
+    swallowing an omit-one set) are discarded downstream by ideal
+    minimalization.
     """
-    centers = set(spec.alphas)
-    loops = set(spec.loops)
-    looped_leaves = loops - centers
-    cands = [Cover(centers | looped_leaves)]
-    for center, members in spec.blocks():
-        if center in loops:
-            continue
-        block = set(members)
-        body = (centers - {center}) | (block - {center}) | (looped_leaves - block)
-        cands.append(Cover(body))
+    centers = loops = 0
+    for a in spec.alphas:
+        centers |= 1 << (a - 1)
+    for k in spec.loops:
+        loops |= 1 << (k - 1)
+    looped_leaves = loops & ~centers
+    cands = [centers | looped_leaves]
+    prev = 0
+    for a in spec.alphas:
+        bit = 1 << (a - 1)
+        if not loops & bit:
+            block = ((1 << a) - 1) ^ ((1 << prev) - 1)
+            cands.append(((centers | block) & ~bit) | (looped_leaves & ~block))
+        prev = a
     return cands
+
+
+def kprime_candidate_covers(spec: KPrimeSpec) -> list[Cover]:
+    """Candidate minimal covers of a complete-core-plus-stars graph; see
+    ``_kprime_candidate_masks`` for the construction."""
+    return [Cover(Monomial._make(spec.n, c).support) for c in _kprime_candidate_masks(spec)]
 
 
 def kprime_cover_ideal(spec: KPrimeSpec) -> MonomialIdeal:
     """Closed-form ideal of vertex covers for a block spec; no enumeration."""
     n = spec.n
-    return MonomialIdeal(n, (c.monomial(n) for c in kprime_candidate_covers(spec)))
+    return MonomialIdeal(n, (Monomial._make(n, c) for c in _kprime_candidate_masks(spec)))
 
 
 def min_patrols(source) -> PatrolSolution:

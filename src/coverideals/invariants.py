@@ -10,7 +10,9 @@ the Cohen-Macaulay verdict stays inconclusive rather than guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 from .covers import kprime_cover_ideal
 from .errors import InconclusiveError, SizeGuardError, ValidationError
@@ -85,20 +87,21 @@ def h_of(ideal: MonomialIdeal, limit: int = HITTING_SET_LIMIT) -> int:
     """Minimum size of a variable set meeting every minimal generator."""
     if ideal.is_zero:
         raise ValidationError("the zero ideal has no vertex covers")
-    supports = [set(g.support) for g in ideal.gens]
-    if any(not s for s in supports):
+    masks = [g.mask for g in ideal.gens]
+    if not all(masks):
         raise ValidationError("the unit ideal has no vertex cover")
-    if set.intersection(*supports):
+    if reduce(and_, masks):
         return 1
     if ideal.n > limit:
         raise SizeGuardError(
             f"hitting-set search refused for n={ideal.n} > {limit} without a shared variable"
         )
-    universe = sorted(set().union(*supports))
+    union = reduce(or_, masks)
+    universe = [bit for bit in (1 << i for i in range(ideal.n)) if union & bit]
     for k in range(2, len(universe) + 1):
         for combo in combinations(universe, k):
-            chosen = set(combo)
-            if all(s & chosen for s in supports):
+            chosen = sum(combo)
+            if all(m & chosen for m in masks):
                 return k
     raise AssertionError("the union of all supports always hits every generator")
 

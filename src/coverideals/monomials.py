@@ -1,9 +1,20 @@
 """Exact arithmetic on monomials and monomial ideals.
 
-Monomials are exponent vectors over a fixed ambient ring K[X1..Xn]; ideals are
-held as their unique minimal generating set. Coefficients never appear: edge
-ideals and ideals of vertex covers only need divisibility arithmetic, so
-everything here is a pure function over immutable values.
+Monomials live in a fixed ambient ring K[X1..Xn]; ideals are held as their
+unique minimal generating set. Coefficients never appear: edge ideals and
+ideals of vertex covers only need divisibility arithmetic, so everything here
+is a pure function over immutable values.
+
+Representation. Every ideal of vertex covers is squarefree, so a monomial is
+held as its support bitmask ``mask`` (bit i-1 set iff X_i divides it) plus a
+``powers`` tuple of (index, exponent >= 2) pairs, which is empty for every
+squarefree monomial. On squarefree operands divisibility, lcm, gcd, the colon
+reduction and the degree are the integer operations ``a & ~b == 0``,
+``a | b``, ``a & b``, ``a & ~b`` and ``bit_count()``, each running in C over
+n/64 machine words. Powers still arise from the X_k^2 of ``edge_ideal``,
+from repeated indices in ideal JSON and from dense exponent vectors passed to
+``Monomial``; operations that meet one fall back to a general path over the
+dense exponent tuple, which is computed on demand.
 """
 
 from __future__ import annotations
@@ -15,15 +26,41 @@ from .errors import DimensionMismatchError, ValidationError
 
 __all__ = ["Monomial", "MonomialIdeal", "divides", "minimalize", "intersect", "colon"]
 
+# each byte value with its eight bits in reverse order
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _indices_mask(indices: Iterable[int], n: int) -> int:
+    """Bitmask of 1-based indices known to lie in 1..n, built in O(n) as a
+    binary numeral rather than by OR-ing n-bit integers."""
+    digits = bytearray(b"0" * n)
+    for i in indices:
+        digits[n - i] = 49  # ord("1")
+    return int(digits, 2)
+
+
+def _mask_indices(mask: int) -> list[int]:
+    """1-based positions of the set bits, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1], start=1) if c == "1"]
+
+
+def _squarefree_key(mask: int, nbytes: int) -> tuple[int, int]:
+    """Canonical sort key of a squarefree mask: degree, then ascending index
+    sequence. For equal degree, A precedes B iff the lowest set bit of A ^ B
+    lies in A, i.e. iff the bit-reversed A is the larger integer."""
+    reversed_bits = mask.to_bytes(nbytes, "little").translate(_REVERSED_BYTE)
+    return mask.bit_count(), -int.from_bytes(reversed_bits, "big")
+
 
 class Monomial:
-    """A power product X1^e1 * ... * Xn^en stored as its exponent tuple.
+    """A power product X1^e1 * ... * Xn^en: a support bitmask plus the
+    exponents above one.
 
     The unit monomial (all exponents zero) is a valid value; a zero monomial
     has no representation. Instances are immutable and hashable.
     """
 
-    __slots__ = ("exponents", "_key")
+    __slots__ = ("n", "mask", "powers")
 
     def __init__(self, exponents: Iterable[int]):
         exps = tuple(int(e) for e in exponents)
@@ -31,54 +68,73 @@ class Monomial:
             raise ValidationError("monomial needs a positive ambient variable count")
         if any(e < 0 for e in exps):
             raise ValidationError(f"monomial exponents must be nonnegative, got {exps}")
-        self.exponents = exps
-        seq = tuple(i for i, e in enumerate(exps, start=1) for _ in range(e))
-        # canonical sort key: degree ascending, then lexicographic index sequence
-        self._key = (len(seq), seq)
+        self.n = len(exps)
+        self.mask = _indices_mask((i for i, e in enumerate(exps, start=1) if e), self.n)
+        self.powers = tuple((i, e) for i, e in enumerate(exps, start=1) if e >= 2)
+
+    @classmethod
+    def _make(cls, n: int, mask: int, powers: tuple[tuple[int, int], ...] = ()) -> Monomial:
+        """Build from a mask and powers already known to be valid for n."""
+        m = object.__new__(cls)
+        m.n, m.mask, m.powers = n, mask, powers
+        return m
 
     @classmethod
     def unit(cls, n: int) -> Monomial:
-        return cls((0,) * n)
+        if n < 1:
+            raise ValidationError("monomial needs a positive ambient variable count")
+        return cls._make(n, 0)
 
     @classmethod
     def variable(cls, index: int, n: int) -> Monomial:
         if not 1 <= index <= n:
             raise ValidationError(f"variable index {index} outside 1..{n}")
-        return cls(tuple(1 if i == index else 0 for i in range(1, n + 1)))
+        return cls._make(n, 1 << (index - 1))
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> Monomial:
         """Build from 1-based variable indices; a repeated index raises the exponent."""
+        if n < 1:
+            raise ValidationError("monomial needs a positive ambient variable count")
         counts = Counter(int(i) for i in indices)
         for i in counts:
             if not 1 <= i <= n:
                 raise ValidationError(f"variable index {i} outside 1..{n}")
-        return cls(tuple(counts.get(i, 0) for i in range(1, n + 1)))
+        powers = tuple(sorted((i, e) for i, e in counts.items() if e >= 2))
+        return cls._make(n, _indices_mask(counts, n), powers)
 
     @property
-    def n(self) -> int:
-        return len(self.exponents)
+    def exponents(self) -> tuple[int, ...]:
+        exps = [0] * self.n
+        for i in _mask_indices(self.mask):
+            exps[i - 1] = 1
+        for i, e in self.powers:
+            exps[i - 1] = e
+        return tuple(exps)
 
     @property
     def degree(self) -> int:
-        return self._key[0]
+        return self.mask.bit_count() + sum(e - 1 for _, e in self.powers)
 
     @property
     def index_seq(self) -> tuple[int, ...]:
         """Variable indices with multiplicity, ascending (X3^2*X5 -> (3, 3, 5))."""
-        return self._key[1]
+        if not self.powers:
+            return tuple(_mask_indices(self.mask))
+        extra = dict(self.powers)
+        return tuple(i for i in _mask_indices(self.mask) for _ in range(extra.get(i, 1)))
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.exponents, start=1) if e > 0)
+        return tuple(_mask_indices(self.mask))
 
     @property
     def is_unit(self) -> bool:
-        return self.degree == 0
+        return not self.mask
 
     @property
     def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
+        return not self.powers
 
     def _check_same_ring(self, other: Monomial) -> None:
         if self.n != other.n:
@@ -88,15 +144,23 @@ class Monomial:
 
     def divides(self, other: Monomial) -> bool:
         self._check_same_ring(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        if self.mask & ~other.mask:
+            return False
+        return not self.powers or all(
+            a <= b for a, b in zip(self.exponents, other.exponents)
+        )
 
     def gcd(self, other: Monomial) -> Monomial:
         self._check_same_ring(other)
-        return Monomial(min(a, b) for a, b in zip(self.exponents, other.exponents))
+        if self.powers or other.powers:
+            return Monomial(map(min, self.exponents, other.exponents))
+        return Monomial._make(self.n, self.mask & other.mask)
 
     def lcm(self, other: Monomial) -> Monomial:
         self._check_same_ring(other)
-        return Monomial(max(a, b) for a, b in zip(self.exponents, other.exponents))
+        if self.powers or other.powers:
+            return Monomial(map(max, self.exponents, other.exponents))
+        return Monomial._make(self.n, self.mask | other.mask)
 
     def __mul__(self, other: Monomial) -> Monomial:
         self._check_same_ring(other)
@@ -105,35 +169,47 @@ class Monomial:
     def div_by_gcd(self, other: Monomial) -> Monomial:
         """self / gcd(self, other): the colon reduction of one generator."""
         self._check_same_ring(other)
-        return Monomial(max(a - b, 0) for a, b in zip(self.exponents, other.exponents))
+        if self.powers or other.powers:
+            return Monomial(max(a - b, 0) for a, b in zip(self.exponents, other.exponents))
+        return Monomial._make(self.n, self.mask & ~other.mask)
 
     def text(self) -> str:
         """Starred form, e.g. X3*X5^2*X12; the unit monomial prints as 1."""
         if self.is_unit:
             return "1"
-        parts = []
-        for i, e in enumerate(self.exponents, start=1):
-            if e == 1:
-                parts.append(f"X{i}")
-            elif e >= 2:
-                parts.append(f"X{i}^{e}")
-        return "*".join(parts)
+        extra = dict(self.powers)
+        return "*".join(
+            f"X{i}^{extra[i]}" if i in extra else f"X{i}" for i in _mask_indices(self.mask)
+        )
 
     def compact(self) -> str:
         """Compressed form without separators, e.g. X3X5X12."""
         return self.text().replace("*", "")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exponents == other.exponents
+        return (
+            isinstance(other, Monomial)
+            and self.mask == other.mask
+            and self.n == other.n
+            and self.powers == other.powers
+        )
 
     def __hash__(self) -> int:
-        return hash(self.exponents)
+        return hash((self.mask, self.powers))
 
     def __lt__(self, other: Monomial) -> bool:
-        return self._key < other._key
+        """Canonical order: degree ascending, then lexicographic index sequence."""
+        if self.powers or other.powers:
+            return (self.degree, self.index_seq) < (other.degree, other.index_seq)
+        a, b = self.mask, other.mask
+        da, db = a.bit_count(), b.bit_count()
+        if da != db:
+            return da < db
+        diff = a ^ b
+        return bool(diff & -diff & a)
 
     def __le__(self, other: Monomial) -> bool:
-        return self._key <= other._key
+        return self == other or self < other
 
     def __repr__(self) -> str:
         return f"Monomial({self.text()!r}, n={self.n})"
@@ -154,19 +230,30 @@ class MonomialIdeal:
         n = int(n)
         if n < 1:
             raise ValidationError("ambient variable count must be positive")
-        pool = []
-        for g in gens:
+        pool = list(gens)
+        squarefree = True
+        for g in pool:
             if g.n != n:
                 raise DimensionMismatchError(
                     f"generator in {g.n} variables placed in a {n}-variable ring"
                 )
-            pool.append(g)
-        kept: list[Monomial] = []
-        for m in sorted(set(pool)):
-            if not any(a.divides(m) for a in kept):
-                kept.append(m)
+            if g.powers:
+                squarefree = False
         self.n = n
-        self.gens = tuple(kept)
+        if squarefree:
+            nbytes = (n + 7) // 8
+            by_mask = {g.mask: g for g in pool}
+            kept_masks: list[int] = []
+            for m in sorted(by_mask, key=lambda m: _squarefree_key(m, nbytes)):
+                if all(a & ~m for a in kept_masks):
+                    kept_masks.append(m)
+            self.gens = tuple(by_mask[m] for m in kept_masks)
+        else:
+            kept: list[Monomial] = []
+            for m in sorted(set(pool)):
+                if not any(a.divides(m) for a in kept):
+                    kept.append(m)
+            self.gens = tuple(kept)
 
     @property
     def is_zero(self) -> bool:
@@ -203,8 +290,7 @@ class MonomialIdeal:
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         """Ideal intersection via pairwise lcms of the generators."""
         self._check_same_ring(other)
-        pairs = {u.lcm(v) for u in self.gens for v in other.gens}
-        return MonomialIdeal(self.n, pairs)
+        return MonomialIdeal(self.n, (u.lcm(v) for u in self.gens for v in other.gens))
 
     def colon(self, f: Monomial) -> MonomialIdeal:
         """The colon ideal (self : f), all g with g*f in self."""

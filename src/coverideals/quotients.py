@@ -76,6 +76,11 @@ class ResolutionShifts:
         return {"shifts": [list(level) for level in self.levels]}
 
 
+def _variable_generated(step: MonomialIdeal) -> bool:
+    """True iff every generator is a single variable: one bit, no power."""
+    return all(g.mask and not g.mask & (g.mask - 1) and not g.powers for g in step.gens)
+
+
 def canonical_order(ideal: MonomialIdeal) -> list[Monomial]:
     """Generators sorted by degree, ties broken by ascending index sequences."""
     if not ideal.is_squarefree:
@@ -93,7 +98,7 @@ def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:
         u = order[j]
         steps.append(MonomialIdeal(ideal.n, (v.div_by_gcd(u) for v in order[:j])))
     q = max((len(s.gens) for s in steps), default=0)
-    linear = all(g.degree == 1 for s in steps for g in s.gens)
+    linear = all(_variable_generated(s) for s in steps)
     return QuotientCertificate(order, tuple(steps), q, linear)
 
 
@@ -126,8 +131,7 @@ def find_linear_order(
     dead: set[frozenset[Monomial]] = set()
 
     def step_is_linear(u: Monomial) -> bool:
-        step = MonomialIdeal(ideal.n, (v.div_by_gcd(u) for v in chosen))
-        return all(g.degree == 1 for g in step.gens)
+        return _variable_generated(MonomialIdeal(ideal.n, (v.div_by_gcd(u) for v in chosen)))
 
     def search() -> bool:
         if len(chosen) == t:

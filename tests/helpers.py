@@ -116,6 +116,58 @@ def brute_minimal_covers(n, edges, loops=()):
 
 
 # ---------------------------------------------------------------------------
+# dense exponent-tuple oracle for the monomial kernel: plain tuples, no masks
+
+def dense_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def dense_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def dense_gcd(a, b):
+    return tuple(map(min, a, b))
+
+
+def dense_div_by_gcd(a, b):
+    return tuple(max(x - y, 0) for x, y in zip(a, b))
+
+
+def dense_key(a):
+    """Canonical order: degree, then the ascending index sequence."""
+    return sum(a), tuple(i for i, e in enumerate(a, start=1) for _ in range(e))
+
+
+def dense_minimalize(vectors):
+    kept = []
+    for v in sorted(set(vectors), key=dense_key):
+        if not any(dense_divides(k, v) for k in kept):
+            kept.append(v)
+    return kept
+
+
+# ---------------------------------------------------------------------------
+# closed-form oracle on plain vertex sets
+
+def kprime_covers_from_intervals(alphas, loops):
+    """Minimal covers of a block spec, built as plain sets from its vertex
+    intervals (prev, a]: all centers with the looped leaves, and per
+    unlooped center a the other centers, a's block without a, and the looped
+    leaves outside that block; then the inclusion-minimal ones."""
+    centers, loops = set(alphas), set(loops)
+    looped_leaves = loops - centers
+    cands = [centers | looped_leaves]
+    prev = 0
+    for a in alphas:
+        block = set(range(prev + 1, a + 1))
+        if a not in loops:
+            cands.append((centers - {a}) | (block - {a}) | (looped_leaves - block))
+        prev = a
+    return _minimal_sets(cands)
+
+
+# ---------------------------------------------------------------------------
 # linear-quotient oracle on supports (squarefree ideals only)
 
 def _minimal_sets(sets):

@@ -127,6 +127,15 @@ class TestCmCheck:
                                 "--loops", ",".join(map(str, SATURATED_LOOPS)))
         assert code == 0 and report["saturation"]["satisfied"] is True
 
+    def test_unreadable_base_ideal_is_one_error_line(self, tmp_path, capsys):
+        not_json = tmp_path / "base.txt"
+        not_json.write_text("not json", encoding="utf-8")
+        for path in (tmp_path / "missing.json", not_json):
+            code = cli.main(["cm-check", "--json", TRIANGLE_JSON, "--base-ideal", str(path)])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_ideal_input_without_loops_fails(self, tmp_path, capsys):
         base_path = tmp_path / "base.json"
         base_path.write_text(

@@ -15,6 +15,7 @@ from coverideals import (
     cover_ideal_by_intersection,
     cover_ideal_from_covers,
     expand_kprime,
+    invariants,
     kprime_candidate_covers,
     kprime_cover_ideal,
     min_patrols,
@@ -29,6 +30,7 @@ from helpers import (
     city_ideal,
     five_center_spec,
     ideal_of,
+    kprime_covers_from_intervals,
     mono,
     random_kprime,
     random_loop_graph,
@@ -140,6 +142,20 @@ class TestKPrimeRoute:
         for _ in range(60):
             spec = random_kprime(rng)
             assert len(kprime_cover_ideal(spec).gens) <= spec.m + 1
+
+    def test_closed_form_at_hundred_thousand_vertices(self):
+        # the closed form's scaling bound: n = 10^5, one looped center and
+        # one looped leaf, so h = 1 and the canonical order runs at full n
+        alphas = (1, 20_000, 45_000, 70_001, 100_000)
+        loops = (45_000, 50_000)
+        spec = KPrimeSpec(alphas, loops)
+        ideal = kprime_cover_ideal(spec)
+        assert ideal.n == 100_000
+        assert {frozenset(g.support) for g in ideal.gens} == kprime_covers_from_intervals(
+            alphas, loops
+        )
+        report = invariants(ideal, spec)
+        assert (report.n, report.h, report.dim) == (100_000, 1, 99_999)
 
 
 class TestLoopSaturatedBoundary:

@@ -14,7 +14,19 @@ from coverideals import (
     intersect,
     minimalize,
 )
-from helpers import all_monomials, brute_minimal_covers, ideal_of, members_up_to, mono
+from helpers import (
+    all_monomials,
+    brute_minimal_covers,
+    dense_div_by_gcd,
+    dense_divides,
+    dense_gcd,
+    dense_key,
+    dense_lcm,
+    dense_minimalize,
+    ideal_of,
+    members_up_to,
+    mono,
+)
 
 
 @st.composite
@@ -51,6 +63,48 @@ def ideal_tuple(draw, count=2, max_n=4, max_e=2, max_gens=3):
         for _ in range(count - 1)
     ]
     return (first, *others)
+
+
+@st.composite
+def dense_generators(draw, max_n=20, max_gens=6):
+    """Squarefree exponent vectors over up to 20 variables (so masks span
+    several bytes), and, when mixed, a powered vector of the same degree for
+    each squarefree one of degree >= 2: one exponent moved onto another."""
+    n = draw(st.integers(1, max_n))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    vectors = [tuple(v) for v in draw(st.lists(bits, min_size=1, max_size=max_gens))]
+    if draw(st.booleans()):
+        for v in list(vectors):
+            support = [i for i, e in enumerate(v) if e]
+            if len(support) >= 2:
+                i, j = draw(st.permutations(support))[:2]
+                p = list(v)
+                p[i], p[j] = 2, 0
+                vectors.append(tuple(p))
+    return n, vectors
+
+
+class TestMaskAgainstDenseOracle:
+    @given(dense_generators())
+    @settings(max_examples=150)
+    def test_operations_order_and_minimalization(self, data):
+        n, vectors = data
+        monos = [Monomial(v) for v in vectors]
+        for a, ma in zip(vectors, monos):
+            assert ma.exponents == a and ma.degree == sum(a)
+            assert ma.is_squarefree == (max(a) <= 1)
+            for b, mb in zip(vectors, monos):
+                assert ma.divides(mb) == dense_divides(a, b)
+                assert ma.lcm(mb).exponents == dense_lcm(a, b)
+                assert ma.gcd(mb).exponents == dense_gcd(a, b)
+                assert ma.div_by_gcd(mb).exponents == dense_div_by_gcd(a, b)
+                assert (ma < mb) == (dense_key(a) < dense_key(b))
+        assert [m.exponents for m in sorted(monos)] == sorted(vectors, key=dense_key)
+        ideal = MonomialIdeal(n, monos)
+        assert [g.exponents for g in ideal.gens] == dense_minimalize(vectors)
+        assert [g.index_seq for g in ideal.gens] == [
+            dense_key(v)[1] for v in dense_minimalize(vectors)
+        ]
 
 
 class TestMonomial:
