@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 validation error, 2 size guard or undecided search,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -44,7 +45,10 @@ from .quotients import find_linear_order, resolution_shifts
 ROUTES = ("auto", "bruteforce", "intersection", "closed-form")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="coverideals",
         description="Ideals of vertex covers for graphs with loops: "

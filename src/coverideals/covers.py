@@ -118,18 +118,34 @@ def cover_ideal_from_covers(covers, n: int) -> MonomialIdeal:
 
 def cover_ideal_by_intersection(g: LoopGraph, limit: int = BRUTE_FORCE_LIMIT) -> MonomialIdeal:
     """The ideal of vertex covers as the intersection of one prime per edge
-    and one principal ideal per loop, minimalizing after every step."""
+    and one principal ideal per loop, on support masks.
+
+    The loop ideals intersect to the single generator x^L. Intersecting with
+    (X_i, X_j) keeps every generator that meets i or j (a hit) and replaces
+    each other generator m by m*X_i and m*X_j. Those products never divide
+    each other or a hit, and m*X_i is divisible only by a hit containing i,
+    so each is kept unless such a hit divides it; the generators stay
+    minimal after every step.
+    """
     if g.n > limit:
         raise SizeGuardError(
             f"prime intersection refused for n={g.n} > {limit}; use the structured closed form"
         )
-    result = MonomialIdeal(g.n, [Monomial.unit(g.n)])
+    loops = 0
     for k in g.loops:
-        result = result.intersect(MonomialIdeal(g.n, [Monomial.variable(k, g.n)]))
+        loops |= 1 << (k - 1)
+    gens = [loops]
     for i, j in g.edges:
-        prime = MonomialIdeal(g.n, [Monomial.variable(i, g.n), Monomial.variable(j, g.n)])
-        result = result.intersect(prime)
-    return result
+        bi, bj = 1 << (i - 1), 1 << (j - 1)
+        edge = bi | bj
+        hit = [h for h in gens if h & edge]
+        miss = [m for m in gens if not m & edge]
+        gens = list(hit)
+        for b in (bi, bj):
+            rests = [h & ~b for h in hit if h & b]
+            # m | b is new iff every rest r has a bit outside m: all(r & ~m)
+            gens += [m | b for m in miss if all(map((~m).__and__, rests))]
+    return MonomialIdeal(g.n, (Monomial._make(g.n, m) for m in gens))
 
 
 def _kprime_candidate_masks(spec: KPrimeSpec) -> list[int]:

@@ -106,6 +106,14 @@ def h_of(ideal: MonomialIdeal, limit: int = HITTING_SET_LIMIT) -> int:
     raise AssertionError("the union of all supports always hits every generator")
 
 
+def _context_h(context: KPrimeSpec) -> int:
+    """h of a block spec's cover ideal, read off the spec: a loop vertex lies
+    in every cover, so h = 1 with loops. Without loops the core edge bounds
+    h by 2, and h > 1 since every vertex v is missed by the complement of a
+    maximal independent set containing v, which is a minimal cover."""
+    return 1 if context.loops else 2
+
+
 def _context_reg_bounds(context: KPrimeSpec | None) -> tuple[int, int] | None:
     if context is None:
         return None
@@ -118,12 +126,13 @@ def invariants(ideal: MonomialIdeal, context: KPrimeSpec | None = None) -> Invar
     A principal ideal resolves in one step (pd 1, reg exact). With two or
     more generators a linear-quotient certificate gives pd = q + 1 and reg
     exact; otherwise only dim is exact, with regularity bounds from the
-    block-spec context when one is supplied.
+    block-spec context when one is supplied. The context also fixes h, with
+    no hitting-set search.
     """
     if ideal.is_zero:
         raise ValidationError("invariants are undefined for the zero ideal")
     n = ideal.n
-    h = h_of(ideal)
+    h = h_of(ideal) if context is None else _context_h(context)
     dim = n - h
     maxdeg = ideal.max_degree
     if ideal.is_principal:

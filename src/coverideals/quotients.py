@@ -81,6 +81,35 @@ def _variable_generated(step: MonomialIdeal) -> bool:
     return all(g.mask and not g.mask & (g.mask - 1) and not g.powers for g in step.gens)
 
 
+def _linear_step(prefix_masks, u: int) -> int | None:
+    """The variables generating (prefix) : u as one mask, or None when that
+    colon ideal is not generated by variables; squarefree masks only.
+
+    Each prefix generator v reduces to v & ~u. The colon ideal is generated
+    by variables iff every reduction meets the union of the single-variable
+    reductions; an empty reduction (v divides u) gives the unit ideal.
+    """
+    keep = ~u
+    reduced = [v & keep for v in prefix_masks]
+    variables = 0
+    for w in reduced:
+        if not w & (w - 1):
+            variables |= w
+    if all(w & variables for w in reduced):
+        return variables
+    return None
+
+
+def _variables_ideal(n: int, variables: int) -> MonomialIdeal:
+    """The ideal generated by the variables in a mask."""
+    gens = []
+    while variables:
+        low = variables & -variables
+        gens.append(Monomial._make(n, low))
+        variables ^= low
+    return MonomialIdeal(n, gens)
+
+
 def canonical_order(ideal: MonomialIdeal) -> list[Monomial]:
     """Generators sorted by degree, ties broken by ascending index sequences."""
     if not ideal.is_squarefree:
@@ -89,14 +118,24 @@ def canonical_order(ideal: MonomialIdeal) -> list[Monomial]:
 
 
 def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:
-    """Evaluate one ordering: all prefix colon ideals, q, and the linear flag."""
+    """Evaluate one ordering: all prefix colon ideals, q, and the linear flag.
+
+    On a squarefree ideal a variable-generated step is built from its
+    variable mask; any other step is the minimalized colon reduction.
+    """
     order = tuple(order)
     if sorted(order) != list(ideal.gens):
         raise ValidationError("order is not a permutation of the minimal generators")
+    n = ideal.n
+    masks = [u.mask for u in order] if ideal.is_squarefree else None
     steps = []
     for j in range(1, len(order)):
-        u = order[j]
-        steps.append(MonomialIdeal(ideal.n, (v.div_by_gcd(u) for v in order[:j])))
+        variables = None if masks is None else _linear_step(masks[:j], masks[j])
+        if variables is not None:
+            steps.append(_variables_ideal(n, variables))
+        else:
+            u = order[j]
+            steps.append(MonomialIdeal(n, (v.div_by_gcd(u) for v in order[:j])))
     q = max((len(s.gens) for s in steps), default=0)
     linear = all(_variable_generated(s) for s in steps)
     return QuotientCertificate(order, tuple(steps), q, linear)
@@ -113,46 +152,51 @@ def find_linear_order(
     prefix as a set, so exhausted sets are memoized. Candidates are taken in
     canonical rank, which makes the returned order deterministic. Beyond
     ``limit`` generators the search is refused with InconclusiveError, which
-    is distinct from a definitive absence.
+    is distinct from a definitive absence. On squarefree ideals every step is
+    decided on masks, and only the returned certificate builds step ideals.
     """
     t = len(ideal.gens)
     if t <= 1:
         return QuotientCertificate(ideal.gens, (), 0, True)
-    if ideal.is_squarefree:
-        cert = check_linear_quotients(ideal, canonical_order(ideal))
-        if cert.linear:
-            return cert
+    gens = ideal.gens  # held in canonical order
+    squarefree = ideal.is_squarefree
+    if squarefree:
+        masks = [u.mask for u in gens]
+        if all(_linear_step(masks[:j], masks[j]) is not None for j in range(1, t)):
+            return check_linear_quotients(ideal, canonical_order(ideal))
     if t > limit:
         raise InconclusiveError(
             f"{t} generators exceed the search limit {limit}; linear quotients undecided"
         )
-    gens = list(ideal.gens)
-    chosen: list[Monomial] = []
-    dead: set[frozenset[Monomial]] = set()
+    items = masks if squarefree else gens
+    chosen: list[int] = []  # positions in gens, in order
+    dead: set[int] = set()  # exhausted prefixes, as bitsets of positions
 
-    def step_is_linear(u: Monomial) -> bool:
-        return _variable_generated(MonomialIdeal(ideal.n, (v.div_by_gcd(u) for v in chosen)))
+    def step_is_linear(prefix: list, u) -> bool:
+        if squarefree:
+            return _linear_step(prefix, u) is not None
+        return _variable_generated(MonomialIdeal(ideal.n, (v.div_by_gcd(u) for v in prefix)))
 
-    def search() -> bool:
+    def search(used: int) -> bool:
         if len(chosen) == t:
             return True
-        key = frozenset(chosen)
-        if key in dead:
+        if used in dead:
             return False
-        for u in gens:
-            if u in chosen:
+        prefix = [items[i] for i in chosen]
+        for k in range(t):
+            if used >> k & 1:
                 continue
-            if chosen and not step_is_linear(u):
+            if prefix and not step_is_linear(prefix, items[k]):
                 continue
-            chosen.append(u)
-            if search():
+            chosen.append(k)
+            if search(used | 1 << k):
                 return True
             chosen.pop()
-        dead.add(key)
+        dead.add(used)
         return False
 
-    if search():
-        return check_linear_quotients(ideal, chosen)
+    if search(0):
+        return check_linear_quotients(ideal, [gens[i] for i in chosen])
     return None
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 from functools import reduce
 from itertools import combinations, permutations, product
 
-from coverideals import KPrimeSpec, LoopGraph, Monomial, MonomialIdeal
+from coverideals import KPrimeSpec, LoopGraph, Monomial, MonomialIdeal, QuotientCertificate
 
 # ---------------------------------------------------------------------------
 # construction shorthands
@@ -23,6 +23,20 @@ def mono(indices, n):
 
 def ideal_of(n, *index_lists):
     return MonomialIdeal(n, [mono(ix, n) for ix in index_lists])
+
+
+def count_ideal_builds(monkeypatch):
+    """The list to which every MonomialIdeal constructed from now on is
+    appended, for the rest of the test."""
+    built = []
+    init = MonomialIdeal.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(MonomialIdeal, "__init__", recording_init)
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +211,53 @@ def exhaustive_linear_qs(ideal):
         if q is not None:
             qs.append(q)
     return qs
+
+
+def dense_check_linear_quotients(ideal, order):
+    """Certificate of one order with every colon step built as the minimalized
+    ideal of the reductions v / gcd(v, u), and linearity read off degrees."""
+    order = tuple(order)
+    steps = tuple(
+        MonomialIdeal(ideal.n, (v.div_by_gcd(order[j]) for v in order[:j]))
+        for j in range(1, len(order))
+    )
+    q = max((len(s.gens) for s in steps), default=0)
+    linear = all(g.degree == 1 for s in steps for g in s.gens)
+    return QuotientCertificate(order, steps, q, linear)
+
+
+def dense_find_linear_order(ideal):
+    """The canonical order if it is linear, else the first linear order in a
+    depth-first scan over canonical rank, every step built in full; None when
+    no order is linear. Prefix sets that led nowhere are skipped."""
+    gens = ideal.gens
+    if len(gens) <= 1:
+        return QuotientCertificate(gens, (), 0, True)
+    cert = dense_check_linear_quotients(ideal, gens)
+    if cert.linear:
+        return cert
+    exhausted = set()
+
+    def extend(prefix):
+        if len(prefix) == len(gens):
+            return prefix
+        if frozenset(prefix) in exhausted:
+            return None
+        for u in gens:
+            if u in prefix:
+                continue
+            if prefix:
+                step = MonomialIdeal(ideal.n, (v.div_by_gcd(u) for v in prefix))
+                if any(g.degree != 1 for g in step.gens):
+                    continue
+            found = extend(prefix + [u])
+            if found:
+                return found
+        exhausted.add(frozenset(prefix))
+        return None
+
+    found = extend([])
+    return None if found is None else dense_check_linear_quotients(ideal, found)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from helpers import (
     THREE_CENTER_GENS,
     brute_minimal_covers,
     city_ideal,
+    count_ideal_builds,
     five_center_spec,
     ideal_of,
     kprime_covers_from_intervals,
@@ -118,6 +119,14 @@ class TestIntersectionRoute:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             cover_ideal_by_intersection(LoopGraph(30, [(1, 2)]))
+
+    def test_builds_only_the_returned_ideal(self, monkeypatch):
+        graph = LoopGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)], [3])
+        built = count_ideal_builds(monkeypatch)
+        ideal = cover_ideal_by_intersection(graph)
+        assert built == [ideal]
+        covers = brute_minimal_covers(6, graph.edges, graph.loops)
+        assert [u.support for u in ideal.gens] == [tuple(sorted(c)) for c in covers]
 
 
 class TestKPrimeRoute:

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coverideals import (
     InconclusiveError,
@@ -80,6 +82,33 @@ class TestHOf:
         ideal = MonomialIdeal(n, [mono((1, 2), n), mono((3, 4), n)])
         with pytest.raises(SizeGuardError):
             h_of(ideal)
+
+
+@st.composite
+def block_specs(draw, max_n=25):
+    n = draw(st.integers(2, max_n))
+    centers = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(n - 1, 8)))
+    loops = draw(st.sets(st.integers(1, n), max_size=3))
+    return KPrimeSpec(sorted(centers) + [n], loops)
+
+
+class TestContextH:
+    @given(block_specs())
+    def test_matches_hitting_set_search(self, spec):
+        ideal = kprime_cover_ideal(spec)
+        assert invariants(ideal, spec).h == h_of(ideal)
+
+    def test_loopless_spec_past_the_search_guard(self):
+        spec = KPrimeSpec((6, 37, 45))
+        ideal = kprime_cover_ideal(spec)
+        with pytest.raises(SizeGuardError):
+            h_of(ideal)
+        rep = invariants(ideal, spec)
+        assert rep.route == "linear-quotients"
+        assert rep.h == 2 and rep.dim == 43
+        # every cover holds all centers but one, so two centers meet them all
+        pair = mono((6, 37), 45).mask
+        assert all(g.mask & pair for g in ideal.gens)
 
 
 class TestInvariants:

@@ -4,6 +4,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coverideals import (
     InconclusiveError,
@@ -20,6 +22,10 @@ from coverideals import (
 )
 from helpers import (
     FIVE_CENTER_GENS,
+    brute_minimal_covers,
+    count_ideal_builds,
+    dense_check_linear_quotients,
+    dense_find_linear_order,
     exhaustive_linear_qs,
     five_center_spec,
     ideal_of,
@@ -105,6 +111,55 @@ class TestFindLinearOrder:
         big = MonomialIdeal(26, gens)
         with pytest.raises(InconclusiveError):
             find_linear_order(big)
+
+
+@st.composite
+def squarefree_ideals(draw, max_n=8, max_gens=8):
+    """Random squarefree generators, or the cover ideal of a random graph
+    with loops from subset enumeration (these more often have linear
+    quotients)."""
+    n = draw(st.integers(3, max_n))
+    vertex = st.integers(1, n)
+    if draw(st.booleans()):
+        k = draw(st.integers(3, 14))
+        pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=k, max_size=k))
+        edges = [e for e in pairs if e[0] != e[1]]
+        loops = draw(st.lists(vertex, max_size=2))
+        covers = brute_minimal_covers(n, edges, loops)
+        return ideal_of(n, *(sorted(c) for c in covers))
+    k = draw(st.integers(2, max_gens))
+    support = st.lists(vertex, min_size=2, max_size=3, unique=True)
+    return ideal_of(n, *draw(st.lists(support, min_size=k, max_size=k)))
+
+
+class TestMaskStepsAgainstDenseOracle:
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_certificate_of_any_order(self, data):
+        ideal = data.draw(squarefree_ideals())
+        order = data.draw(st.permutations(ideal.gens))
+        assert check_linear_quotients(ideal, order) == dense_check_linear_quotients(ideal, order)
+
+    @given(squarefree_ideals())
+    @settings(max_examples=150)
+    def test_search_decides_like_the_oracle(self, ideal):
+        assume(len(ideal.gens) <= 8)
+        assert find_linear_order(ideal) == dense_find_linear_order(ideal)
+
+    def test_rejected_orders_build_no_step_ideal(self, monkeypatch):
+        gens = [mono((2 * i + 1, 2 * i + 2), 26) for i in range(13)]
+        big = MonomialIdeal(26, gens)
+        built = count_ideal_builds(monkeypatch)
+        with pytest.raises(InconclusiveError):
+            find_linear_order(big)
+        assert find_linear_order(COPRIME_PAIR) is None
+        assert built == []
+
+    def test_only_the_returned_certificate_builds_steps(self, monkeypatch):
+        ideal = kprime_cover_ideal(KPrimeSpec((2, 4, 5), loops=(5,)))
+        built = count_ideal_builds(monkeypatch)
+        cert = find_linear_order(ideal)
+        assert list(cert.steps) == built
 
 
 class TestQOf:
