@@ -37,7 +37,7 @@ from .invariants import (
     is_cohen_macaulay,
     reg_bounds_kprime,
 )
-from .monomials import Monomial, MonomialIdeal, colon, divides, intersect, minimalize
+from .monomials import Monomial, MonomialIdeal
 from .quotients import (
     BACKTRACK_GENERATOR_LIMIT,
     QuotientCertificate,
@@ -75,22 +75,18 @@ __all__ = [
     "canonical_order",
     "check_linear_quotients",
     "cm_by_loop_saturation",
-    "colon",
     "cover_ideal_by_intersection",
     "cover_ideal_from_covers",
-    "divides",
     "edge_ideal",
     "expand_kprime",
     "find_linear_order",
     "h_of",
-    "intersect",
     "invariants",
     "is_cohen_macaulay",
     "kprime_candidate_covers",
     "kprime_cover_ideal",
     "min_patrols",
     "minimal_covers_bruteforce",
-    "minimalize",
     "q_of",
     "reg_bounds_kprime",
     "resolution_shifts",

@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 
 from .covers import (
     cover_ideal_by_intersection,
@@ -96,14 +97,45 @@ def load_payload(path: str | None, inline: str | None = None):
         raise ValidationError(f"{source} is not valid JSON: {exc}") from exc
 
 
+_SHAPES = ("an integer", "a list of integers", "a list of integer lists")
+
+
+def _nested_ints(value, depth: int) -> bool:
+    level = [value]
+    for _ in range(depth):
+        if not set(map(type, level)) <= {list}:
+            return False
+        level = list(chain.from_iterable(level))
+    return set(map(type, level)) <= {int}  # JSON true and false are bools
+
+
+def _check_fields(data, **depths: int) -> None:
+    """Reject each named field of a JSON object unless it is an integer
+    (depth 0), a list of integers (depth 1) or a list of integer lists
+    (depth 2). Absent fields and input that is not an object are left to
+    the constructors, which reject them."""
+    if not isinstance(data, dict):
+        return
+    for key, depth in depths.items():
+        if key in data and not _nested_ints(data[key], depth):
+            raise ValidationError(f'"{key}" must be {_SHAPES[depth]}')
+
+
+def _ideal_from_json(data) -> MonomialIdeal:
+    _check_fields(data, n=0, gens=2)
+    return MonomialIdeal.from_json_dict(data)
+
+
 def classify_input(data):
     if not isinstance(data, dict):
         raise ValidationError("input JSON must be an object")
     if "alphas" in data:
+        _check_fields(data, alphas=1, loops=1)
         return KPrimeSpec.from_json_dict(data)
     if "gens" in data:
-        return MonomialIdeal.from_json_dict(data)
+        return _ideal_from_json(data)
     if "edges" in data or "loops" in data:
+        _check_fields(data, n=0, edges=2, loops=1)
         return LoopGraph.from_json_dict(data)
     raise ValidationError("input JSON is not a graph, a block spec, or an ideal")
 
@@ -192,7 +224,7 @@ def run_cm_check(obj, args):
     cm_text = "inconclusive" if rep.cm is None else str(rep.cm).lower()
     lines = [f"route: {route} / {rep.route}", f"cohen_macaulay: {cm_text}"]
     if args.base_ideal is not None:
-        base = MonomialIdeal.from_json_dict(load_payload(args.base_ideal))
+        base = _ideal_from_json(load_payload(args.base_ideal))
         loops = _resolve_loops(obj, args)
         verdict = cm_by_loop_saturation(base, loops)
         report["saturation"] = verdict.to_json_dict()

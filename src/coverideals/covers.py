@@ -83,16 +83,17 @@ class PatrolSolution:
         }
 
 
-def minimal_covers_bruteforce(g: LoopGraph, limit: int = BRUTE_FORCE_LIMIT) -> list[Cover]:
+def minimal_covers_bruteforce(g: LoopGraph) -> list[Cover]:
     """Every minimal vertex cover, by subset enumeration in ascending size.
 
     Loop vertices are mandatory, so only vertices incident to an edge not
     already covered by a loop are enumerated. A candidate is minimal exactly
     when no previously accepted (hence smaller) cover is contained in it.
     """
-    if g.n > limit:
+    if g.n > BRUTE_FORCE_LIMIT:
         raise SizeGuardError(
-            f"brute force refused for n={g.n} > {limit}; use the structured closed form"
+            f"brute force refused for n={g.n} > {BRUTE_FORCE_LIMIT}; "
+            "use the structured closed form"
         )
     loops = set(g.loops)
     open_edges = [e for e in g.edges if e[0] not in loops and e[1] not in loops]
@@ -116,7 +117,7 @@ def cover_ideal_from_covers(covers, n: int) -> MonomialIdeal:
     return MonomialIdeal(n, (c.monomial(n) for c in covers))
 
 
-def cover_ideal_by_intersection(g: LoopGraph, limit: int = BRUTE_FORCE_LIMIT) -> MonomialIdeal:
+def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
     """The ideal of vertex covers as the intersection of one prime per edge
     and one principal ideal per loop, on support masks.
 
@@ -127,9 +128,10 @@ def cover_ideal_by_intersection(g: LoopGraph, limit: int = BRUTE_FORCE_LIMIT) ->
     so each is kept unless such a hit divides it; the generators stay
     minimal after every step.
     """
-    if g.n > limit:
+    if g.n > BRUTE_FORCE_LIMIT:
         raise SizeGuardError(
-            f"prime intersection refused for n={g.n} > {limit}; use the structured closed form"
+            f"prime intersection refused for n={g.n} > {BRUTE_FORCE_LIMIT}; "
+            "use the structured closed form"
         )
     loops = 0
     for k in g.loops:

@@ -83,7 +83,7 @@ class CmSaturationVerdict:
         }
 
 
-def h_of(ideal: MonomialIdeal, limit: int = HITTING_SET_LIMIT) -> int:
+def h_of(ideal: MonomialIdeal) -> int:
     """Minimum size of a variable set meeting every minimal generator."""
     if ideal.is_zero:
         raise ValidationError("the zero ideal has no vertex covers")
@@ -92,9 +92,10 @@ def h_of(ideal: MonomialIdeal, limit: int = HITTING_SET_LIMIT) -> int:
         raise ValidationError("the unit ideal has no vertex cover")
     if reduce(and_, masks):
         return 1
-    if ideal.n > limit:
+    if ideal.n > HITTING_SET_LIMIT:
         raise SizeGuardError(
-            f"hitting-set search refused for n={ideal.n} > {limit} without a shared variable"
+            f"hitting-set search refused for n={ideal.n} > {HITTING_SET_LIMIT} "
+            "without a shared variable"
         )
     union = reduce(or_, masks)
     universe = [bit for bit in (1 << i for i in range(ideal.n)) if union & bit]

@@ -8,13 +8,16 @@ is a pure function over immutable values.
 Representation. Every ideal of vertex covers is squarefree, so a monomial is
 held as its support bitmask ``mask`` (bit i-1 set iff X_i divides it) plus a
 ``powers`` tuple of (index, exponent >= 2) pairs, which is empty for every
-squarefree monomial. On squarefree operands divisibility, lcm, gcd, the colon
+squarefree monomial. On squarefree operands divisibility, lcm, the colon
 reduction and the degree are the integer operations ``a & ~b == 0``,
-``a | b``, ``a & b``, ``a & ~b`` and ``bit_count()``, each running in C over
-n/64 machine words. Powers still arise from the X_k^2 of ``edge_ideal``,
-from repeated indices in ideal JSON and from dense exponent vectors passed to
+``a | b``, ``a & ~b`` and ``bit_count()``, each running in C over n/64
+machine words. Powers still arise from the X_k^2 of ``edge_ideal``, from
+repeated indices in ideal JSON and from dense exponent vectors passed to
 ``Monomial``; operations that meet one fall back to a general path over the
 dense exponent tuple, which is computed on demand.
+
+Ideal operations are methods: ``MonomialIdeal(n, gens)`` minimalizes,
+``intersect`` and ``colon`` build the intersection and the colon ideal.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from collections.abc import Iterable
 
 from .errors import DimensionMismatchError, ValidationError
 
-__all__ = ["Monomial", "MonomialIdeal", "divides", "minimalize", "intersect", "colon"]
+__all__ = ["Monomial", "MonomialIdeal"]
 
 # each byte value with its eight bits in reverse order
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -150,21 +153,11 @@ class Monomial:
             a <= b for a, b in zip(self.exponents, other.exponents)
         )
 
-    def gcd(self, other: Monomial) -> Monomial:
-        self._check_same_ring(other)
-        if self.powers or other.powers:
-            return Monomial(map(min, self.exponents, other.exponents))
-        return Monomial._make(self.n, self.mask & other.mask)
-
     def lcm(self, other: Monomial) -> Monomial:
         self._check_same_ring(other)
         if self.powers or other.powers:
             return Monomial(map(max, self.exponents, other.exponents))
         return Monomial._make(self.n, self.mask | other.mask)
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        self._check_same_ring(other)
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
 
     def div_by_gcd(self, other: Monomial) -> Monomial:
         """self / gcd(self, other): the colon reduction of one generator."""
@@ -207,9 +200,6 @@ class Monomial:
             return da < db
         diff = a ^ b
         return bool(diff & -diff & a)
-
-    def __le__(self, other: Monomial) -> bool:
-        return self == other or self < other
 
     def __repr__(self) -> str:
         return f"Monomial({self.text()!r}, n={self.n})"
@@ -279,14 +269,6 @@ class MonomialIdeal:
                 f"ideals in {self.n} and {other.n} variables cannot be combined"
             )
 
-    def contains(self, m: Monomial) -> bool:
-        """Membership test: some minimal generator divides m."""
-        if m.n != self.n:
-            raise DimensionMismatchError(
-                f"monomial in {m.n} variables tested against a {self.n}-variable ideal"
-            )
-        return any(g.divides(m) for g in self.gens)
-
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         """Ideal intersection via pairwise lcms of the generators."""
         self._check_same_ring(other)
@@ -333,25 +315,3 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(n={self.n}, gens={self.text()})"
-
-
-def divides(a: Monomial, b: Monomial) -> bool:
-    return a.divides(b)
-
-
-def minimalize(monomials: Iterable[Monomial], n: int | None = None) -> MonomialIdeal:
-    """Divisibility-minimal elements of a generator set, as an ideal."""
-    pool = list(monomials)
-    if n is None:
-        if not pool:
-            raise ValidationError("cannot infer the variable count from an empty set")
-        n = pool[0].n
-    return MonomialIdeal(n, pool)
-
-
-def intersect(first: MonomialIdeal, second: MonomialIdeal) -> MonomialIdeal:
-    return first.intersect(second)
-
-
-def colon(ideal: MonomialIdeal, f: Monomial) -> MonomialIdeal:
-    return ideal.colon(f)

@@ -121,7 +121,7 @@ def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:
     """Evaluate one ordering: all prefix colon ideals, q, and the linear flag.
 
     On a squarefree ideal a variable-generated step is built from its
-    variable mask; any other step is the minimalized colon reduction.
+    variable mask; any other step is the colon ideal of its prefix.
     """
     order = tuple(order)
     if sorted(order) != list(ideal.gens):
@@ -134,16 +134,13 @@ def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:
         if variables is not None:
             steps.append(_variables_ideal(n, variables))
         else:
-            u = order[j]
-            steps.append(MonomialIdeal(n, (v.div_by_gcd(u) for v in order[:j])))
+            steps.append(MonomialIdeal(n, order[:j]).colon(order[j]))
     q = max((len(s.gens) for s in steps), default=0)
     linear = all(_variable_generated(s) for s in steps)
     return QuotientCertificate(order, tuple(steps), q, linear)
 
 
-def find_linear_order(
-    ideal: MonomialIdeal, limit: int = BACKTRACK_GENERATOR_LIMIT
-) -> QuotientCertificate | None:
+def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
     """A linear-quotient certificate, or None when provably none exists.
 
     The canonical order is tried first. When it fails, generator orders are
@@ -151,9 +148,11 @@ def find_linear_order(
     not variable-generated; feasibility from a prefix depends only on the
     prefix as a set, so exhausted sets are memoized. Candidates are taken in
     canonical rank, which makes the returned order deterministic. Beyond
-    ``limit`` generators the search is refused with InconclusiveError, which
-    is distinct from a definitive absence. On squarefree ideals every step is
-    decided on masks, and only the returned certificate builds step ideals.
+    ``BACKTRACK_GENERATOR_LIMIT`` generators the search is refused with
+    InconclusiveError, which is distinct from a definitive absence. On
+    squarefree ideals every step is decided on masks, and only the returned
+    certificate builds step ideals; on ideals with powers each step is the
+    colon ideal of its prefix.
     """
     t = len(ideal.gens)
     if t <= 1:
@@ -161,21 +160,25 @@ def find_linear_order(
     gens = ideal.gens  # held in canonical order
     squarefree = ideal.is_squarefree
     if squarefree:
-        masks = [u.mask for u in gens]
-        if all(_linear_step(masks[:j], masks[j]) is not None for j in range(1, t)):
-            return check_linear_quotients(ideal, canonical_order(ideal))
-    if t > limit:
+        items = [u.mask for u in gens]
+
+        def step_is_linear(prefix, u) -> bool:
+            return _linear_step(prefix, u) is not None
+    else:
+        items = gens
+
+        def step_is_linear(prefix, u) -> bool:
+            return _variable_generated(MonomialIdeal(ideal.n, prefix).colon(u))
+
+    if all(step_is_linear(items[:j], items[j]) for j in range(1, t)):
+        return check_linear_quotients(ideal, canonical_order(ideal) if squarefree else gens)
+    if t > BACKTRACK_GENERATOR_LIMIT:
         raise InconclusiveError(
-            f"{t} generators exceed the search limit {limit}; linear quotients undecided"
+            f"{t} generators exceed the search limit {BACKTRACK_GENERATOR_LIMIT}; "
+            "linear quotients undecided"
         )
-    items = masks if squarefree else gens
     chosen: list[int] = []  # positions in gens, in order
     dead: set[int] = set()  # exhausted prefixes, as bitsets of positions
-
-    def step_is_linear(prefix: list, u) -> bool:
-        if squarefree:
-            return _linear_step(prefix, u) is not None
-        return _variable_generated(MonomialIdeal(ideal.n, (v.div_by_gcd(u) for v in prefix)))
 
     def search(used: int) -> bool:
         if len(chosen) == t:

@@ -140,12 +140,18 @@ def dense_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def dense_gcd(a, b):
-    return tuple(map(min, a, b))
+def dense_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def dense_div_by_gcd(a, b):
     return tuple(max(x - y, 0) for x, y in zip(a, b))
+
+
+def dense_member(ideal, a):
+    """Whether the monomial with exponent vector a lies in the ideal: some
+    generator's exponents are entrywise at most a."""
+    return any(dense_divides(g.exponents, a) for g in ideal.gens)
 
 
 def dense_key(a):

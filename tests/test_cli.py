@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from coverideals import cli
 from helpers import (
     BASE_COVER_GENS,
@@ -202,3 +204,26 @@ class TestExitCodesAndDeterminism:
 
     def test_missing_file_is_exit_one(self, capsys):
         assert cli.main(["patrol", "--input", "/nonexistent/x.json"]) == 1
+
+    @pytest.mark.parametrize("payload, base", [
+        ('{"n":"abc","edges":[]}', None),
+        ('{"alphas":5}', None),
+        ('{"n":3,"gens":5}', None),
+        ('{"n":3,"gens":[[1,"x"]]}', None),
+        ('{"n":3,"edges":[1]}', None),
+        ('{"n":3,"edges":[[true,2]]}', None),
+        ('{"n":3.7,"edges":[[1,2]]}', None),
+        ('{"alphas":[2,4],"loops":null}', None),
+        (TRIANGLE_JSON, '{"n":3,"gens":[[1,"x"]]}'),
+        (TRIANGLE_JSON, '{"n":true,"gens":[[1]]}'),
+    ])
+    def test_malformed_json_is_one_error_line(self, tmp_path, capsys, payload, base):
+        argv = ["cm-check", "--json", payload]
+        if base is not None:
+            path = tmp_path / "base.json"
+            path.write_text(base, encoding="utf-8")
+            argv += ["--base-ideal", str(path)]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -9,20 +9,17 @@ from coverideals import (
     Monomial,
     MonomialIdeal,
     ValidationError,
-    colon,
-    divides,
-    intersect,
-    minimalize,
 )
 from helpers import (
     all_monomials,
     brute_minimal_covers,
     dense_div_by_gcd,
     dense_divides,
-    dense_gcd,
     dense_key,
     dense_lcm,
+    dense_member,
     dense_minimalize,
+    dense_mul,
     ideal_of,
     members_up_to,
     mono,
@@ -96,7 +93,6 @@ class TestMaskAgainstDenseOracle:
             for b, mb in zip(vectors, monos):
                 assert ma.divides(mb) == dense_divides(a, b)
                 assert ma.lcm(mb).exponents == dense_lcm(a, b)
-                assert ma.gcd(mb).exponents == dense_gcd(a, b)
                 assert ma.div_by_gcd(mb).exponents == dense_div_by_gcd(a, b)
                 assert (ma < mb) == (dense_key(a) < dense_key(b))
         assert [m.exponents for m in sorted(monos)] == sorted(vectors, key=dense_key)
@@ -115,7 +111,7 @@ class TestMonomial:
             Monomial((1, -1))
 
     def test_divides_basic(self):
-        assert divides(mono([1], 2), mono([1, 2], 2))
+        assert mono([1], 2).divides(mono([1, 2], 2))
         assert not mono((1, 1), 1).divides(mono([1], 1))  # X1^2 does not divide X1
         assert Monomial.unit(3).divides(mono([1, 2, 3], 3))
 
@@ -124,18 +120,18 @@ class TestMonomial:
             mono([1], 2).divides(mono([1], 3))
 
     @given(monomial_pair())
-    def test_gcd_lcm_divisibility(self, pair):
+    def test_lcm_divisibility(self, pair):
         a, b = pair
-        g, l = a.gcd(b), a.lcm(b)
-        assert g.divides(a) and g.divides(b)
+        l = a.lcm(b)
         assert a.divides(l) and b.divides(l)
-        assert g.lcm(l) == l and (a * b) == g * l
+        assert l.exponents == dense_lcm(a.exponents, b.exponents)
+        assert l.divides(Monomial(dense_mul(a.exponents, b.exponents)))
 
     @given(monomial_pair())
     def test_div_by_gcd_membership(self, pair):
         a, b = pair
         q = a.div_by_gcd(b)
-        assert (q * b) == a.lcm(b)
+        assert Monomial(dense_mul(q.exponents, b.exponents)) == a.lcm(b)
 
     def test_from_indices_counts_multiplicity(self):
         assert mono([7, 7], 8).exponents[6] == 2
@@ -184,13 +180,8 @@ class TestMinimalize:
 
     @given(small_ideal(min_gens=1))
     def test_order_insensitive(self, ideal):
-        reversed_ideal = minimalize(reversed(ideal.gens), ideal.n)
+        reversed_ideal = MonomialIdeal(ideal.n, reversed(ideal.gens))
         assert reversed_ideal == ideal
-
-    def test_minimalize_infers_ring(self):
-        assert minimalize([mono([2], 4)]).n == 4
-        with pytest.raises(ValidationError):
-            minimalize([])
 
     def test_gens_stored_in_canonical_order(self):
         ideal = ideal_of(4, (1, 2, 3), (2, 4), (1, 4))
@@ -222,7 +213,8 @@ class TestIntersect:
         left, right = pair
         result = left.intersect(right)
         for m in all_monomials(left.n, 4):
-            assert result.contains(m) == (left.contains(m) and right.contains(m))
+            e = m.exponents
+            assert dense_member(result, e) == (dense_member(left, e) and dense_member(right, e))
 
     @given(ideal_tuple())
     def test_commutative(self, pair):
@@ -239,7 +231,7 @@ class TestIntersect:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            intersect(ideal_of(2, (1,)), ideal_of(3, (1,)))
+            ideal_of(2, (1,)).intersect(ideal_of(3, (1,)))
 
 
 class TestColon:
@@ -250,7 +242,7 @@ class TestColon:
     def test_two_generator_reduction(self):
         ideal = ideal_of(12, (3, 5, 6, 8, 12), (3, 4, 5, 8, 9, 12))
         f = mono((1, 2, 5, 6, 8, 9, 12), 12)
-        assert colon(ideal, f) == ideal_of(12, (3,))
+        assert ideal.colon(f) == ideal_of(12, (3,))
 
     def test_colon_by_unit_is_identity(self):
         ideal = ideal_of(3, (1, 2), (3,))
@@ -262,7 +254,8 @@ class TestColon:
         ideal, f = data
         quot = ideal.colon(f)
         for g in all_monomials(ideal.n, 3):
-            assert quot.contains(g) == ideal.contains(g * f)
+            e = g.exponents
+            assert dense_member(quot, e) == dense_member(ideal, dense_mul(e, f.exponents))
 
 
 class TestMonomialIdeal:
@@ -287,4 +280,4 @@ class TestMonomialIdeal:
         with pytest.raises(DimensionMismatchError):
             MonomialIdeal(3, [mono([1], 2)])
         with pytest.raises(DimensionMismatchError):
-            ideal_of(3, (1,)).contains(mono([1], 2))
+            ideal_of(3, (1,)).colon(mono([1], 2))

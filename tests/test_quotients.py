@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from coverideals import (
     InconclusiveError,
     KPrimeSpec,
+    LoopGraph,
+    Monomial,
     MonomialIdeal,
     NoLinearQuotientsError,
     ValidationError,
     canonical_order,
     check_linear_quotients,
+    edge_ideal,
     find_linear_order,
     kprime_cover_ideal,
     q_of,
@@ -112,6 +115,36 @@ class TestFindLinearOrder:
         with pytest.raises(InconclusiveError):
             find_linear_order(big)
 
+    def test_canonical_order_past_limit_with_and_without_powers(self):
+        # 13 generators, one past the search limit, whose canonical order is
+        # linear with 12 variables in its last step
+        tail = [(1, j) for j in range(2, 14)]
+        for first in ((1, 1), (1, 14)):
+            ideal = ideal_of(14, first, *tail)
+            cert = find_linear_order(ideal)
+            assert cert.linear and cert.q == 12
+            assert list(cert.order) == sorted(ideal.gens)
+
+
+@st.composite
+def ideals_with_powers(draw, max_n=5, max_gens=7):
+    """At most max_gens generators with exponents up to 2, one of them a
+    square: the edge ideal of a random graph with loops (X_k^2 per loop), or
+    random generators of degree at least 2 next to a square that none of
+    them divides."""
+    n = draw(st.integers(2, max_n))
+    if draw(st.booleans()):
+        vertex = st.integers(1, n)
+        loops = draw(st.lists(vertex, min_size=1, max_size=2, unique=True))
+        pairs = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+        edges = draw(st.lists(pairs, min_size=2, max_size=max_gens - len(loops)))
+        return edge_ideal(LoopGraph(n, edges, loops))
+    vec = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(lambda v: sum(v) >= 2)
+    vectors = draw(st.lists(vec, min_size=2, max_size=max_gens - 1))
+    square = [0] * n
+    square[draw(st.integers(0, n - 1))] = 2
+    return MonomialIdeal(n, [Monomial(v) for v in vectors + [square]])
+
 
 @st.composite
 def squarefree_ideals(draw, max_n=8, max_gens=8):
@@ -144,6 +177,11 @@ class TestMaskStepsAgainstDenseOracle:
     @settings(max_examples=150)
     def test_search_decides_like_the_oracle(self, ideal):
         assume(len(ideal.gens) <= 8)
+        assert find_linear_order(ideal) == dense_find_linear_order(ideal)
+
+    @given(ideals_with_powers())
+    @settings(max_examples=150)
+    def test_search_with_powers_decides_like_the_oracle(self, ideal):
         assert find_linear_order(ideal) == dense_find_linear_order(ideal)
 
     def test_rejected_orders_build_no_step_ideal(self, monkeypatch):
