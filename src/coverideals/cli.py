@@ -217,6 +217,8 @@ def run_linear_quotients(obj, args):
 
 
 def run_cm_check(obj, args):
+    if args.loops is not None and args.base_ideal is None:
+        raise ValidationError("--loops applies only to the saturation check; pass --base-ideal")
     ideal, route = compute_cover_ideal(obj, args.route)
     context = obj if isinstance(obj, KPrimeSpec) else None
     rep = invariants(ideal, context)
@@ -225,7 +227,7 @@ def run_cm_check(obj, args):
     lines = [f"route: {route} / {rep.route}", f"cohen_macaulay: {cm_text}"]
     if args.base_ideal is not None:
         base = _ideal_from_json(load_payload(args.base_ideal))
-        loops = _resolve_loops(obj, args)
+        loops = _resolve_loops(obj, args, base.n)
         verdict = cm_by_loop_saturation(base, loops)
         report["saturation"] = verdict.to_json_dict()
         if verdict.satisfied:
@@ -235,12 +237,16 @@ def run_cm_check(obj, args):
     return report, lines
 
 
-def _resolve_loops(obj, args):
+def _resolve_loops(obj, args, n: int):
     if args.loops is not None:
         try:
-            return [int(tok) for tok in args.loops.split(",") if tok.strip()]
+            loops = [int(tok) for tok in args.loops.split(",") if tok.strip()]
         except ValueError as exc:
             raise ValidationError(f"--loops must be a comma-separated integer list: {exc}")
+        for k in loops:
+            if not 1 <= k <= n:
+                raise ValidationError(f"--loops vertex {k} leaves the base ideal's range 1..{n}")
+        return loops
     if isinstance(obj, (LoopGraph, KPrimeSpec)):
         return obj.loops
     raise ValidationError("ideal input carries no loop set; pass --loops")

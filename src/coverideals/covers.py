@@ -1,16 +1,17 @@
 """Minimal vertex covers and the ideal of vertex covers, by three routes.
 
 The routes are deliberately independent so that each can serve as an oracle
-for the others: exhaustive subset enumeration, prime-by-prime intersection of
-the edge primes (X_i, X_j) and loop primes (X_k), and a closed-form candidate
+for the others: an exhaustive decision of every subset of the free vertices,
+evaluated bit-parallel on Python integers, prime-by-prime intersection of the
+edge primes (X_i, X_j) and loop primes (X_k), and a closed-form candidate
 construction for complete-core-plus-stars graphs that never enumerates
 subsets.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import SizeGuardError, ValidationError
 from .graphs import KPrimeSpec, LoopGraph
@@ -83,12 +84,38 @@ class PatrolSolution:
         }
 
 
-def minimal_covers_bruteforce(g: LoopGraph) -> list[Cover]:
-    """Every minimal vertex cover, by subset enumeration in ascending size.
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
+# the positions of the set bits of each byte value
+_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+_LOW_PATTERNS = (0xAA, 0xCC, 0xF0)
 
-    Loop vertices are mandatory, so only vertices incident to an edge not
-    already covered by a loop are enumerated. A candidate is minimal exactly
-    when no previously accepted (hence smaller) cover is contained in it.
+
+def _membership(k: int, f: int) -> int:
+    """The 2^f-bit integer whose bit s is set iff bit k of s is, built from
+    a repeated byte pattern: 0xAA, 0xCC or 0xF0 for k < 3, else 2^(k-3)
+    zero bytes followed by as many 0xFF bytes."""
+    if f < 3:
+        return _LOW_PATTERNS[k] & ((1 << (1 << f)) - 1)
+    nbytes = 1 << (f - 3)
+    if k < 3:
+        return int.from_bytes(bytes([_LOW_PATTERNS[k]]) * nbytes, "little")
+    run = 1 << (k - 3)
+    return int.from_bytes((bytes(run) + b"\xff" * run) * (nbytes // (2 * run)), "little")
+
+
+def minimal_covers_bruteforce(g: LoopGraph) -> list[Cover]:
+    """Every minimal vertex cover, sorted by size and then vertices, by
+    deciding every subset of the free vertices at once.
+
+    Loop vertices are mandatory, so only the f free vertices, those on an
+    edge with no looped endpoint, are chosen. Subset s holds free vertex k
+    iff bit k of s is set, and a 2^f-bit integer holds one bit per subset:
+    ``_membership(k, f)`` has bit s set iff s holds k, and ``nb`` ANDs those
+    of k's neighbours. s is a cover iff it holds k or all of k's neighbours,
+    for every k; a cover is redundant at k iff it holds k and all of k's
+    neighbours, since dropping k leaves a cover. The minimal covers are the
+    covers redundant at no vertex. That costs O(|E| * 2^f / 64) machine
+    words, with a few 2^f-bit integers live at a time (4 MB each at f = 25).
     """
     if g.n > BRUTE_FORCE_LIMIT:
         raise SizeGuardError(
@@ -98,17 +125,28 @@ def minimal_covers_bruteforce(g: LoopGraph) -> list[Cover]:
     loops = set(g.loops)
     open_edges = [e for e in g.edges if e[0] not in loops and e[1] not in loops]
     free = sorted({v for e in open_edges for v in e})
-    accepted: list[frozenset[int]] = []
-    out: list[Cover] = []
-    for k in range(len(free) + 1):
-        for combo in combinations(free, k):
-            extra = set(combo)
-            if not all(i in extra or j in extra for i, j in open_edges):
-                continue
-            if any(a <= extra for a in accepted):
-                continue
-            accepted.append(frozenset(extra))
-            out.append(Cover(loops | extra))
+    f = len(free)
+    position = {v: k for k, v in enumerate(free)}
+    neighbours: list[list[int]] = [[] for _ in free]
+    for i, j in open_edges:
+        neighbours[position[i]].append(position[j])
+        neighbours[position[j]].append(position[i])
+    covers = (1 << (1 << f)) - 1
+    redundant = 0
+    for k, adjacent in enumerate(neighbours):
+        has = _membership(k, f)
+        nb = _membership(adjacent[0], f)
+        for u in adjacent[1:]:
+            nb &= _membership(u, f)
+        covers &= has | nb
+        redundant |= has & nb
+    minimal = (covers & ~redundant).to_bytes(((1 << f) + 7) >> 3, "little")
+    out = []
+    for hit in _NONZERO_BYTE.finditer(minimal):
+        at = hit.start()
+        for bit in _BYTE_BITS[minimal[at]]:
+            s = at << 3 | bit
+            out.append(Cover(loops | {v for k, v in enumerate(free) if s >> k & 1}))
     return sorted(out, key=lambda c: (c.size, c.vertices))
 
 

@@ -39,6 +39,26 @@ def count_ideal_builds(monkeypatch):
     return built
 
 
+def count_monomial_builds(monkeypatch):
+    """The list to which every Monomial constructed from now on, by the
+    constructor or by the private ``_make`` that the other constructors and
+    the routes use, is appended, for the rest of the test."""
+    built = []
+    init, make = Monomial.__init__, Monomial._make
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def recording_make(cls, *args, **kwargs):
+        built.append(make(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(Monomial, "__init__", recording_init)
+    monkeypatch.setattr(Monomial, "_make", classmethod(recording_make))
+    return built
+
+
 # ---------------------------------------------------------------------------
 # golden inputs (block specs and generator lists used across the suite)
 
@@ -115,18 +135,19 @@ def brute_minimal_covers(n, edges, loops=()):
     """Inclusion-minimal vertex sets containing all loops and meeting all
     edges, by checking every subset of 1..n independently of the library."""
     loops = set(loops)
-    qualifying = []
+    minimal = []
     for r in range(n + 1):
         for combo in combinations(range(1, n + 1), r):
-            s = set(combo)
+            s = frozenset(combo)
             if not loops <= s:
                 continue
-            if all(i in s or j in s for i, j in edges):
-                qualifying.append(frozenset(s))
-    return sorted(
-        (s for s in qualifying if not any(t < s for t in qualifying)),
-        key=lambda s: (len(s), tuple(sorted(s))),
-    )
+            if not all(i in s or j in s for i, j in edges):
+                continue
+            # subsets come by ascending size, so a qualifying proper subset
+            # of s contains a minimal one found already
+            if not any(t < s for t in minimal):
+                minimal.append(s)
+    return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 # ---------------------------------------------------------------------------

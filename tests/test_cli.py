@@ -138,6 +138,25 @@ class TestCmCheck:
             assert code == 1 and captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("loops, with_base", [
+        ("2,3", False),
+        ("0,7", True),
+        ("1,4", True),
+        ("-1", True),
+    ])
+    def test_loops_rejected_without_base_or_out_of_range(self, tmp_path, capsys,
+                                                          loops, with_base):
+        argv = ["cm-check", "--json", TRIANGLE_JSON, "--loops", loops]
+        if with_base:
+            path = tmp_path / "base.json"
+            path.write_text(json.dumps(ideal_of(3, (1, 2), (1, 3), (2, 3)).to_json_dict()),
+                            encoding="utf-8")
+            argv += ["--base-ideal", str(path)]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_ideal_input_without_loops_fails(self, tmp_path, capsys):
         base_path = tmp_path / "base.json"
         base_path.write_text(
@@ -180,6 +199,11 @@ class TestOracleVerify:
         captured = capsys.readouterr()
         assert code == 3
         assert json.loads(captured.out)["agree"] is False
+
+    def test_legal_spec_at_the_brute_force_guard(self, capsys):
+        spec_json = json.dumps({"alphas": [2, 16, 25], "loops": [1, 18]})
+        code, report = run_json(capsys, "oracle-verify", "--json", spec_json)
+        assert code == 0 and report["agree"] is True
 
     def test_rejects_ideal_input(self, capsys):
         code, _ = run_cli(capsys, "oracle-verify", "--json", CITY_JSON)

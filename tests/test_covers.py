@@ -1,8 +1,12 @@
 """Cover enumeration, the three cover-ideal routes, and patrol selection."""
 
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverideals import (
     Cover,
@@ -29,6 +33,7 @@ from helpers import (
     brute_minimal_covers,
     city_ideal,
     count_ideal_builds,
+    count_monomial_builds,
     five_center_spec,
     ideal_of,
     kprime_covers_from_intervals,
@@ -39,6 +44,37 @@ from helpers import (
 )
 
 TRIANGLE = LoopGraph(3, [(1, 2), (1, 3), (2, 3)])
+
+
+@st.composite
+def loop_graphs(draw, max_n=12):
+    """Graphs with loops on at most max_n vertices: edgeless ones, ones with
+    isolated vertices and all-looped ones included."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.sampled_from([0.5, 0.2, 0.8, 0.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]
+    loops = draw(st.lists(st.integers(1, n), unique=True, max_size=3))
+    if draw(st.sampled_from((False, False, False, True))):
+        loops = range(1, n + 1)
+    return LoopGraph(n, edges, loops)
+
+
+@st.composite
+def graphs_with_free_count(draw, f):
+    """Graphs with loops whose edges with no looped endpoint touch exactly f
+    vertices, with f = 0 or 2 <= f <= 12 (such an edge has two free ends,
+    so f = 1 cannot arise). Every other edge meets a loop."""
+    n = draw(st.integers(max(f, 1), 12))
+    free = draw(st.permutations(range(1, n + 1)))[:f]
+    pairs = list(combinations(sorted(free), 2))
+    open_edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1)
+                      .filter(lambda es: {v for e in es for v in e} == set(free))) if f else []
+    rest = [v for v in range(1, n + 1) if v not in free]
+    loops = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    looped = [(min(i, k), max(i, k)) for k in loops for i in range(1, n + 1) if i != k]
+    extra = draw(st.lists(st.sampled_from(looped), unique=True)) if looped else []
+    return LoopGraph(n, open_edges + extra, loops)
 
 
 class TestCover:
@@ -80,9 +116,57 @@ class TestBruteForce:
             expected = brute_minimal_covers(g.n, g.edges, g.loops)
             assert [frozenset(c.vertices) for c in covers] == expected
 
+    @settings(max_examples=200)
+    @given(loop_graphs())
+    def test_equals_the_subset_oracle(self, g):
+        expected = brute_minimal_covers(g.n, g.edges, g.loops)
+        covers = minimal_covers_bruteforce(g)
+        assert [c.vertices for c in covers] == [tuple(sorted(s)) for s in expected]
+
+    @pytest.mark.parametrize("f", [0, 2, 3])
+    @given(data=st.data())
+    def test_tables_shorter_than_a_byte(self, f, data):
+        # 2^f subsets fit in one byte for f < 3 and fill exactly one at f = 3
+        g = data.draw(graphs_with_free_count(f))
+        loops = set(g.loops)
+        assert len({v for e in g.edges if not loops & set(e) for v in e}) == f
+        expected = brute_minimal_covers(g.n, g.edges, g.loops)
+        covers = minimal_covers_bruteforce(g)
+        assert [c.vertices for c in covers] == [tuple(sorted(s)) for s in expected]
+
+    def test_builds_no_monomial_and_no_ideal(self, monkeypatch):
+        g = LoopGraph(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (5, 6), (6, 7)], [7])
+        ideals = count_ideal_builds(monkeypatch)
+        monomials = count_monomial_builds(monkeypatch)
+        covers = minimal_covers_bruteforce(g)
+        assert ideals == [] and monomials == []
+        ideal = cover_ideal_from_covers(covers, g.n)  # the counters do see builds
+        assert ideals == [ideal] and len(monomials) == len(covers)
+
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             minimal_covers_bruteforce(LoopGraph(26, [(1, 2)]))
+
+    def test_legal_spec_at_the_guard_matches_the_closed_form(self):
+        # n = 25 at the guard with f = 23 free vertices: 2^23 subsets to decide
+        spec = KPrimeSpec([2, 16, 25], [1, 18])
+        covers = minimal_covers_bruteforce(expand_kprime(spec))
+        # the closed form's canonical order is the cover order: size, then vertices
+        assert [c.vertices for c in covers] == [
+            g.support for g in kprime_cover_ideal(spec).gens
+        ]
+
+    def test_star_at_the_guard_stays_small(self):
+        # f = 25: each of the few live subset tables is 4 MB
+        star = LoopGraph(25, [(1, v) for v in range(2, 26)])
+        tracemalloc.start()
+        try:
+            covers = minimal_covers_bruteforce(star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.vertices for c in covers] == [(1,), tuple(range(2, 26))]
+        assert peak < 64 * 2**20
 
     def test_nothing_to_cover(self):
         covers = minimal_covers_bruteforce(LoopGraph(3))
