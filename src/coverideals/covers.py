@@ -159,12 +159,17 @@ def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
     """The ideal of vertex covers as the intersection of one prime per edge
     and one principal ideal per loop, on support masks.
 
-    The loop ideals intersect to the single generator x^L. Intersecting with
-    (X_i, X_j) keeps every generator that meets i or j (a hit) and replaces
-    each other generator m by m*X_i and m*X_j. Those products never divide
-    each other or a hit, and m*X_i is divisible only by a hit containing i,
-    so each is kept unless such a hit divides it; the generators stay
-    minimal after every step.
+    The loop ideals intersect to the single generator x^L, which divides
+    every later generator, so an edge at a loop never changes the result and
+    the edge primes run on G - L only. They run star by star: vertices by
+    descending degree in G - L, ties by index, each with its edges to the
+    vertices not yet visited. Intersecting with (X_i, X_j) keeps every
+    generator that meets i or j (a hit) and replaces each other generator m
+    by m*X_i and m*X_j. Those products never divide each other or a hit,
+    and m*X_i is divisible only by a hit containing i, so each is kept
+    unless such a hit divides it; the generators stay minimal and distinct
+    after every step, so the answer is built without a second
+    minimalization.
     """
     if g.n > BRUTE_FORCE_LIMIT:
         raise SizeGuardError(
@@ -174,18 +179,31 @@ def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
     loops = 0
     for k in g.loops:
         loops |= 1 << (k - 1)
-    gens = [loops]
+    adjacent = [0] * g.n
     for i, j in g.edges:
         bi, bj = 1 << (i - 1), 1 << (j - 1)
-        edge = bi | bj
-        hit = [h for h in gens if h & edge]
-        miss = [m for m in gens if not m & edge]
-        gens = list(hit)
-        for b in (bi, bj):
-            rests = [h & ~b for h in hit if h & b]
-            # m | b is new iff every rest r has a bit outside m: all(r & ~m)
-            gens += [m | b for m in miss if all(map((~m).__and__, rests))]
-    return MonomialIdeal(g.n, (Monomial._make(g.n, m) for m in gens))
+        if not (bi | bj) & loops:
+            adjacent[i - 1] |= bj
+            adjacent[j - 1] |= bi
+    gens = [loops]
+    visited = 0
+    # sorted() is stable, so equal degrees keep ascending index
+    for v in sorted(range(g.n), key=lambda v: -adjacent[v].bit_count()):
+        bi = 1 << v
+        visited |= bi
+        ends = adjacent[v] & ~visited
+        while ends:
+            bj = ends & -ends
+            ends ^= bj
+            edge = bi | bj
+            hit = [h for h in gens if h & edge]
+            miss = [m for m in gens if not m & edge]
+            gens = list(hit)
+            for b in (bi, bj):
+                rests = [h & ~b for h in hit if h & b]
+                # m | b is new iff every rest r has a bit outside m: all(r & ~m)
+                gens += [m | b for m in miss if all(map((~m).__and__, rests))]
+    return MonomialIdeal._trusted(g.n, gens)
 
 
 def _kprime_candidate_masks(spec: KPrimeSpec) -> list[int]:

@@ -117,6 +117,8 @@ class Monomial:
 
     @property
     def degree(self) -> int:
+        if not self.powers:
+            return self.mask.bit_count()
         return self.mask.bit_count() + sum(e - 1 for _, e in self.powers)
 
     @property
@@ -244,6 +246,18 @@ class MonomialIdeal:
                 if not any(a.divides(m) for a in kept):
                     kept.append(m)
             self.gens = tuple(kept)
+
+    @classmethod
+    def _trusted(cls, n: int, masks: Iterable[int]) -> MonomialIdeal:
+        """Build from distinct squarefree masks in 1..n already known to be
+        a minimal generating set: they are only sorted into canonical order."""
+        nbytes = (n + 7) // 8
+        ideal = object.__new__(cls)
+        ideal.n = n
+        ideal.gens = tuple(
+            Monomial._make(n, m) for m in sorted(masks, key=lambda m: _squarefree_key(m, nbytes))
+        )
+        return ideal
 
     @property
     def is_zero(self) -> bool:

@@ -26,16 +26,22 @@ def ideal_of(n, *index_lists):
 
 
 def count_ideal_builds(monkeypatch):
-    """The list to which every MonomialIdeal constructed from now on is
-    appended, for the rest of the test."""
+    """The list to which every MonomialIdeal constructed from now on, by the
+    constructor or by the private ``_trusted`` that the intersection route
+    uses, is appended, for the rest of the test."""
     built = []
-    init = MonomialIdeal.__init__
+    init, trusted = MonomialIdeal.__init__, MonomialIdeal._trusted
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
+    def recording_trusted(cls, *args, **kwargs):
+        built.append(trusted(*args, **kwargs))
+        return built[-1]
+
     monkeypatch.setattr(MonomialIdeal, "__init__", recording_init)
+    monkeypatch.setattr(MonomialIdeal, "_trusted", classmethod(recording_trusted))
     return built
 
 

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -58,6 +59,19 @@ def loop_graphs(draw, max_n=12):
     if draw(st.sampled_from((False, False, False, True))):
         loops = range(1, n + 1)
     return LoopGraph(n, edges, loops)
+
+
+@st.composite
+def graphs_led_by_the_last_vertex(draw):
+    """Graphs with loops in which vertex n has the highest degree in G - L,
+    so the star order of the intersection route differs from index order."""
+    g = draw(loop_graphs(max_n=14))
+    loops = set(g.loops)
+    degree = Counter(v for e in g.edges if not loops & set(e) for v in e)
+    top = max(range(1, g.n + 1), key=lambda v: (degree[v], -v))
+    swap = {top: g.n, g.n: top}
+    edges = [(swap.get(i, i), swap.get(j, j)) for i, j in g.edges]
+    return LoopGraph(g.n, edges, [swap.get(k, k) for k in g.loops])
 
 
 @st.composite
@@ -211,6 +225,17 @@ class TestIntersectionRoute:
         assert built == [ideal]
         covers = brute_minimal_covers(6, graph.edges, graph.loops)
         assert [u.support for u in ideal.gens] == [tuple(sorted(c)) for c in covers]
+
+    @settings(max_examples=200)
+    @given(g=st.one_of(loop_graphs(max_n=14), graphs_led_by_the_last_vertex()),
+           data=st.data())
+    def test_equals_the_brute_force_route_without_a_second_minimalization(self, g, data):
+        # the answer is only sorted, so a non-minimal generator would show here
+        ideal = cover_ideal_by_intersection(g)
+        assert ideal == cover_ideal_from_covers(minimal_covers_bruteforce(g), g.n)
+        masks = data.draw(st.permutations([u.mask for u in ideal.gens]))
+        trusted = MonomialIdeal._trusted(g.n, masks)
+        assert trusted == MonomialIdeal(g.n, (Monomial._make(g.n, m) for m in masks))
 
 
 class TestKPrimeRoute:
