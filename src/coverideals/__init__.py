@@ -12,7 +12,6 @@ from .covers import (
     PatrolSolution,
     cover_ideal_by_intersection,
     cover_ideal_from_covers,
-    kprime_candidate_covers,
     kprime_cover_ideal,
     min_patrols,
     minimal_covers_bruteforce,
@@ -21,12 +20,11 @@ from .errors import (
     CoverIdealsError,
     DimensionMismatchError,
     InconclusiveError,
-    NoLinearQuotientsError,
     OracleDisagreementError,
     SizeGuardError,
     ValidationError,
 )
-from .graphs import KPrimeSpec, LoopGraph, edge_ideal, expand_kprime
+from .graphs import KPrimeSpec, LoopGraph, expand_kprime
 from .invariants import (
     HITTING_SET_LIMIT,
     CmSaturationVerdict,
@@ -34,8 +32,6 @@ from .invariants import (
     cm_by_loop_saturation,
     h_of,
     invariants,
-    is_cohen_macaulay,
-    reg_bounds_kprime,
 )
 from .monomials import Monomial, MonomialIdeal
 from .quotients import (
@@ -45,7 +41,6 @@ from .quotients import (
     canonical_order,
     check_linear_quotients,
     find_linear_order,
-    q_of,
     resolution_shifts,
 )
 
@@ -65,7 +60,6 @@ __all__ = [
     "LoopGraph",
     "Monomial",
     "MonomialIdeal",
-    "NoLinearQuotientsError",
     "OracleDisagreementError",
     "PatrolSolution",
     "QuotientCertificate",
@@ -77,17 +71,12 @@ __all__ = [
     "cm_by_loop_saturation",
     "cover_ideal_by_intersection",
     "cover_ideal_from_covers",
-    "edge_ideal",
     "expand_kprime",
     "find_linear_order",
     "h_of",
     "invariants",
-    "is_cohen_macaulay",
-    "kprime_candidate_covers",
     "kprime_cover_ideal",
     "min_patrols",
     "minimal_covers_bruteforce",
-    "q_of",
-    "reg_bounds_kprime",
     "resolution_shifts",
 ]

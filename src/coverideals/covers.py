@@ -24,12 +24,13 @@ __all__ = [
     "minimal_covers_bruteforce",
     "cover_ideal_from_covers",
     "cover_ideal_by_intersection",
-    "kprime_candidate_covers",
     "kprime_cover_ideal",
     "min_patrols",
 ]
 
-# Exactness over scalability: instances beyond this go through the closed form.
+# Brute force is refused past this many free vertices (a few 2^f-bit tables,
+# 4 MB each at f = 25), the intersection route past this many vertices; larger
+# block specs go through the closed form.
 BRUTE_FORCE_LIMIT = 25
 
 
@@ -45,29 +46,6 @@ class Cover:
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    def covers(self, g: LoopGraph) -> bool:
-        s = set(self.vertices)
-        if not set(g.loops) <= s:
-            return False
-        return all(i in s or j in s for i, j in g.edges)
-
-    def is_minimal(self, g: LoopGraph) -> bool:
-        """True iff this covers g and no loop-respecting proper subset does."""
-        if not self.covers(g):
-            return False
-        loops = set(g.loops)
-        s = set(self.vertices)
-        for v in self.vertices:
-            if v in loops:
-                continue
-            t = s - {v}
-            if all(i in t or j in t for i, j in g.edges):
-                return False
-        return True
-
-    def monomial(self, n: int) -> Monomial:
-        return Monomial.from_indices(self.vertices, n)
 
 
 @dataclass(frozen=True)
@@ -115,17 +93,18 @@ def minimal_covers_bruteforce(g: LoopGraph) -> list[Cover]:
     for every k; a cover is redundant at k iff it holds k and all of k's
     neighbours, since dropping k leaves a cover. The minimal covers are the
     covers redundant at no vertex. That costs O(|E| * 2^f / 64) machine
-    words, with a few 2^f-bit integers live at a time (4 MB each at f = 25).
+    words, with a few 2^f-bit integers live at a time (4 MB each at f = 25),
+    so the guard counts f, not n.
     """
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise SizeGuardError(
-            f"brute force refused for n={g.n} > {BRUTE_FORCE_LIMIT}; "
-            "use the structured closed form"
-        )
     loops = set(g.loops)
     open_edges = [e for e in g.edges if e[0] not in loops and e[1] not in loops]
     free = sorted({v for e in open_edges for v in e})
     f = len(free)
+    if f > BRUTE_FORCE_LIMIT:
+        raise SizeGuardError(
+            f"brute force refused for f={f} free vertices > {BRUTE_FORCE_LIMIT}; "
+            "use the structured closed form"
+        )
     position = {v: k for k, v in enumerate(free)}
     neighbours: list[list[int]] = [[] for _ in free]
     for i, j in open_edges:
@@ -152,7 +131,7 @@ def minimal_covers_bruteforce(g: LoopGraph) -> list[Cover]:
 
 def cover_ideal_from_covers(covers, n: int) -> MonomialIdeal:
     """Transcribe covers to squarefree generators (one product per cover)."""
-    return MonomialIdeal(n, (c.monomial(n) for c in covers))
+    return MonomialIdeal(n, (Monomial.from_indices(c.vertices, n) for c in covers))
 
 
 def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
@@ -236,12 +215,6 @@ def _kprime_candidate_masks(spec: KPrimeSpec) -> list[int]:
             cands.append(((centers | block) & ~bit) | (looped_leaves & ~block))
         prev = a
     return cands
-
-
-def kprime_candidate_covers(spec: KPrimeSpec) -> list[Cover]:
-    """Candidate minimal covers of a complete-core-plus-stars graph; see
-    ``_kprime_candidate_masks`` for the construction."""
-    return [Cover(Monomial._make(spec.n, c).support) for c in _kprime_candidate_masks(spec)]
 
 
 def kprime_cover_ideal(spec: KPrimeSpec) -> MonomialIdeal:

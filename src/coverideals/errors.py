@@ -21,10 +21,6 @@ class InconclusiveError(CoverIdealsError):
     """No available route can decide the requested verdict."""
 
 
-class NoLinearQuotientsError(CoverIdealsError):
-    """The ideal admits no linear-quotient ordering, so the value is undefined."""
-
-
 class OracleDisagreementError(CoverIdealsError):
     """Independent computation routes returned different results."""
 

@@ -1,4 +1,4 @@
-"""Graphs with loops, their edge ideals, and the complete-core-plus-stars family."""
+"""Graphs with loops and the complete-core-plus-stars family."""
 
 from __future__ import annotations
 
@@ -6,9 +6,8 @@ from collections.abc import Iterable
 from itertools import combinations
 
 from .errors import ValidationError
-from .monomials import Monomial, MonomialIdeal
 
-__all__ = ["LoopGraph", "KPrimeSpec", "expand_kprime", "edge_ideal"]
+__all__ = ["LoopGraph", "KPrimeSpec", "expand_kprime"]
 
 
 class LoopGraph:
@@ -119,11 +118,6 @@ class KPrimeSpec:
         """Largest block size (vertices of the biggest star, center included)."""
         return max(a - prev for prev, a in zip((0,) + self.alphas, self.alphas))
 
-    @property
-    def looped_centers(self) -> tuple[int, ...]:
-        loopset = set(self.loops)
-        return tuple(a for a in self.alphas if a in loopset)
-
     def to_json_dict(self) -> dict:
         return {"alphas": list(self.alphas), "loops": list(self.loops)}
 
@@ -154,9 +148,3 @@ def expand_kprime(spec: KPrimeSpec) -> LoopGraph:
         edges.extend((v, center) for v in members if v != center)
     return LoopGraph(spec.n, edges, spec.loops)
 
-
-def edge_ideal(g: LoopGraph) -> MonomialIdeal:
-    """The edge ideal: X_i*X_j per edge and X_k^2 per loop."""
-    gens = [Monomial.from_indices(e, g.n) for e in g.edges]
-    gens.extend(Monomial.from_indices((k, k), g.n) for k in g.loops)
-    return MonomialIdeal(g.n, gens)

@@ -14,7 +14,6 @@ from functools import reduce
 from itertools import combinations
 from operator import and_, or_
 
-from .covers import kprime_cover_ideal
 from .errors import InconclusiveError, SizeGuardError, ValidationError
 from .graphs import KPrimeSpec
 from .monomials import Monomial, MonomialIdeal
@@ -26,9 +25,7 @@ __all__ = [
     "CmSaturationVerdict",
     "h_of",
     "invariants",
-    "is_cohen_macaulay",
     "cm_by_loop_saturation",
-    "reg_bounds_kprime",
 ]
 
 HITTING_SET_LIMIT = 25
@@ -162,14 +159,6 @@ def invariants(ideal: MonomialIdeal, context: KPrimeSpec | None = None) -> Invar
     )
 
 
-def is_cohen_macaulay(ideal: MonomialIdeal) -> bool:
-    """depth(R/I) == dim(R/I), when a route determines depth."""
-    report = invariants(ideal)
-    if report.cm is None:
-        raise InconclusiveError("depth is undetermined on the bounds-only route")
-    return report.cm
-
-
 def cm_by_loop_saturation(base_cover_ideal: MonomialIdeal, loops) -> CmSaturationVerdict:
     """Check whether the loop set contains the support of some generator of
     the loopless base graph's cover ideal. When it does, the loop vertices
@@ -181,13 +170,3 @@ def cm_by_loop_saturation(base_cover_ideal: MonomialIdeal, loops) -> CmSaturatio
             return CmSaturationVerdict(True, g)
     return CmSaturationVerdict(False, None)
 
-
-def reg_bounds_kprime(spec: KPrimeSpec) -> tuple[int, int]:
-    """Regularity interval [(m-1)+(sigma-2), n-2] for a multi-generator
-    cover ideal of a block spec, sigma the largest star size."""
-    ideal = kprime_cover_ideal(spec)
-    if len(ideal.gens) < 2:
-        raise ValidationError(
-            "regularity bounds apply to cover ideals with at least two generators"
-        )
-    return _context_reg_bounds(spec)

@@ -11,10 +11,10 @@ held as its support bitmask ``mask`` (bit i-1 set iff X_i divides it) plus a
 squarefree monomial. On squarefree operands divisibility, lcm, the colon
 reduction and the degree are the integer operations ``a & ~b == 0``,
 ``a | b``, ``a & ~b`` and ``bit_count()``, each running in C over n/64
-machine words. Powers still arise from the X_k^2 of ``edge_ideal``, from
-repeated indices in ideal JSON and from dense exponent vectors passed to
-``Monomial``; operations that meet one fall back to a general path over the
-dense exponent tuple, which is computed on demand.
+machine words. Powers come only from repeated indices in ideal JSON
+(``[7, 7]`` is X7^2) and from dense exponent vectors passed to ``Monomial``;
+operations that meet one fall back to a general path over the dense exponent
+tuple, which is computed on demand.
 
 Ideal operations are methods: ``MonomialIdeal(n, gens)`` minimalizes,
 ``intersect`` and ``colon`` build the intersection and the colon ideal.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
+from itertools import islice
 
 from .errors import DimensionMismatchError, ValidationError
 
@@ -233,11 +234,19 @@ class MonomialIdeal:
                 squarefree = False
         self.n = n
         if squarefree:
+            # Distinct squarefree monomials of equal degree never divide each
+            # other, and the canonical order groups degrees, so each candidate
+            # is checked against the first `lower` kept masks only: those of
+            # lower degree. a divides m iff a & m == a.
             nbytes = (n + 7) // 8
             by_mask = {g.mask: g for g in pool}
             kept_masks: list[int] = []
+            lower = 0
+            degree = -1
             for m in sorted(by_mask, key=lambda m: _squarefree_key(m, nbytes)):
-                if all(a & ~m for a in kept_masks):
+                if m.bit_count() > degree:
+                    degree, lower = m.bit_count(), len(kept_masks)
+                if all(a & m != a for a in islice(kept_masks, lower)):
                     kept_masks.append(m)
             self.gens = tuple(by_mask[m] for m in kept_masks)
         else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InconclusiveError, NoLinearQuotientsError, ValidationError
+from .errors import InconclusiveError, ValidationError
 from .monomials import Monomial, MonomialIdeal
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "canonical_order",
     "check_linear_quotients",
     "find_linear_order",
-    "q_of",
     "resolution_shifts",
 ]
 
@@ -201,14 +200,6 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
     if search(0):
         return check_linear_quotients(ideal, [gens[i] for i in chosen])
     return None
-
-
-def q_of(ideal: MonomialIdeal) -> int:
-    """Largest colon-step size over a linear order; order-independent."""
-    cert = find_linear_order(ideal)
-    if cert is None:
-        raise NoLinearQuotientsError("q(I) is undefined: no linear-quotient order exists")
-    return cert.q
 
 
 def resolution_shifts(

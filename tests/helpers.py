@@ -25,6 +25,14 @@ def ideal_of(n, *index_lists):
     return MonomialIdeal(n, [mono(ix, n) for ix in index_lists])
 
 
+def edge_ideal(g):
+    """The edge ideal of a graph with loops: X_i*X_j per edge and X_k^2 per
+    loop, so its loops give ideals with powers."""
+    gens = [mono(e, g.n) for e in g.edges]
+    gens.extend(mono((k, k), g.n) for k in g.loops)
+    return MonomialIdeal(g.n, gens)
+
+
 def count_ideal_builds(monkeypatch):
     """The list to which every MonomialIdeal constructed from now on, by the
     constructor or by the private ``_trusted`` that the intersection route
@@ -156,6 +164,16 @@ def brute_minimal_covers(n, edges, loops=()):
     return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
 
 
+def is_minimal_cover(vertices, g):
+    """Whether the vertex set contains every loop of g and meets every edge,
+    and no set with one vertex fewer does."""
+    def covers(s):
+        return set(g.loops) <= s and all(i in s or j in s for i, j in g.edges)
+
+    s = set(vertices)
+    return covers(s) and not any(covers(s - {v}) for v in s)
+
+
 # ---------------------------------------------------------------------------
 # dense exponent-tuple oracle for the monomial kernel: plain tuples, no masks
 
@@ -197,11 +215,11 @@ def dense_minimalize(vectors):
 # ---------------------------------------------------------------------------
 # closed-form oracle on plain vertex sets
 
-def kprime_covers_from_intervals(alphas, loops):
-    """Minimal covers of a block spec, built as plain sets from its vertex
+def kprime_candidates_from_intervals(alphas, loops):
+    """Candidate covers of a block spec, built as plain sets from its vertex
     intervals (prev, a]: all centers with the looped leaves, and per
     unlooped center a the other centers, a's block without a, and the looped
-    leaves outside that block; then the inclusion-minimal ones."""
+    leaves outside that block."""
     centers, loops = set(alphas), set(loops)
     looped_leaves = loops - centers
     cands = [centers | looped_leaves]
@@ -211,7 +229,12 @@ def kprime_covers_from_intervals(alphas, loops):
         if a not in loops:
             cands.append((centers - {a}) | (block - {a}) | (looped_leaves - block))
         prev = a
-    return _minimal_sets(cands)
+    return cands
+
+
+def kprime_covers_from_intervals(alphas, loops):
+    """Minimal covers of a block spec: the inclusion-minimal candidates."""
+    return _minimal_sets(kprime_candidates_from_intervals(alphas, loops))
 
 
 # ---------------------------------------------------------------------------

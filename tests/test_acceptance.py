@@ -9,7 +9,6 @@ import random
 from itertools import combinations
 
 from coverideals import (
-    Cover,
     KPrimeSpec,
     LoopGraph,
     canonical_order,
@@ -22,7 +21,6 @@ from coverideals import (
     kprime_cover_ideal,
     min_patrols,
     minimal_covers_bruteforce,
-    q_of,
     resolution_shifts,
 )
 from helpers import (
@@ -37,6 +35,7 @@ from helpers import (
     exhaustive_linear_qs,
     five_center_spec,
     ideal_of,
+    is_minimal_cover,
     mono,
     random_kprime,
     random_loop_graph,
@@ -165,7 +164,7 @@ def test_06_oracle_equivalence():
         assert cover_ideal_by_intersection(g) == brute
         loopset = set(g.loops)
         for gen in brute.gens:
-            assert Cover(gen.support).is_minimal(g)
+            assert is_minimal_cover(gen.support, g)
             assert loopset <= set(gen.support)
 
     for _ in range(220):
@@ -175,7 +174,7 @@ def test_06_oracle_equivalence():
         graph = expand_kprime(spec)
         loopset = set(spec.loops)
         for gen in closed.gens:
-            assert Cover(gen.support).is_minimal(graph)
+            assert is_minimal_cover(gen.support, graph)
             assert loopset <= set(gen.support)
     print("criterion 6 (route oracle equivalence, 720 random instances): PASS")
 
@@ -248,7 +247,7 @@ def test_08_q_order_independence():
         qs = exhaustive_linear_qs(ideal)
         assert qs, f"no linear order found for {ideal.compact()}"
         assert len(set(qs)) == 1
-        assert set(qs) == {q_of(ideal)}
+        assert set(qs) == {find_linear_order(ideal).q}
     print("criterion 8 (q order-independence, exhaustive permutations): PASS")
 
 

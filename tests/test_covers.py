@@ -21,7 +21,6 @@ from coverideals import (
     cover_ideal_from_covers,
     expand_kprime,
     invariants,
-    kprime_candidate_covers,
     kprime_cover_ideal,
     min_patrols,
     minimal_covers_bruteforce,
@@ -37,6 +36,8 @@ from helpers import (
     count_monomial_builds,
     five_center_spec,
     ideal_of,
+    is_minimal_cover,
+    kprime_candidates_from_intervals,
     kprime_covers_from_intervals,
     mono,
     random_kprime,
@@ -97,11 +98,13 @@ class TestCover:
 
     def test_covers_and_minimality(self):
         g = LoopGraph(3, [(1, 2)], [3])
-        assert Cover([1, 3]).covers(g)
-        assert not Cover([1]).covers(g)  # misses the loop
-        assert Cover([1, 3]).is_minimal(g)
-        assert not Cover([1, 2, 3]).is_minimal(g)
-        assert Cover([3]).is_minimal(g) is False  # not even a cover
+        assert is_minimal_cover((1, 3), g)
+        assert not is_minimal_cover((1,), g)  # misses the loop
+        assert not is_minimal_cover((1, 2, 3), g)
+        assert not is_minimal_cover((3,), g)  # not even a cover
+        covers = minimal_covers_bruteforce(g)
+        assert [c.vertices for c in covers] == [(1, 3), (2, 3)]
+        assert all(is_minimal_cover(c.vertices, g) for c in covers)
 
 
 class TestBruteForce:
@@ -126,7 +129,7 @@ class TestBruteForce:
             covers = minimal_covers_bruteforce(g)
             keys = [(c.size, c.vertices) for c in covers]
             assert keys == sorted(keys)
-            assert all(c.is_minimal(g) for c in covers)
+            assert all(is_minimal_cover(c.vertices, g) for c in covers)
             expected = brute_minimal_covers(g.n, g.edges, g.loops)
             assert [frozenset(c.vertices) for c in covers] == expected
 
@@ -158,8 +161,12 @@ class TestBruteForce:
         assert ideals == [ideal] and len(monomials) == len(covers)
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            minimal_covers_bruteforce(LoopGraph(26, [(1, 2)]))
+        # the guard counts the f free vertices, not n
+        covers = minimal_covers_bruteforce(LoopGraph(26, [(1, 2)]))
+        assert [c.vertices for c in covers] == [(1,), (2,)]
+        matching = LoopGraph(26, [(2 * i - 1, 2 * i) for i in range(1, 14)])
+        with pytest.raises(SizeGuardError, match="f=26"):
+            minimal_covers_bruteforce(matching)
 
     def test_legal_spec_at_the_guard_matches_the_closed_form(self):
         # n = 25 at the guard with f = 23 free vertices: 2^23 subsets to decide
@@ -245,8 +252,8 @@ class TestKPrimeRoute:
 
     def test_five_center_discards_all_centers_candidate(self):
         spec = five_center_spec()
-        candidates = {c.vertices for c in kprime_candidate_covers(spec)}
-        assert (3, 5, 6, 8, 9, 12) in candidates  # all centers plus looped leaf 5
+        candidates = kprime_candidates_from_intervals(spec.alphas, spec.loops)
+        assert {3, 5, 6, 8, 9, 12} in candidates  # all centers plus looped leaf 5
         ideal = kprime_cover_ideal(spec)
         assert mono((3, 5, 6, 8, 9, 12), 12) not in ideal.gens
         assert mono((3, 5, 6, 8, 12), 12) in ideal.gens

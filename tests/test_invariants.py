@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coverideals import (
-    InconclusiveError,
     KPrimeSpec,
     Monomial,
     MonomialIdeal,
@@ -17,9 +16,7 @@ from coverideals import (
     cm_by_loop_saturation,
     h_of,
     invariants,
-    is_cohen_macaulay,
     kprime_cover_ideal,
-    reg_bounds_kprime,
 )
 from helpers import (
     BASE_COVER_GENS,
@@ -161,8 +158,8 @@ class TestInvariants:
 
 class TestCohenMacaulay:
     def test_golden_verdicts(self):
-        assert is_cohen_macaulay(kprime_cover_ideal(five_center_spec(SATURATED_LOOPS)))
-        assert not is_cohen_macaulay(kprime_cover_ideal(five_center_spec()))
+        assert invariants(kprime_cover_ideal(five_center_spec(SATURATED_LOOPS))).cm is True
+        assert invariants(kprime_cover_ideal(five_center_spec())).cm is False
 
     def test_principal_cover_ideal_is_always_cm(self):
         rng = random.Random(41)
@@ -172,12 +169,12 @@ class TestCohenMacaulay:
             ideal = kprime_cover_ideal(spec)
             if not ideal.is_principal:
                 continue
-            assert is_cohen_macaulay(ideal)
+            assert invariants(ideal).cm is True
             seen += 1
 
     def test_inconclusive_on_bounds_only(self):
-        with pytest.raises(InconclusiveError):
-            is_cohen_macaulay(ideal_of(4, (1, 2), (3, 4)))
+        rep = invariants(ideal_of(4, (1, 2), (3, 4)))
+        assert rep.route == "bounds-only" and rep.cm is None
 
 
 class TestLoopSaturation:
@@ -215,23 +212,28 @@ class TestLoopSaturation:
             hits += 1
 
 
+def block_spec_report(spec):
+    return invariants(kprime_cover_ideal(spec), spec)
+
+
 class TestRegBounds:
     def test_five_center(self):
-        assert reg_bounds_kprime(five_center_spec()) == (5, 10)
+        assert block_spec_report(five_center_spec()).reg_bounds == (5, 10)
 
     def test_three_center_contains_exact_value(self):
-        spec = three_center_spec()
-        lo, hi = reg_bounds_kprime(spec)
+        rep = block_spec_report(three_center_spec())
+        lo, hi = rep.reg_bounds
         assert (lo, hi) == (4, 9)
-        rep = invariants(kprime_cover_ideal(spec), spec)
         assert rep.reg == 6 and lo <= rep.reg <= hi
 
     def test_two_block_formula(self):
-        assert reg_bounds_kprime(KPrimeSpec((2, 4))) == (1, 2)
+        assert block_spec_report(KPrimeSpec((2, 4))).reg_bounds == (1, 2)
 
-    def test_rejects_principal(self):
-        with pytest.raises(ValidationError):
-            reg_bounds_kprime(KPrimeSpec((2, 4), loops=(2, 4)))
+    def test_principal_route_reports_the_trivial_interval(self):
+        # the block-spec interval (1, 2) is for two or more generators; a
+        # principal cover ideal gets (0, n - 1) from the principal route
+        rep = block_spec_report(KPrimeSpec((2, 4), loops=(2, 4)))
+        assert rep.route == "principal" and rep.reg_bounds == (0, 3)
 
     def test_lower_bound_fails_when_biggest_star_center_is_looped(self):
         # documented boundary: a looped center removes its omit-cover, and with
@@ -240,7 +242,7 @@ class TestRegBounds:
         ideal = kprime_cover_ideal(spec)
         assert ideal == ideal_of(6, (4, 5), (4, 6))
         rep = invariants(ideal, spec)
-        lo, hi = reg_bounds_kprime(spec)
+        lo, hi = rep.reg_bounds
         assert rep.reg == 1 and (lo, hi) == (3, 4)
         assert rep.reg < lo  # the claimed lower bound does not hold here
 
@@ -252,5 +254,5 @@ class TestRegBounds:
             if len(ideal.gens) < 2:
                 continue
             rep = invariants(ideal, spec)
-            lo, hi = reg_bounds_kprime(spec)
+            lo, hi = rep.reg_bounds
             assert lo <= rep.reg <= hi

@@ -13,20 +13,18 @@ from coverideals import (
     LoopGraph,
     Monomial,
     MonomialIdeal,
-    NoLinearQuotientsError,
     ValidationError,
     canonical_order,
     check_linear_quotients,
-    edge_ideal,
     find_linear_order,
     kprime_cover_ideal,
-    q_of,
     resolution_shifts,
 )
 from helpers import (
     FIVE_CENTER_GENS,
     brute_minimal_covers,
     count_ideal_builds,
+    edge_ideal,
     dense_check_linear_quotients,
     dense_find_linear_order,
     exhaustive_linear_qs,
@@ -202,19 +200,18 @@ class TestMaskStepsAgainstDenseOracle:
 
 class TestQOf:
     def test_five_center(self):
-        assert q_of(kprime_cover_ideal(five_center_spec())) == 1
+        assert find_linear_order(kprime_cover_ideal(five_center_spec())).q == 1
 
     def test_principal(self):
-        assert q_of(ideal_of(4, (1, 2, 3))) == 0
+        assert find_linear_order(ideal_of(4, (1, 2, 3))).q == 0
 
     def test_triangle_against_exhaustive_oracle(self):
         oracle_qs = exhaustive_linear_qs(TRIANGLE_IDEAL)
         assert oracle_qs and set(oracle_qs) == {1}
-        assert q_of(TRIANGLE_IDEAL) == 1
+        assert find_linear_order(TRIANGLE_IDEAL).q == 1
 
     def test_undefined_without_linear_order(self):
-        with pytest.raises(NoLinearQuotientsError):
-            q_of(COPRIME_PAIR)
+        assert find_linear_order(COPRIME_PAIR) is None
 
     def test_order_independent_on_random_cover_ideals(self):
         rng = random.Random(17)
@@ -227,7 +224,7 @@ class TestQOf:
             qs = exhaustive_linear_qs(ideal)
             if not qs:
                 continue
-            assert set(qs) == {q_of(ideal)}
+            assert set(qs) == {find_linear_order(ideal).q}
             checked += 1
 
 
@@ -245,7 +242,7 @@ class TestLinearOrderCoverage:
         checked = 0
         while checked < 40:
             spec = random_kprime(rng, n_hi=11)
-            if len(spec.looped_centers) > spec.m - 2:
+            if len(set(spec.alphas) & set(spec.loops)) > spec.m - 2:
                 continue
             ideal = kprime_cover_ideal(spec)
             if len(ideal.gens) < 2:
