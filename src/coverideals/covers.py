@@ -32,6 +32,9 @@ __all__ = [
 # 4 MB each at f = 25), the intersection route past this many vertices; larger
 # block specs go through the closed form.
 BRUTE_FORCE_LIMIT = 25
+# Brute force also refuses covers * n past this, before building any cover; a
+# graph with n <= 25 has at most 8,748 minimal covers (Moon-Moser), so fits.
+_OUTPUT_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,8 @@ def minimal_covers_bruteforce(g: LoopGraph) -> list[Cover]:
     neighbours, since dropping k leaves a cover. The minimal covers are the
     covers redundant at no vertex. That costs O(|E| * 2^f / 64) machine
     words, with a few 2^f-bit integers live at a time (4 MB each at f = 25),
-    so the guard counts f, not n.
+    so the guard counts f, not n; the answer costs O(n) per cover, so
+    ``_OUTPUT_LIMIT`` bounds their product, a popcount, before any is built.
     """
     loops = set(g.loops)
     open_edges = [e for e in g.edges if e[0] not in loops and e[1] not in loops]
@@ -119,7 +123,14 @@ def minimal_covers_bruteforce(g: LoopGraph) -> list[Cover]:
             nb &= _membership(u, f)
         covers &= has | nb
         redundant |= has & nb
-    minimal = (covers & ~redundant).to_bytes(((1 << f) + 7) >> 3, "little")
+    minimal = covers & ~redundant
+    count = minimal.bit_count()
+    if count * g.n > _OUTPUT_LIMIT:
+        raise SizeGuardError(
+            f"brute force refused for {count} minimal covers x n={g.n} > "
+            f"{_OUTPUT_LIMIT} output slots; use the structured closed form"
+        )
+    minimal = minimal.to_bytes(((1 << f) + 7) >> 3, "little")
     out = []
     for hit in _NONZERO_BYTE.finditer(minimal):
         at = hit.start()

@@ -244,8 +244,9 @@ class MonomialIdeal:
             lower = 0
             degree = -1
             for m in sorted(by_mask, key=lambda m: _squarefree_key(m, nbytes)):
-                if m.bit_count() > degree:
-                    degree, lower = m.bit_count(), len(kept_masks)
+                d = m.bit_count()
+                if d > degree:
+                    degree, lower = d, len(kept_masks)
                 if all(a & m != a for a in islice(kept_masks, lower)):
                     kept_masks.append(m)
             self.gens = tuple(by_mask[m] for m in kept_masks)

@@ -219,6 +219,16 @@ class TestExitCodesAndDeterminism:
         big = json.dumps({"n": 30, "edges": [[1, 2]], "loops": []})
         assert cli.main(["cover-ideal", "--json", big]) == 2
 
+    def test_output_guard_is_exit_two(self, capsys):
+        # 8 disjoint triangles: f = 24 passes the free-vertex guard, but 6,561
+        # covers over 100,000 vertices are refused before any is built
+        edges = [[t, t + 1] for t in range(1, 25, 3)] + [[t, t + 2] for t in range(1, 25, 3)]
+        edges += [[t + 1, t + 2] for t in range(1, 25, 3)]
+        big = json.dumps({"n": 100_000, "edges": edges, "loops": list(range(25, 100_001))})
+        assert cli.main(["cover-ideal", "--route", "bruteforce", "--json", big]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "6561 minimal covers x n=100000" in err
+
     def test_byte_determinism(self, capsys):
         first = run_cli(capsys, "invariants", "--json", FIVE_CENTER_JSON,
                         "--format", "json")

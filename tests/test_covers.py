@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverideals import covers as covers_module
 from coverideals import (
     Cover,
     KPrimeSpec,
@@ -167,6 +168,26 @@ class TestBruteForce:
         matching = LoopGraph(26, [(2 * i - 1, 2 * i) for i in range(1, 14)])
         with pytest.raises(SizeGuardError, match="f=26"):
             minimal_covers_bruteforce(matching)
+
+    def test_output_guard(self, monkeypatch):
+        # 8 disjoint triangles (f = 24) have 3^8 = 6,561 minimal covers, and
+        # loops on 25..n make each hold every one of n's remaining vertices
+        def looped_triangles(n):
+            edges = [(i, j) for t in range(1, 25, 3) for i, j in ((t, t + 1), (t, t + 2), (t + 1, t + 2))]
+            return LoopGraph(n, edges, range(25, n + 1))
+
+        covers = minimal_covers_bruteforce(looped_triangles(159))  # 6,561 * 159 <= 2^20
+        first = tuple(v for t in range(1, 25, 3) for v in (t, t + 1)) + tuple(range(25, 160))
+        assert len(covers) == 6561 and covers[0].vertices == first
+        # few covers on many vertices pass: 2 * 2^19 = 2^20
+        covers = minimal_covers_bruteforce(LoopGraph(1 << 19, [(1, 2)]))
+        assert [c.vertices for c in covers] == [(1,), (2,)]
+        monkeypatch.setattr(covers_module, "Cover", None)  # refused before any cover is built
+        for n in (160, 100_000):
+            with pytest.raises(SizeGuardError, match=f"6561 minimal covers x n={n} > 1048576"):
+                minimal_covers_bruteforce(looped_triangles(n))
+        with pytest.raises(SizeGuardError, match="2 minimal covers"):
+            minimal_covers_bruteforce(LoopGraph((1 << 19) + 1, [(1, 2)]))
 
     def test_legal_spec_at_the_guard_matches_the_closed_form(self):
         # n = 25 at the guard with f = 23 free vertices: 2^23 subsets to decide
