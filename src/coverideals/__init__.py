@@ -8,10 +8,8 @@ invariants with Cohen-Macaulay verdicts, and minimum-patrol cover selection.
 
 from .covers import (
     BRUTE_FORCE_LIMIT,
-    Cover,
     PatrolSolution,
     cover_ideal_by_intersection,
-    cover_ideal_from_covers,
     kprime_cover_ideal,
     min_patrols,
     minimal_covers_bruteforce,
@@ -51,7 +49,6 @@ __all__ = [
     "BRUTE_FORCE_LIMIT",
     "HITTING_SET_LIMIT",
     "CmSaturationVerdict",
-    "Cover",
     "CoverIdealsError",
     "DimensionMismatchError",
     "InconclusiveError",
@@ -70,7 +67,6 @@ __all__ = [
     "check_linear_quotients",
     "cm_by_loop_saturation",
     "cover_ideal_by_intersection",
-    "cover_ideal_from_covers",
     "expand_kprime",
     "find_linear_order",
     "h_of",

@@ -26,7 +26,6 @@ from itertools import chain
 
 from .covers import (
     cover_ideal_by_intersection,
-    cover_ideal_from_covers,
     kprime_cover_ideal,
     min_patrols,
     minimal_covers_bruteforce,
@@ -153,7 +152,7 @@ def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str]:
     elif route == "closed-form":
         raise ValidationError("the closed-form route requires a block-spec input")
     if route == "bruteforce":
-        return cover_ideal_from_covers(minimal_covers_bruteforce(obj), obj.n), "bruteforce"
+        return minimal_covers_bruteforce(obj), "bruteforce"
     return cover_ideal_by_intersection(obj), "intersection"
 
 
@@ -172,8 +171,7 @@ def run_cover_ideal(obj, args):
 
 def run_invariants(obj, args):
     ideal, route = compute_cover_ideal(obj, args.route)
-    context = obj if isinstance(obj, KPrimeSpec) else None
-    rep = invariants(ideal, context)
+    rep = invariants(ideal, None if ideal is obj else obj)  # a graph or spec fixes h
     report = {"route": route, "invariants": rep.to_json_dict(),
               "ideal": ideal.to_json_dict()}
     cm_text = "inconclusive" if rep.cm is None else str(rep.cm).lower()
@@ -220,8 +218,7 @@ def run_cm_check(obj, args):
     if args.loops is not None and args.base_ideal is None:
         raise ValidationError("--loops applies only to the saturation check; pass --base-ideal")
     ideal, route = compute_cover_ideal(obj, args.route)
-    context = obj if isinstance(obj, KPrimeSpec) else None
-    rep = invariants(ideal, context)
+    rep = invariants(ideal, None if ideal is obj else obj)
     report = {"route": route, "invariants": rep.to_json_dict()}
     cm_text = "inconclusive" if rep.cm is None else str(rep.cm).lower()
     lines = [f"route: {route} / {rep.route}", f"cohen_macaulay: {cm_text}"]
@@ -261,7 +258,7 @@ def run_patrol(obj, args):
         f"covering number: {solution.covering_number}",
         f"optimal covers ({len(solution.optimal_covers)}):",
     ]
-    lines += ["  {" + ", ".join(map(str, c.vertices)) + "}" for c in solution.optimal_covers]
+    lines += ["  {" + ", ".join(map(str, c)) + "}" for c in solution.optimal_covers]
     return report, lines
 
 
@@ -275,7 +272,7 @@ def run_oracle_verify(obj, args):
     else:
         graph = obj
     results["intersection"] = cover_ideal_by_intersection(graph)
-    results["bruteforce"] = cover_ideal_from_covers(minimal_covers_bruteforce(graph), graph.n)
+    results["bruteforce"] = minimal_covers_bruteforce(graph)
     ideals = list(results.values())
     agree = all(i == ideals[0] for i in ideals)
     report = {

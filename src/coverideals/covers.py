@@ -5,24 +5,23 @@ for the others: an exhaustive decision of every subset of the free vertices,
 evaluated bit-parallel on Python integers, prime-by-prime intersection of the
 edge primes (X_i, X_j) and loop primes (X_k), and a closed-form candidate
 construction for complete-core-plus-stars graphs that never enumerates
-subsets.
+subsets. Each route finds exactly the minimal covers, every loop vertex in
+each, and hands them as support masks to the ideal, which only sorts them.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from itertools import takewhile
 
 from .errors import SizeGuardError, ValidationError
 from .graphs import KPrimeSpec, LoopGraph
-from .monomials import Monomial, MonomialIdeal
+from .monomials import MonomialIdeal, _indices_mask, _mask_indices
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
-    "Cover",
     "PatrolSolution",
     "minimal_covers_bruteforce",
-    "cover_ideal_from_covers",
     "cover_ideal_by_intersection",
     "kprime_cover_ideal",
     "min_patrols",
@@ -32,42 +31,25 @@ __all__ = [
 # 4 MB each at f = 25), the intersection route past this many vertices; larger
 # block specs go through the closed form.
 BRUTE_FORCE_LIMIT = 25
-# Brute force also refuses covers * n past this, before building any cover; a
-# graph with n <= 25 has at most 8,748 minimal covers (Moon-Moser), so fits.
+# Brute force also refuses covers * n past this, before building any generator;
+# a graph with n <= 25 has at most 8,748 minimal covers (Moon-Moser), so fits.
 _OUTPUT_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
-class Cover:
-    """A vertex set meant to meet every edge and contain every loop vertex."""
-
-    vertices: tuple[int, ...]
-
-    def __init__(self, vertices):
-        object.__setattr__(self, "vertices", tuple(sorted({int(v) for v in vertices})))
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
 class PatrolSolution:
-    """All minimum-cardinality minimal covers, i.e. the optimal patrol layouts."""
+    """All minimum-cardinality minimal covers as ascending vertex tuples."""
 
     covering_number: int
-    optimal_covers: tuple[Cover, ...]
+    optimal_covers: tuple[tuple[int, ...], ...]
 
     def to_json_dict(self) -> dict:
         return {
             "covering_number": self.covering_number,
-            "optimal_covers": [list(c.vertices) for c in self.optimal_covers],
+            "optimal_covers": [list(c) for c in self.optimal_covers],
         }
 
 
-_NONZERO_BYTE = re.compile(rb"[^\x00]")
-# the positions of the set bits of each byte value
-_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
 _LOW_PATTERNS = (0xAA, 0xCC, 0xF0)
 
 
@@ -84,9 +66,9 @@ def _membership(k: int, f: int) -> int:
     return int.from_bytes((bytes(run) + b"\xff" * run) * (nbytes // (2 * run)), "little")
 
 
-def minimal_covers_bruteforce(g: LoopGraph) -> list[Cover]:
-    """Every minimal vertex cover, sorted by size and then vertices, by
-    deciding every subset of the free vertices at once.
+def minimal_covers_bruteforce(g: LoopGraph) -> MonomialIdeal:
+    """The ideal of vertex covers, generated by every minimal vertex cover,
+    by deciding every subset of the free vertices at once.
 
     Loop vertices are mandatory, so only the f free vertices, those on an
     edge with no looped endpoint, are chosen. Subset s holds free vertex k
@@ -130,19 +112,13 @@ def minimal_covers_bruteforce(g: LoopGraph) -> list[Cover]:
             f"brute force refused for {count} minimal covers x n={g.n} > "
             f"{_OUTPUT_LIMIT} output slots; use the structured closed form"
         )
-    minimal = minimal.to_bytes(((1 << f) + 7) >> 3, "little")
-    out = []
-    for hit in _NONZERO_BYTE.finditer(minimal):
-        at = hit.start()
-        for bit in _BYTE_BITS[minimal[at]]:
-            s = at << 3 | bit
-            out.append(Cover(loops | {v for k, v in enumerate(free) if s >> k & 1}))
-    return sorted(out, key=lambda c: (c.size, c.vertices))
-
-
-def cover_ideal_from_covers(covers, n: int) -> MonomialIdeal:
-    """Transcribe covers to squarefree generators (one product per cover)."""
-    return MonomialIdeal(n, (Monomial.from_indices(c.vertices, n) for c in covers))
+    loop_mask = _indices_mask(loops, g.n)
+    bits = [1 << (v - 1) for v in free]
+    # subset s is the set bit at 1-based position s + 1 of the table
+    return MonomialIdeal._trusted(g.n, (
+        loop_mask | sum(b for k, b in enumerate(bits) if (p - 1) >> k & 1)
+        for p in _mask_indices(minimal)
+    ))
 
 
 def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
@@ -166,9 +142,7 @@ def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
             f"prime intersection refused for n={g.n} > {BRUTE_FORCE_LIMIT}; "
             "use the structured closed form"
         )
-    loops = 0
-    for k in g.loops:
-        loops |= 1 << (k - 1)
+    loops = _indices_mask(g.loops, g.n)
     adjacent = [0] * g.n
     for i, j in g.edges:
         bi, bj = 1 << (i - 1), 1 << (j - 1)
@@ -207,31 +181,31 @@ def _kprime_candidate_masks(spec: KPrimeSpec) -> list[int]:
       and the looped leaves of the other blocks.
 
     Each block is the interval (prev, a], so a candidate takes O(m) integer
-    operations on n-bit masks. Divisible candidates (an all-centers set
-    swallowing an omit-one set) are discarded downstream by ideal
-    minimalization.
+    operations on n-bit masks. An omit-one candidate lacks its own center, so
+    it divides no other; the all-centers one is divisible, and left out, iff
+    some unlooped center has every leaf looped (a bare center counts).
     """
-    centers = loops = 0
-    for a in spec.alphas:
-        centers |= 1 << (a - 1)
-    for k in spec.loops:
-        loops |= 1 << (k - 1)
+    centers = _indices_mask(spec.alphas, spec.n)
+    loops = _indices_mask(spec.loops, spec.n)
     looped_leaves = loops & ~centers
-    cands = [centers | looped_leaves]
+    cands = []
+    all_centers_minimal = True
     prev = 0
     for a in spec.alphas:
         bit = 1 << (a - 1)
         if not loops & bit:
             block = ((1 << a) - 1) ^ ((1 << prev) - 1)
+            all_centers_minimal &= block & ~loops != bit
             cands.append(((centers | block) & ~bit) | (looped_leaves & ~block))
         prev = a
+    if all_centers_minimal:
+        cands.append(centers | looped_leaves)
     return cands
 
 
 def kprime_cover_ideal(spec: KPrimeSpec) -> MonomialIdeal:
     """Closed-form ideal of vertex covers for a block spec; no enumeration."""
-    n = spec.n
-    return MonomialIdeal(n, (Monomial._make(n, c) for c in _kprime_candidate_masks(spec)))
+    return MonomialIdeal._trusted(spec.n, _kprime_candidate_masks(spec))
 
 
 def min_patrols(source) -> PatrolSolution:
@@ -254,9 +228,7 @@ def min_patrols(source) -> PatrolSolution:
         raise ValidationError("the zero ideal covers nothing")
     if not ideal.is_squarefree:
         raise ValidationError("patrol selection needs a squarefree (vertex-cover) ideal")
-    best = min(g.degree for g in ideal.gens)
-    covers = sorted(
-        (Cover(g.support) for g in ideal.gens if g.degree == best),
-        key=lambda c: c.vertices,
-    )
-    return PatrolSolution(best, tuple(covers))
+    # the canonical order puts the lowest degree first, ties by vertices
+    best = ideal.gens[0].degree
+    lowest = takewhile(lambda g: g.degree == best, ideal.gens)
+    return PatrolSolution(best, tuple(g.support for g in lowest))

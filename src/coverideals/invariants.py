@@ -15,7 +15,7 @@ from itertools import combinations
 from operator import and_, or_
 
 from .errors import InconclusiveError, SizeGuardError, ValidationError
-from .graphs import KPrimeSpec
+from .graphs import KPrimeSpec, LoopGraph
 from .monomials import Monomial, MonomialIdeal
 from .quotients import find_linear_order
 
@@ -104,33 +104,40 @@ def h_of(ideal: MonomialIdeal) -> int:
     raise AssertionError("the union of all supports always hits every generator")
 
 
-def _context_h(context: KPrimeSpec) -> int:
-    """h of a block spec's cover ideal, read off the spec: a loop vertex lies
-    in every cover, so h = 1 with loops. Without loops the core edge bounds
-    h by 2, and h > 1 since every vertex v is missed by the complement of a
-    maximal independent set containing v, which is a minimal cover."""
-    return 1 if context.loops else 2
-
-
-def _context_reg_bounds(context: KPrimeSpec | None) -> tuple[int, int] | None:
+def _context_h(context: KPrimeSpec | LoopGraph | None) -> int | None:
+    """h of a graph's or block spec's cover ideal, read off the input: a loop
+    vertex lies in every cover, so h = 1 with loops. Without loops an edge
+    (a spec has its core) bounds h by 2, and h > 1 since every vertex v is
+    missed by the minimal cover that is the complement of a maximal
+    independent set containing v. None without a context, edge or loop."""
     if context is None:
+        return None
+    if context.loops:
+        return 1
+    return 2 if isinstance(context, KPrimeSpec) or context.edges else None
+
+
+def _context_reg_bounds(context: KPrimeSpec | LoopGraph | None) -> tuple[int, int] | None:
+    if not isinstance(context, KPrimeSpec):
         return None
     return ((context.m - 1) + (context.sigma - 2), context.n - 2)
 
 
-def invariants(ideal: MonomialIdeal, context: KPrimeSpec | None = None) -> InvariantReport:
+def invariants(
+    ideal: MonomialIdeal, context: KPrimeSpec | LoopGraph | None = None
+) -> InvariantReport:
     """Full invariant report for R/I, routed by the ideal's structure.
 
     A principal ideal resolves in one step (pd 1, reg exact). With two or
     more generators a linear-quotient certificate gives pd = q + 1 and reg
     exact; otherwise only dim is exact, with regularity bounds from the
-    block-spec context when one is supplied. The context also fixes h, with
-    no hitting-set search.
+    block-spec context when one is supplied. A graph or block-spec context
+    also fixes h by the loop rule, with no hitting-set search.
     """
     if ideal.is_zero:
         raise ValidationError("invariants are undefined for the zero ideal")
     n = ideal.n
-    h = h_of(ideal) if context is None else _context_h(context)
+    h = _context_h(context) or h_of(ideal)
     dim = n - h
     maxdeg = ideal.max_degree
     if ideal.is_principal:

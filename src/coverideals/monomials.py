@@ -22,9 +22,9 @@ Ideal operations are methods: ``MonomialIdeal(n, gens)`` minimalizes,
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from collections.abc import Iterable
-from itertools import islice
 
 from .errors import DimensionMismatchError, ValidationError
 
@@ -32,6 +32,9 @@ __all__ = ["Monomial", "MonomialIdeal"]
 
 # each byte value with its eight bits in reverse order
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
+# the 1-based positions of the set bits of each byte value
+_BYTE_BITS = tuple(tuple(b + 1 for b in range(8) if v >> b & 1) for v in range(256))
 
 
 def _indices_mask(indices: Iterable[int], n: int) -> int:
@@ -44,8 +47,15 @@ def _indices_mask(indices: Iterable[int], n: int) -> int:
 
 
 def _mask_indices(mask: int) -> list[int]:
-    """1-based positions of the set bits, ascending."""
-    return [i for i, c in enumerate(bin(mask)[:1:-1], start=1) if c == "1"]
+    """1-based positions of the set bits, ascending, read off a byte table."""
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    out: list[int] = []
+    for hit in _NONZERO_BYTE.finditer(data):
+        at = hit.start()
+        base = at * 8
+        for b in _BYTE_BITS[data[at]]:
+            out.append(base + b)
+    return out
 
 
 def _squarefree_key(mask: int, nbytes: int) -> tuple[int, int]:
@@ -234,20 +244,12 @@ class MonomialIdeal:
                 squarefree = False
         self.n = n
         if squarefree:
-            # Distinct squarefree monomials of equal degree never divide each
-            # other, and the canonical order groups degrees, so each candidate
-            # is checked against the first `lower` kept masks only: those of
-            # lower degree. a divides m iff a & m == a.
+            # a divides m iff a & m == a
             nbytes = (n + 7) // 8
             by_mask = {g.mask: g for g in pool}
             kept_masks: list[int] = []
-            lower = 0
-            degree = -1
             for m in sorted(by_mask, key=lambda m: _squarefree_key(m, nbytes)):
-                d = m.bit_count()
-                if d > degree:
-                    degree, lower = d, len(kept_masks)
-                if all(a & m != a for a in islice(kept_masks, lower)):
+                if all(a & m != a for a in kept_masks):
                     kept_masks.append(m)
             self.gens = tuple(by_mask[m] for m in kept_masks)
         else:

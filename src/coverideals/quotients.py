@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InconclusiveError, ValidationError
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _mask_indices
 
 __all__ = [
     "BACKTRACK_GENERATOR_LIMIT",
@@ -100,13 +100,8 @@ def _linear_step(prefix_masks, u: int) -> int | None:
 
 
 def _variables_ideal(n: int, variables: int) -> MonomialIdeal:
-    """The ideal generated by the variables in a mask."""
-    gens = []
-    while variables:
-        low = variables & -variables
-        gens.append(Monomial._make(n, low))
-        variables ^= low
-    return MonomialIdeal(n, gens)
+    """The ideal of the variables in a mask: distinct bits, so minimal."""
+    return MonomialIdeal._trusted(n, (1 << (i - 1) for i in _mask_indices(variables)))
 
 
 def canonical_order(ideal: MonomialIdeal) -> list[Monomial]:

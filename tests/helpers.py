@@ -12,6 +12,8 @@ from collections import Counter
 from functools import reduce
 from itertools import combinations, permutations, product
 
+from hypothesis import strategies as st
+
 from coverideals import KPrimeSpec, LoopGraph, Monomial, MonomialIdeal, QuotientCertificate
 
 # ---------------------------------------------------------------------------
@@ -172,6 +174,11 @@ def is_minimal_cover(vertices, g):
 
     s = set(vertices)
     return covers(s) and not any(covers(s - {v}) for v in s)
+
+
+def bin_scan_indices(mask):
+    """1-based positions of the set bits, read off the binary numeral."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1], start=1) if c == "1"]
 
 
 # ---------------------------------------------------------------------------
@@ -367,3 +374,28 @@ def random_kprime(
     if require_loop and not loops and eligible:
         loops = [rng.choice(eligible)]
     return KPrimeSpec(alphas, loops)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis strategies
+
+@st.composite
+def loop_graphs(draw, max_n=12):
+    """Graphs with loops on at most max_n vertices: edgeless ones, ones with
+    isolated vertices and all-looped ones included."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.sampled_from([0.5, 0.2, 0.8, 0.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]
+    loops = draw(st.lists(st.integers(1, n), unique=True, max_size=3))
+    if draw(st.sampled_from((False, False, False, True))):
+        loops = range(1, n + 1)
+    return LoopGraph(n, edges, loops)
+
+
+@st.composite
+def block_specs(draw, max_n=25):
+    n = draw(st.integers(2, max_n))
+    centers = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(n - 1, 8)))
+    loops = draw(st.sets(st.integers(1, n), max_size=3))
+    return KPrimeSpec(sorted(centers) + [n], loops)

@@ -14,7 +14,6 @@ from coverideals import (
     canonical_order,
     cm_by_loop_saturation,
     cover_ideal_by_intersection,
-    cover_ideal_from_covers,
     expand_kprime,
     find_linear_order,
     invariants,
@@ -48,7 +47,7 @@ def _all_routes(spec):
     return (
         kprime_cover_ideal(spec),
         cover_ideal_by_intersection(graph),
-        cover_ideal_from_covers(minimal_covers_bruteforce(graph), graph.n),
+        minimal_covers_bruteforce(graph),
     )
 
 
@@ -109,7 +108,7 @@ def test_04_city_patrol():
     assert len(ideal.gens) == 6  # the six inputs are pairwise incomparable
     solution = min_patrols(ideal)
     assert solution.covering_number == 21
-    assert [c.vertices for c in solution.optimal_covers] == [CITY_OPTIMUM]
+    assert list(solution.optimal_covers) == [CITY_OPTIMUM]
     print("criterion 4 (city patrol optimum, covering number 21): PASS")
 
 
@@ -122,7 +121,7 @@ def test_05_closed_form_families_exhaustive():
             for loops in combinations(verts, r):
                 g = LoopGraph(m, edges, loops)
                 got = cover_ideal_by_intersection(g)
-                assert got == cover_ideal_from_covers(minimal_covers_bruteforce(g), m)
+                assert got == minimal_covers_bruteforce(g)
                 assert got == kprime_cover_ideal(KPrimeSpec(verts, loops))
                 if r == m:
                     want = {mono(verts, m)}
@@ -141,7 +140,7 @@ def test_05_closed_form_families_exhaustive():
             for loops in combinations(range(1, n + 1), r):
                 g = LoopGraph(n, edges, loops)
                 got = cover_ideal_by_intersection(g)
-                assert got == cover_ideal_from_covers(minimal_covers_bruteforce(g), n)
+                assert got == minimal_covers_bruteforce(g)
                 loopset = set(loops)
                 if n in loopset:
                     want = {mono(loops, n)}
@@ -160,7 +159,7 @@ def test_06_oracle_equivalence():
     rng = random.Random(0xC0FFEE)
     for _ in range(500):
         g = random_loop_graph(rng, n_lo=1, n_hi=10)
-        brute = cover_ideal_from_covers(minimal_covers_bruteforce(g), g.n)
+        brute = minimal_covers_bruteforce(g)
         assert cover_ideal_by_intersection(g) == brute
         loopset = set(g.loops)
         for gen in brute.gens:

@@ -219,6 +219,14 @@ class TestExitCodesAndDeterminism:
         big = json.dumps({"n": 30, "edges": [[1, 2]], "loops": []})
         assert cli.main(["cover-ideal", "--json", big]) == 2
 
+    def test_graph_past_the_hitting_set_guard_gets_h_from_the_loop_rule(self, capsys):
+        # brute force accepts f = 2 at n = 30, and h needs no search
+        graph = json.dumps({"n": 30, "edges": [[1, 2]]})
+        code, report = run_json(capsys, "invariants", "--route", "bruteforce", "--json", graph)
+        assert code == 0 and report["invariants"]["h"] == 2
+        # a graph with nothing to cover still has the unit ideal
+        assert cli.main(["invariants", "--json", '{"n": 3, "edges": []}']) == 1
+
     def test_output_guard_is_exit_two(self, capsys):
         # 8 disjoint triangles: f = 24 passes the free-vertex guard, but 6,561
         # covers over 100,000 vertices are refused before any is built

@@ -1,4 +1,4 @@
-"""Cover enumeration, the three cover-ideal routes, and patrol selection."""
+"""Minimal covers, the three cover-ideal routes, and patrol selection."""
 
 import random
 import tracemalloc
@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverideals import covers as covers_module
 from coverideals import (
-    Cover,
     KPrimeSpec,
     LoopGraph,
     Monomial,
@@ -19,7 +17,6 @@ from coverideals import (
     SizeGuardError,
     ValidationError,
     cover_ideal_by_intersection,
-    cover_ideal_from_covers,
     expand_kprime,
     invariants,
     kprime_cover_ideal,
@@ -31,6 +28,7 @@ from helpers import (
     SATURATED_GEN,
     SATURATED_LOOPS,
     THREE_CENTER_GENS,
+    block_specs,
     brute_minimal_covers,
     city_ideal,
     count_ideal_builds,
@@ -40,6 +38,7 @@ from helpers import (
     is_minimal_cover,
     kprime_candidates_from_intervals,
     kprime_covers_from_intervals,
+    loop_graphs,
     mono,
     random_kprime,
     random_loop_graph,
@@ -47,20 +46,6 @@ from helpers import (
 )
 
 TRIANGLE = LoopGraph(3, [(1, 2), (1, 3), (2, 3)])
-
-
-@st.composite
-def loop_graphs(draw, max_n=12):
-    """Graphs with loops on at most max_n vertices: edgeless ones, ones with
-    isolated vertices and all-looped ones included."""
-    n = draw(st.integers(1, max_n))
-    p = draw(st.sampled_from([0.5, 0.2, 0.8, 0.0]))
-    rng = draw(st.randoms(use_true_random=False))
-    edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]
-    loops = draw(st.lists(st.integers(1, n), unique=True, max_size=3))
-    if draw(st.sampled_from((False, False, False, True))):
-        loops = range(1, n + 1)
-    return LoopGraph(n, edges, loops)
 
 
 @st.composite
@@ -93,53 +78,51 @@ def graphs_with_free_count(draw, f):
     return LoopGraph(n, open_edges + extra, loops)
 
 
-class TestCover:
-    def test_normalization(self):
-        assert Cover([3, 1, 1, 2]).vertices == (1, 2, 3)
+def supports(ideal):
+    return [u.support for u in ideal.gens]
 
+
+class TestCover:
     def test_covers_and_minimality(self):
         g = LoopGraph(3, [(1, 2)], [3])
         assert is_minimal_cover((1, 3), g)
         assert not is_minimal_cover((1,), g)  # misses the loop
         assert not is_minimal_cover((1, 2, 3), g)
         assert not is_minimal_cover((3,), g)  # not even a cover
-        covers = minimal_covers_bruteforce(g)
-        assert [c.vertices for c in covers] == [(1, 3), (2, 3)]
-        assert all(is_minimal_cover(c.vertices, g) for c in covers)
+        covers = supports(minimal_covers_bruteforce(g))
+        assert covers == [(1, 3), (2, 3)]
+        assert all(is_minimal_cover(c, g) for c in covers)
 
 
 class TestBruteForce:
     def test_triangle(self):
-        covers = minimal_covers_bruteforce(TRIANGLE)
-        assert [c.vertices for c in covers] == [(1, 2), (1, 3), (2, 3)]
+        assert supports(minimal_covers_bruteforce(TRIANGLE)) == [(1, 2), (1, 3), (2, 3)]
 
     def test_star_with_all_leaves_looped(self):
         g = LoopGraph(4, [(1, 4), (2, 4), (3, 4)], [1, 2, 3])
-        covers = minimal_covers_bruteforce(g)
-        assert [c.vertices for c in covers] == [(1, 2, 3)]
+        assert supports(minimal_covers_bruteforce(g)) == [(1, 2, 3)]
 
     def test_three_center_graph(self):
         g = expand_kprime(three_center_spec())
-        covers = minimal_covers_bruteforce(g)
-        assert {c.vertices for c in covers} == set(THREE_CENTER_GENS)
+        assert set(supports(minimal_covers_bruteforce(g))) == set(THREE_CENTER_GENS)
 
     def test_output_is_sorted_and_minimal(self):
         rng = random.Random(11)
         for _ in range(25):
             g = random_loop_graph(rng, n_hi=8)
-            covers = minimal_covers_bruteforce(g)
-            keys = [(c.size, c.vertices) for c in covers]
+            covers = supports(minimal_covers_bruteforce(g))
+            keys = [(len(c), c) for c in covers]
             assert keys == sorted(keys)
-            assert all(is_minimal_cover(c.vertices, g) for c in covers)
+            assert all(is_minimal_cover(c, g) for c in covers)
             expected = brute_minimal_covers(g.n, g.edges, g.loops)
-            assert [frozenset(c.vertices) for c in covers] == expected
+            assert [frozenset(c) for c in covers] == expected
 
     @settings(max_examples=200)
     @given(loop_graphs())
     def test_equals_the_subset_oracle(self, g):
         expected = brute_minimal_covers(g.n, g.edges, g.loops)
-        covers = minimal_covers_bruteforce(g)
-        assert [c.vertices for c in covers] == [tuple(sorted(s)) for s in expected]
+        covers = supports(minimal_covers_bruteforce(g))
+        assert covers == [tuple(sorted(s)) for s in expected]
 
     @pytest.mark.parametrize("f", [0, 2, 3])
     @given(data=st.data())
@@ -149,22 +132,21 @@ class TestBruteForce:
         loops = set(g.loops)
         assert len({v for e in g.edges if not loops & set(e) for v in e}) == f
         expected = brute_minimal_covers(g.n, g.edges, g.loops)
-        covers = minimal_covers_bruteforce(g)
-        assert [c.vertices for c in covers] == [tuple(sorted(s)) for s in expected]
+        covers = supports(minimal_covers_bruteforce(g))
+        assert covers == [tuple(sorted(s)) for s in expected]
 
-    def test_builds_no_monomial_and_no_ideal(self, monkeypatch):
+    def test_builds_only_the_returned_ideal(self, monkeypatch):
         g = LoopGraph(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (5, 6), (6, 7)], [7])
         ideals = count_ideal_builds(monkeypatch)
         monomials = count_monomial_builds(monkeypatch)
-        covers = minimal_covers_bruteforce(g)
-        assert ideals == [] and monomials == []
-        ideal = cover_ideal_from_covers(covers, g.n)  # the counters do see builds
-        assert ideals == [ideal] and len(monomials) == len(covers)
+        ideal = minimal_covers_bruteforce(g)
+        assert ideals == [ideal] and monomials == list(ideal.gens)
+        covers = brute_minimal_covers(g.n, g.edges, g.loops)
+        assert supports(ideal) == [tuple(sorted(c)) for c in covers]
 
     def test_size_guard(self):
         # the guard counts the f free vertices, not n
-        covers = minimal_covers_bruteforce(LoopGraph(26, [(1, 2)]))
-        assert [c.vertices for c in covers] == [(1,), (2,)]
+        assert supports(minimal_covers_bruteforce(LoopGraph(26, [(1, 2)]))) == [(1,), (2,)]
         matching = LoopGraph(26, [(2 * i - 1, 2 * i) for i in range(1, 14)])
         with pytest.raises(SizeGuardError, match="f=26"):
             minimal_covers_bruteforce(matching)
@@ -176,13 +158,13 @@ class TestBruteForce:
             edges = [(i, j) for t in range(1, 25, 3) for i, j in ((t, t + 1), (t, t + 2), (t + 1, t + 2))]
             return LoopGraph(n, edges, range(25, n + 1))
 
-        covers = minimal_covers_bruteforce(looped_triangles(159))  # 6,561 * 159 <= 2^20
+        ideal = minimal_covers_bruteforce(looped_triangles(159))  # 6,561 * 159 <= 2^20
         first = tuple(v for t in range(1, 25, 3) for v in (t, t + 1)) + tuple(range(25, 160))
-        assert len(covers) == 6561 and covers[0].vertices == first
+        assert len(ideal.gens) == 6561 and ideal.gens[0].support == first
         # few covers on many vertices pass: 2 * 2^19 = 2^20
-        covers = minimal_covers_bruteforce(LoopGraph(1 << 19, [(1, 2)]))
-        assert [c.vertices for c in covers] == [(1,), (2,)]
-        monkeypatch.setattr(covers_module, "Cover", None)  # refused before any cover is built
+        assert supports(minimal_covers_bruteforce(LoopGraph(1 << 19, [(1, 2)]))) == [(1,), (2,)]
+        # refused before any generator is built
+        monkeypatch.setattr(MonomialIdeal, "_trusted", None)
         for n in (160, 100_000):
             with pytest.raises(SizeGuardError, match=f"6561 minimal covers x n={n} > 1048576"):
                 minimal_covers_bruteforce(looped_triangles(n))
@@ -192,36 +174,22 @@ class TestBruteForce:
     def test_legal_spec_at_the_guard_matches_the_closed_form(self):
         # n = 25 at the guard with f = 23 free vertices: 2^23 subsets to decide
         spec = KPrimeSpec([2, 16, 25], [1, 18])
-        covers = minimal_covers_bruteforce(expand_kprime(spec))
-        # the closed form's canonical order is the cover order: size, then vertices
-        assert [c.vertices for c in covers] == [
-            g.support for g in kprime_cover_ideal(spec).gens
-        ]
+        assert minimal_covers_bruteforce(expand_kprime(spec)) == kprime_cover_ideal(spec)
 
     def test_star_at_the_guard_stays_small(self):
         # f = 25: each of the few live subset tables is 4 MB
         star = LoopGraph(25, [(1, v) for v in range(2, 26)])
         tracemalloc.start()
         try:
-            covers = minimal_covers_bruteforce(star)
+            covers = supports(minimal_covers_bruteforce(star))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [c.vertices for c in covers] == [(1,), tuple(range(2, 26))]
+        assert covers == [(1,), tuple(range(2, 26))]
         assert peak < 64 * 2**20
 
     def test_nothing_to_cover(self):
-        covers = minimal_covers_bruteforce(LoopGraph(3))
-        assert [c.vertices for c in covers] == [()]
-
-
-class TestCoverIdealFromCovers:
-    def test_transcription(self):
-        covers = [Cover([1, 2]), Cover([1, 3]), Cover([2, 3])]
-        assert cover_ideal_from_covers(covers, 3) == ideal_of(3, (1, 2), (1, 3), (2, 3))
-
-    def test_single_cover(self):
-        assert cover_ideal_from_covers([Cover([1, 2, 3])], 4) == ideal_of(4, (1, 2, 3))
+        assert supports(minimal_covers_bruteforce(LoopGraph(3))) == [()]
 
 
 class TestIntersectionRoute:
@@ -260,7 +228,7 @@ class TestIntersectionRoute:
     def test_equals_the_brute_force_route_without_a_second_minimalization(self, g, data):
         # the answer is only sorted, so a non-minimal generator would show here
         ideal = cover_ideal_by_intersection(g)
-        assert ideal == cover_ideal_from_covers(minimal_covers_bruteforce(g), g.n)
+        assert ideal == minimal_covers_bruteforce(g)
         masks = data.draw(st.permutations([u.mask for u in ideal.gens]))
         trusted = MonomialIdeal._trusted(g.n, masks)
         assert trusted == MonomialIdeal(g.n, (Monomial._make(g.n, m) for m in masks))
@@ -320,7 +288,7 @@ class TestLoopSaturatedBoundary:
         ideal = kprime_cover_ideal(two_gen)
         assert ideal == ideal_of(3, (1, 2), (1, 3))
         g = expand_kprime(two_gen)
-        assert cover_ideal_from_covers(minimal_covers_bruteforce(g), 3) == ideal
+        assert minimal_covers_bruteforce(g) == ideal
 
     def test_principality_condition_on_random_specs(self):
         # principal iff no center is unlooped, or exactly one is and all the
@@ -340,13 +308,31 @@ class TestLoopSaturatedBoundary:
             assert kprime_cover_ideal(spec).is_principal == expect_principal
 
 
+class TestRoutesReturnMinimalCanonicalSets:
+    # every route hands its generators to the ideal only sorted, so a
+    # non-minimal or duplicate generator would differ from the constructor's
+    @settings(max_examples=200)
+    @given(loop_graphs(max_n=14))
+    def test_graph_routes(self, g):
+        for ideal in (minimal_covers_bruteforce(g), cover_ideal_by_intersection(g)):
+            assert MonomialIdeal(g.n, ideal.gens) == ideal
+
+    @settings(max_examples=200)
+    @given(block_specs(max_n=60))
+    def test_closed_form(self, spec):
+        ideal = kprime_cover_ideal(spec)
+        assert MonomialIdeal(spec.n, ideal.gens) == ideal
+        assert set(map(frozenset, supports(ideal))) == kprime_covers_from_intervals(
+            spec.alphas, spec.loops
+        )
+
+
 class TestRouteAgreement:
     def test_random_graphs(self):
         rng = random.Random(99)
         for _ in range(60):
             g = random_loop_graph(rng, n_hi=9)
-            by_covers = cover_ideal_from_covers(minimal_covers_bruteforce(g), g.n)
-            assert cover_ideal_by_intersection(g) == by_covers
+            assert cover_ideal_by_intersection(g) == minimal_covers_bruteforce(g)
 
     def test_random_specs(self):
         rng = random.Random(100)
@@ -355,7 +341,7 @@ class TestRouteAgreement:
             g = expand_kprime(spec)
             closed = kprime_cover_ideal(spec)
             assert closed == cover_ideal_by_intersection(g)
-            assert closed == cover_ideal_from_covers(minimal_covers_bruteforce(g), g.n)
+            assert closed == minimal_covers_bruteforce(g)
 
     def test_loop_variables_divide_every_generator(self):
         rng = random.Random(101)
@@ -371,22 +357,22 @@ class TestMinPatrols:
     def test_city_generators(self):
         solution = min_patrols(city_ideal())
         assert solution.covering_number == 21
-        assert [c.vertices for c in solution.optimal_covers] == [CITY_OPTIMUM]
+        assert list(solution.optimal_covers) == [CITY_OPTIMUM]
 
     def test_triangle(self):
         solution = min_patrols(TRIANGLE)
         assert solution.covering_number == 2
-        assert [c.vertices for c in solution.optimal_covers] == [(1, 2), (1, 3), (2, 3)]
+        assert list(solution.optimal_covers) == [(1, 2), (1, 3), (2, 3)]
 
     def test_saturated_spec(self):
         solution = min_patrols(five_center_spec(SATURATED_LOOPS))
         assert solution.covering_number == 8
-        assert [c.vertices for c in solution.optimal_covers] == [SATURATED_GEN]
+        assert list(solution.optimal_covers) == [SATURATED_GEN]
 
     def test_nothing_to_cover_signal(self):
         solution = min_patrols(LoopGraph(3))
         assert solution.covering_number == 0
-        assert [c.vertices for c in solution.optimal_covers] == [()]
+        assert list(solution.optimal_covers) == [()]
 
     def test_rejects_zero_and_non_squarefree_ideals(self):
         with pytest.raises(ValidationError):
@@ -400,4 +386,4 @@ class TestMinPatrols:
         ideal = ideal_of(4, (2, 4), (1, 3), (1, 2, 4))
         solution = min_patrols(ideal)
         assert solution.covering_number == 2
-        assert [c.vertices for c in solution.optimal_covers] == [(1, 3), (2, 4)]
+        assert list(solution.optimal_covers) == [(1, 3), (2, 4)]

@@ -4,16 +4,17 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from coverideals import (
     KPrimeSpec,
+    LoopGraph,
     Monomial,
     MonomialIdeal,
     SizeGuardError,
     ValidationError,
     cm_by_loop_saturation,
+    cover_ideal_by_intersection,
     h_of,
     invariants,
     kprime_cover_ideal,
@@ -22,8 +23,10 @@ from helpers import (
     BASE_COVER_GENS,
     SATURATED_LOOPS,
     SATURATION_WITNESS,
+    block_specs,
     five_center_spec,
     ideal_of,
+    loop_graphs,
     mono,
     random_kprime,
     three_center_spec,
@@ -81,14 +84,6 @@ class TestHOf:
             h_of(ideal)
 
 
-@st.composite
-def block_specs(draw, max_n=25):
-    n = draw(st.integers(2, max_n))
-    centers = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(n - 1, 8)))
-    loops = draw(st.sets(st.integers(1, n), max_size=3))
-    return KPrimeSpec(sorted(centers) + [n], loops)
-
-
 class TestContextH:
     @given(block_specs())
     def test_matches_hitting_set_search(self, spec):
@@ -106,6 +101,26 @@ class TestContextH:
         # every cover holds all centers but one, so two centers meet them all
         pair = mono((6, 37), 45).mask
         assert all(g.mask & pair for g in ideal.gens)
+
+    @settings(max_examples=200)
+    @given(loop_graphs(max_n=14))
+    def test_graph_matches_hitting_set_search(self, g):
+        ideal = cover_ideal_by_intersection(g)
+        if not g.edges and not g.loops:  # the unit ideal: nothing to cover
+            with pytest.raises(ValidationError):
+                invariants(ideal, g)
+        else:
+            assert invariants(ideal, g).h == h_of(ideal)
+
+    def test_loopless_graph_past_the_search_guard(self):
+        g = LoopGraph(30, [(1, 2), (3, 4)])
+        ideal = MonomialIdeal(30, [mono((1, 3), 30), mono((1, 4), 30),
+                                   mono((2, 3), 30), mono((2, 4), 30)])
+        with pytest.raises(SizeGuardError):
+            h_of(ideal)
+        rep = invariants(ideal, g)
+        assert rep.h == 2 and rep.dim == 28
+        assert invariants(ideal, LoopGraph(30, [(1, 2), (3, 4)], [1])).h == 1
 
 
 class TestInvariants:

@@ -10,8 +10,10 @@ from coverideals import (
     MonomialIdeal,
     ValidationError,
 )
+from coverideals.monomials import _mask_indices
 from helpers import (
     all_monomials,
+    bin_scan_indices,
     brute_minimal_covers,
     dense_div_by_gcd,
     dense_divides,
@@ -281,3 +283,25 @@ class TestMonomialIdeal:
             MonomialIdeal(3, [mono([1], 2)])
         with pytest.raises(DimensionMismatchError):
             ideal_of(3, (1,)).colon(mono([1], 2))
+
+
+class TestMaskIndices:
+    @pytest.mark.parametrize("bits", [
+        [],
+        [0],
+        [7],
+        [8],
+        list(range(8)),
+        list(range(8, 16)),
+        [7, 8, 15, 16],
+        list(range(64)),
+        # a sparse 2^20-bit table: long zero runs, bits on byte edges
+        [0, 8, (1 << 19) - 1, 1 << 19, (1 << 20) - 1],
+    ])
+    def test_edges_against_the_binary_numeral(self, bits):
+        mask = sum(1 << b for b in bits)
+        assert _mask_indices(mask) == bin_scan_indices(mask) == [b + 1 for b in bits]
+
+    @given(st.integers(0, 1 << 300))
+    def test_random_against_the_binary_numeral(self, mask):
+        assert _mask_indices(mask) == bin_scan_indices(mask)

@@ -9,7 +9,6 @@ PUBLIC_NAMES = [
     "BACKTRACK_GENERATOR_LIMIT",
     "BRUTE_FORCE_LIMIT",
     "CmSaturationVerdict",
-    "Cover",
     "CoverIdealsError",
     "DimensionMismatchError",
     "HITTING_SET_LIMIT",
@@ -29,7 +28,6 @@ PUBLIC_NAMES = [
     "check_linear_quotients",
     "cm_by_loop_saturation",
     "cover_ideal_by_intersection",
-    "cover_ideal_from_covers",
     "expand_kprime",
     "find_linear_order",
     "h_of",
