@@ -16,7 +16,6 @@ from .covers import (
 )
 from .errors import (
     CoverIdealsError,
-    DimensionMismatchError,
     InconclusiveError,
     OracleDisagreementError,
     SizeGuardError,
@@ -50,7 +49,6 @@ __all__ = [
     "HITTING_SET_LIMIT",
     "CmSaturationVerdict",
     "CoverIdealsError",
-    "DimensionMismatchError",
     "InconclusiveError",
     "InvariantReport",
     "KPrimeSpec",

@@ -12,8 +12,8 @@ Input is a JSON object, from --input PATH or inline via --json: a graph
 {"n": .., "edges": [[i,j], ..], "loops": [..]}, a block spec
 {"alphas": [..], "loops": [..]}, or a monomial ideal {"n": .., "gens": [[..], ..]}.
 
-Exit codes: 0 success, 1 validation error, 2 size guard or undecided search,
-3 route disagreement.
+Exit codes: 0 success, 1 validation error, 2 size guard, undecided search or
+out of memory, 3 route disagreement.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .graphs import KPrimeSpec, LoopGraph, expand_kprime
 from .invariants import cm_by_loop_saturation, invariants
-from .monomials import MonomialIdeal
+from .monomials import Monomial, MonomialIdeal
 from .quotients import find_linear_order, resolution_shifts
 
 ROUTES = ("auto", "bruteforce", "intersection", "closed-form")
@@ -112,7 +112,7 @@ def _check_fields(data, **depths: int) -> None:
     """Reject each named field of a JSON object unless it is an integer
     (depth 0), a list of integers (depth 1) or a list of integer lists
     (depth 2). Absent fields and input that is not an object are left to
-    the constructors, which reject them."""
+    the caller's key checks."""
     if not isinstance(data, dict):
         return
     for key, depth in depths.items():
@@ -122,20 +122,26 @@ def _check_fields(data, **depths: int) -> None:
 
 def _ideal_from_json(data) -> MonomialIdeal:
     _check_fields(data, n=0, gens=2)
-    return MonomialIdeal.from_json_dict(data)
+    if not isinstance(data, dict) or "n" not in data or "gens" not in data:
+        raise ValidationError('ideal JSON needs the keys "n" and "gens"')
+    n = data["n"]
+    return MonomialIdeal(n, [Monomial.from_indices(ix, n) for ix in data["gens"]])
 
 
 def classify_input(data):
+    """The graph, block spec or ideal that a parsed JSON object describes."""
     if not isinstance(data, dict):
         raise ValidationError("input JSON must be an object")
     if "alphas" in data:
         _check_fields(data, alphas=1, loops=1)
-        return KPrimeSpec.from_json_dict(data)
+        return KPrimeSpec(data["alphas"], data.get("loops", ()))
     if "gens" in data:
         return _ideal_from_json(data)
     if "edges" in data or "loops" in data:
         _check_fields(data, n=0, edges=2, loops=1)
-        return LoopGraph.from_json_dict(data)
+        if "n" not in data:
+            raise ValidationError('graph JSON needs the key "n"')
+        return LoopGraph(data["n"], data.get("edges", ()), data.get("loops", ()))
     raise ValidationError("input JSON is not a graph, a block spec, or an ideal")
 
 
@@ -309,6 +315,7 @@ def main(argv=None) -> int:
     try:
         obj = classify_input(load_payload(args.input, args.json))
         report, lines = HANDLERS[args.verb](obj, args)
+        output = render(report, lines, args.format)
     except OracleDisagreementError as exc:
         if exc.report is not None:
             print(render(exc.report, [], "json"))
@@ -317,10 +324,13 @@ def main(argv=None) -> int:
     except (SizeGuardError, InconclusiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
+        return 2
     except CoverIdealsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(render(report, lines, args.format))
+    print(output)
     return 0
 
 

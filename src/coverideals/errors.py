@@ -5,12 +5,8 @@ class CoverIdealsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatchError(CoverIdealsError, ValueError):
-    """Operands live in polynomial rings with different variable counts."""
-
-
 class ValidationError(CoverIdealsError, ValueError):
-    """A value violates one of its structural invariants."""
+    """A value violates a structural invariant, or operands lie in different rings."""
 
 
 class SizeGuardError(CoverIdealsError):

@@ -44,15 +44,6 @@ class LoopGraph:
         self.edges = tuple(sorted(es))
         self.loops = tuple(sorted(ls))
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges], "loops": list(self.loops)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> LoopGraph:
-        if not isinstance(data, dict) or "n" not in data:
-            raise ValidationError('graph JSON needs the key "n"')
-        return cls(int(data["n"]), data.get("edges", ()), data.get("loops", ()))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LoopGraph)
@@ -117,15 +108,6 @@ class KPrimeSpec:
     def sigma(self) -> int:
         """Largest block size (vertices of the biggest star, center included)."""
         return max(a - prev for prev, a in zip((0,) + self.alphas, self.alphas))
-
-    def to_json_dict(self) -> dict:
-        return {"alphas": list(self.alphas), "loops": list(self.loops)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> KPrimeSpec:
-        if not isinstance(data, dict) or "alphas" not in data:
-            raise ValidationError('block-spec JSON needs the key "alphas"')
-        return cls(data["alphas"], data.get("loops", ()))
 
     def __eq__(self, other) -> bool:
         return (

@@ -2,17 +2,18 @@
 Krull dimension, regularity, and Cohen-Macaulay verdicts.
 
 Depth is always derived as n - pd (Auslander-Buchsbaum); dim as n - h(I).
-pd comes from q + 1 on the linear-quotients route and is 1 for principal
-ideals; without either route only dim and regularity bounds are reported and
-the Cohen-Macaulay verdict stays inconclusive rather than guessed.
+pd is q + 1 off the linear-quotient certificate (q = 0 for a principal ideal).
+Without one only dim and regularity bounds are reported, and the
+Cohen-Macaulay verdict is False when h = 1 (dim n - 1 needs pd 1, i.e. a
+principal ideal) and inconclusive otherwise rather than guessed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
-from operator import and_, or_
+from itertools import count
+from operator import and_
 
 from .errors import InconclusiveError, SizeGuardError, ValidationError
 from .graphs import KPrimeSpec, LoopGraph
@@ -94,14 +95,27 @@ def h_of(ideal: MonomialIdeal) -> int:
             f"hitting-set search refused for n={ideal.n} > {HITTING_SET_LIMIT} "
             "without a shared variable"
         )
-    union = reduce(or_, masks)
-    universe = [bit for bit in (1 << i for i in range(ideal.n)) if union & bit]
-    for k in range(2, len(universe) + 1):
-        for combo in combinations(universe, k):
-            chosen = sum(combo)
-            if all(m & chosen for m in masks):
-                return k
-    raise AssertionError("the union of all supports always hits every generator")
+    return next(k for k in count(2) if _hit_within(masks, k))
+
+
+def _hit_within(masks: list[int], k: int) -> bool:
+    """Whether at most k variables meet every mask. The branches take the
+    variables of the smallest mask in turn, and each one tried is struck from
+    every mask for the later branches, so no variable set is visited twice."""
+    if not masks:
+        return True
+    if k == 1:
+        return bool(reduce(and_, masks))
+    smallest = min(masks, key=int.bit_count)
+    while smallest:
+        bit = smallest & -smallest
+        if _hit_within([m for m in masks if not m & bit], k - 1):
+            return True
+        masks = [m & ~bit for m in masks]
+        if not all(masks):
+            return False
+        smallest ^= bit
+    return False
 
 
 def _context_h(context: KPrimeSpec | LoopGraph | None) -> int | None:
@@ -128,10 +142,11 @@ def invariants(
 ) -> InvariantReport:
     """Full invariant report for R/I, routed by the ideal's structure.
 
-    A principal ideal resolves in one step (pd 1, reg exact). With two or
-    more generators a linear-quotient certificate gives pd = q + 1 and reg
-    exact; otherwise only dim is exact, with regularity bounds from the
-    block-spec context when one is supplied. A graph or block-spec context
+    A linear-quotient certificate gives pd = q + 1 and reg exact; a principal
+    ideal is the certificate with q = 0, reported under the route "principal"
+    with reg bounds (0, n - 1). Without a certificate only dim is exact, with
+    regularity bounds from the block-spec context when one is supplied, and
+    the ideal is not Cohen-Macaulay when h = 1. A graph or block-spec context
     also fixes h by the loop rule, with no hitting-set search.
     """
     if ideal.is_zero:
@@ -139,30 +154,23 @@ def invariants(
     n = ideal.n
     h = _context_h(context) or h_of(ideal)
     dim = n - h
-    maxdeg = ideal.max_degree
-    if ideal.is_principal:
-        depth = n - 1
-        return InvariantReport(
-            n=n, h=h, dim=dim, route="principal",
-            q=0, pd=1, depth=depth, reg=maxdeg - 1, reg_bounds=(0, n - 1),
-            cm=depth == dim,
-        )
     try:
         cert = find_linear_order(ideal)
     except InconclusiveError:
         cert = None
-    if cert is not None and cert.linear:
-        pd = cert.q + 1
-        depth = n - pd
+    if cert is None:
         return InvariantReport(
-            n=n, h=h, dim=dim, route="linear-quotients",
-            q=cert.q, pd=pd, depth=depth, reg=maxdeg - 1,
-            reg_bounds=_context_reg_bounds(context),
-            cm=depth == dim,
+            n=n, h=h, dim=dim, route="bounds-only",
+            reg_bounds=_context_reg_bounds(context), cm=False if h == 1 else None,
         )
+    principal = ideal.is_principal
+    pd = cert.q + 1
+    depth = n - pd
     return InvariantReport(
-        n=n, h=h, dim=dim, route="bounds-only",
-        reg_bounds=_context_reg_bounds(context),
+        n=n, h=h, dim=dim, route="principal" if principal else "linear-quotients",
+        q=cert.q, pd=pd, depth=depth, reg=ideal.max_degree - 1,
+        reg_bounds=(0, n - 1) if principal else _context_reg_bounds(context),
+        cm=depth == dim,
     )
 
 

@@ -8,16 +8,17 @@ is a pure function over immutable values.
 Representation. Every ideal of vertex covers is squarefree, so a monomial is
 held as its support bitmask ``mask`` (bit i-1 set iff X_i divides it) plus a
 ``powers`` tuple of (index, exponent >= 2) pairs, which is empty for every
-squarefree monomial. On squarefree operands divisibility, lcm, the colon
+squarefree monomial. On squarefree operands divisibility, the colon
 reduction and the degree are the integer operations ``a & ~b == 0``,
-``a | b``, ``a & ~b`` and ``bit_count()``, each running in C over n/64
-machine words. Powers come only from repeated indices in ideal JSON
-(``[7, 7]`` is X7^2) and from dense exponent vectors passed to ``Monomial``;
-operations that meet one fall back to a general path over the dense exponent
-tuple, which is computed on demand.
+``a & ~b`` and ``bit_count()``, each running in C over n/64 machine words.
+Powers come only from repeated indices in ideal JSON (``[7, 7]`` is X7^2)
+and from dense exponent vectors passed to ``Monomial``; operations that meet
+one fall back to a general path over the dense exponent tuple, which is
+computed on demand.
 
-Ideal operations are methods: ``MonomialIdeal(n, gens)`` minimalizes,
-``intersect`` and ``colon`` build the intersection and the colon ideal.
+Ideal operations are methods: ``MonomialIdeal(n, gens)`` minimalizes and
+``colon`` builds the colon ideal. The routes intersect their primes on plain
+masks, and the CLI parses ideal JSON with ``Monomial.from_indices``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 
 __all__ = ["Monomial", "MonomialIdeal"]
 
@@ -94,18 +95,6 @@ class Monomial:
         return m
 
     @classmethod
-    def unit(cls, n: int) -> Monomial:
-        if n < 1:
-            raise ValidationError("monomial needs a positive ambient variable count")
-        return cls._make(n, 0)
-
-    @classmethod
-    def variable(cls, index: int, n: int) -> Monomial:
-        if not 1 <= index <= n:
-            raise ValidationError(f"variable index {index} outside 1..{n}")
-        return cls._make(n, 1 << (index - 1))
-
-    @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> Monomial:
         """Build from 1-based variable indices; a repeated index raises the exponent."""
         if n < 1:
@@ -154,7 +143,7 @@ class Monomial:
 
     def _check_same_ring(self, other: Monomial) -> None:
         if self.n != other.n:
-            raise DimensionMismatchError(
+            raise ValidationError(
                 f"monomials in {self.n} and {other.n} variables cannot be combined"
             )
 
@@ -165,12 +154,6 @@ class Monomial:
         return not self.powers or all(
             a <= b for a, b in zip(self.exponents, other.exponents)
         )
-
-    def lcm(self, other: Monomial) -> Monomial:
-        self._check_same_ring(other)
-        if self.powers or other.powers:
-            return Monomial(map(max, self.exponents, other.exponents))
-        return Monomial._make(self.n, self.mask | other.mask)
 
     def div_by_gcd(self, other: Monomial) -> Monomial:
         """self / gcd(self, other): the colon reduction of one generator."""
@@ -237,7 +220,7 @@ class MonomialIdeal:
         squarefree = True
         for g in pool:
             if g.n != n:
-                raise DimensionMismatchError(
+                raise ValidationError(
                     f"generator in {g.n} variables placed in a {n}-variable ring"
                 )
             if g.powers:
@@ -289,21 +272,10 @@ class MonomialIdeal:
             raise ValidationError("the zero ideal has no generator degrees")
         return max(g.degree for g in self.gens)
 
-    def _check_same_ring(self, other: MonomialIdeal) -> None:
-        if self.n != other.n:
-            raise DimensionMismatchError(
-                f"ideals in {self.n} and {other.n} variables cannot be combined"
-            )
-
-    def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
-        """Ideal intersection via pairwise lcms of the generators."""
-        self._check_same_ring(other)
-        return MonomialIdeal(self.n, (u.lcm(v) for u in self.gens for v in other.gens))
-
     def colon(self, f: Monomial) -> MonomialIdeal:
         """The colon ideal (self : f), all g with g*f in self."""
         if f.n != self.n:
-            raise DimensionMismatchError(
+            raise ValidationError(
                 f"monomial in {f.n} variables cannot divide into a {self.n}-variable ideal"
             )
         return MonomialIdeal(self.n, (u.div_by_gcd(f) for u in self.gens))
@@ -320,14 +292,6 @@ class MonomialIdeal:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "gens": [list(g.index_seq) for g in self.gens]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> MonomialIdeal:
-        if not isinstance(data, dict) or "n" not in data or "gens" not in data:
-            raise ValidationError('ideal JSON needs the keys "n" and "gens"')
-        n = int(data["n"])
-        gens = [Monomial.from_indices(ix, n) for ix in data["gens"]]
-        return cls(n, gens)
 
     def __eq__(self, other) -> bool:
         return (

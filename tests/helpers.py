@@ -139,14 +139,6 @@ def all_monomials(n, max_degree):
             yield Monomial(exps)
 
 
-def members_up_to(ideal, max_degree):
-    """Bounded-degree membership set, straight from divisibility."""
-    return {
-        m for m in all_monomials(ideal.n, max_degree)
-        if any(g.divides(m) for g in ideal.gens)
-    }
-
-
 def brute_minimal_covers(n, edges, loops=()):
     """Inclusion-minimal vertex sets containing all loops and meeting all
     edges, by checking every subset of 1..n independently of the library."""
@@ -332,7 +324,7 @@ def kpoly_inclusion_exclusion(ideal):
     gens = ideal.gens
     for r in range(1, len(gens) + 1):
         for subset in combinations(gens, r):
-            deg = reduce(Monomial.lcm, subset).degree
+            deg = sum(reduce(dense_lcm, (g.exponents for g in subset)))
             coeffs[deg] += (-1) ** r
     return +Counter({d: c for d, c in coeffs.items() if c})
 

@@ -1,9 +1,15 @@
 """Command-line interface: verbs, routes, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import coverideals
 from coverideals import cli
 from helpers import (
     BASE_COVER_GENS,
@@ -157,6 +163,13 @@ class TestCmCheck:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_looped_ideal_without_linear_quotients_is_not_cm(self, capsys):
+        # X1 divides both generators, so h = 1, and a non-principal ideal
+        # has pd >= 2 > n - dim
+        code, out = run_cli(capsys, "cm-check", "--json", '{"n":5,"gens":[[1,2,3],[1,4,5]]}')
+        assert code == 0
+        assert out.splitlines() == ["route: ideal-input / bounds-only", "cohen_macaulay: false"]
+
     def test_ideal_input_without_loops_fails(self, tmp_path, capsys):
         base_path = tmp_path / "base.json"
         base_path.write_text(
@@ -236,6 +249,33 @@ class TestExitCodesAndDeterminism:
         assert cli.main(["cover-ideal", "--route", "bruteforce", "--json", big]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "6561 minimal covers x n=100000" in err
+
+    def test_disjoint_pairs_h_within_a_second(self, capsys):
+        pairs = json.dumps({"n": 24, "gens": [[i, i + 1] for i in range(1, 25, 2)]})
+        start = time.perf_counter()
+        code, report = run_json(capsys, "invariants", "--json", pairs)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and report["invariants"]["h"] == 12
+
+    def test_out_of_memory_is_exit_two(self):
+        # a ring of 10^10 variables needs a 10 GB mask buffer, past a 1.5 GB
+        # address-space limit
+        resource = pytest.importorskip("resource")
+        limit = 1_500_000_000
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(coverideals.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from coverideals import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))",
+             "invariants", "--json", '{"n":10000000000,"gens":[[1]]}'],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: out of memory; the input is too large\n"
 
     def test_byte_determinism(self, capsys):
         first = run_cli(capsys, "invariants", "--json", FIVE_CENTER_JSON,

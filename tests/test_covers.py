@@ -208,7 +208,7 @@ class TestIntersectionRoute:
 
     def test_empty_graph_gives_unit_ideal(self):
         g = LoopGraph(2)
-        assert cover_ideal_by_intersection(g).gens == (Monomial.unit(2),)
+        assert cover_ideal_by_intersection(g).gens == (mono((), 2),)
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
@@ -349,7 +349,7 @@ class TestRouteAgreement:
             g = random_loop_graph(rng, n_hi=8, loop_p=0.5)
             ideal = cover_ideal_by_intersection(g)
             for k in g.loops:
-                x = Monomial.variable(k, g.n)
+                x = mono((k,), g.n)
                 assert all(x.divides(gen) for gen in ideal.gens)
 
 

@@ -9,6 +9,7 @@ from coverideals import (
     LoopGraph,
     ValidationError,
 )
+from coverideals.cli import classify_input
 from coverideals.graphs import expand_kprime
 from helpers import (
     FIVE_CENTER_LOOPS,
@@ -41,9 +42,10 @@ class TestLoopGraph:
 
     def test_json_round_trip(self):
         g = LoopGraph(5, [(1, 2), (3, 5)], [2])
-        assert LoopGraph.from_json_dict(g.to_json_dict()) == g
-        with pytest.raises(ValidationError):
-            LoopGraph.from_json_dict({"edges": []})
+        data = {"n": g.n, "edges": [list(e) for e in g.edges], "loops": list(g.loops)}
+        assert classify_input(data) == g
+        with pytest.raises(ValidationError, match='needs the key "n"'):
+            classify_input({"edges": []})
 
 
 class TestKPrimeSpec:
@@ -68,7 +70,8 @@ class TestKPrimeSpec:
 
     def test_json_round_trip(self):
         spec = three_center_spec()
-        assert KPrimeSpec.from_json_dict(spec.to_json_dict()) == spec
+        data = {"alphas": list(spec.alphas), "loops": list(spec.loops)}
+        assert classify_input(data) == spec
 
 
 class TestExpandKPrime:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from coverideals import (
     KPrimeSpec,
     LoopGraph,
-    Monomial,
     MonomialIdeal,
     SizeGuardError,
     ValidationError,
@@ -57,11 +56,11 @@ class TestHOf:
 
     def test_random_against_brute_force(self):
         rng = random.Random(31)
-        for _ in range(20):
-            n = rng.randint(2, 6)
+        for _ in range(200):
+            n = rng.randint(2, 10)
             gens = [
                 mono(rng.sample(range(1, n + 1), rng.randint(1, n)), n)
-                for _ in range(rng.randint(1, 4))
+                for _ in range(rng.randint(1, 12))
             ]
             ideal = MonomialIdeal(n, gens)
             assert h_of(ideal) == brute_h(ideal)
@@ -70,7 +69,7 @@ class TestHOf:
         with pytest.raises(ValidationError):
             h_of(MonomialIdeal(3))
         with pytest.raises(ValidationError):
-            h_of(MonomialIdeal(3, [Monomial.unit(3)]))
+            h_of(MonomialIdeal(3, [mono((), 3)]))
 
     def test_shared_variable_skips_the_guard(self):
         n = 40
@@ -186,6 +185,15 @@ class TestCohenMacaulay:
                 continue
             assert invariants(ideal).cm is True
             seen += 1
+
+    @settings(max_examples=200)
+    @given(loop_graphs(max_n=12))
+    def test_looped_non_principal_is_not_cm(self, g):
+        # h = 1 gives dim = n - 1, and depth = n - 1 needs pd = 1: a principal ideal
+        ideal = cover_ideal_by_intersection(g)
+        if g.loops and not ideal.is_principal:
+            assert invariants(ideal, g).cm is False
+            assert invariants(ideal).cm is False
 
     def test_inconclusive_on_bounds_only(self):
         rep = invariants(ideal_of(4, (1, 2), (3, 4)))

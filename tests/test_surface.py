@@ -1,7 +1,9 @@
-"""The public surface: every exported name is listed here, so adding or
-removing one is a deliberate edit of this file."""
+"""The public surface: every exported name, and every public method and
+property of each exported class, is listed here, so adding or removing one
+is a deliberate edit of this file."""
 
 import importlib
+import inspect
 
 import coverideals
 
@@ -10,7 +12,6 @@ PUBLIC_NAMES = [
     "BRUTE_FORCE_LIMIT",
     "CmSaturationVerdict",
     "CoverIdealsError",
-    "DimensionMismatchError",
     "HITTING_SET_LIMIT",
     "InconclusiveError",
     "InvariantReport",
@@ -38,6 +39,29 @@ PUBLIC_NAMES = [
     "resolution_shifts",
 ]
 
+PUBLIC_MEMBERS = {
+    "CmSaturationVerdict": ["to_json_dict"],
+    "CoverIdealsError": [],
+    "InconclusiveError": [],
+    "InvariantReport": ["to_json_dict"],
+    "KPrimeSpec": ["blocks", "m", "n", "sigma"],
+    "LoopGraph": [],
+    "Monomial": [
+        "compact", "degree", "div_by_gcd", "divides", "exponents", "from_indices",
+        "index_seq", "is_squarefree", "is_unit", "support", "text",
+    ],
+    "MonomialIdeal": [
+        "colon", "compact", "is_principal", "is_squarefree", "is_zero", "max_degree",
+        "text", "to_json_dict",
+    ],
+    "OracleDisagreementError": [],
+    "PatrolSolution": ["to_json_dict"],
+    "QuotientCertificate": ["to_json_dict"],
+    "ResolutionShifts": ["betti", "length", "to_json_dict"],
+    "SizeGuardError": [],
+    "ValidationError": [],
+}
+
 SUBMODULES = ("cli", "covers", "errors", "graphs", "invariants", "monomials", "quotients")
 
 
@@ -52,3 +76,20 @@ def test_submodule_exports_are_package_exports():
         exported = getattr(module, "__all__", ())
         assert set(exported) <= set(PUBLIC_NAMES), name
         assert all(hasattr(module, attr) for attr in exported), name
+
+
+def _public_members(cls):
+    """Public methods, classmethods and properties defined on the class itself."""
+    return sorted(
+        attr for attr, value in vars(cls).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(value)
+             or isinstance(value, (property, classmethod, staticmethod)))
+    )
+
+
+def test_exported_classes_have_exactly_the_listed_members():
+    classes = {name: getattr(coverideals, name) for name in PUBLIC_NAMES}
+    assert {
+        name: _public_members(cls) for name, cls in classes.items() if inspect.isclass(cls)
+    } == PUBLIC_MEMBERS
