@@ -2,11 +2,13 @@
 
 The routes are deliberately independent so that each can serve as an oracle
 for the others: an exhaustive decision of every subset of the free vertices,
-evaluated bit-parallel on Python integers, prime-by-prime intersection of the
-edge primes (X_i, X_j) and loop primes (X_k), and a closed-form candidate
-construction for complete-core-plus-stars graphs that never enumerates
-subsets. Each route finds exactly the minimal covers, every loop vertex in
-each, and hands them as support masks to the ideal, which only sorts them.
+evaluated bit-parallel on Python integers; an intersection of primes, where
+the loop primes (X_k) give the factor x^L and each connected component of
+G - L meets one star prime (X_v, x^S) per vertex, the meet of the edge
+primes (X_v, X_s) for s in S; and a closed-form candidate construction for
+complete-core-plus-stars graphs that never enumerates subsets. Each route
+finds exactly the minimal covers, every loop vertex in each, and hands them
+as support masks to the ideal, which only sorts them.
 """
 
 from __future__ import annotations
@@ -121,21 +123,65 @@ def minimal_covers_bruteforce(g: LoopGraph) -> MonomialIdeal:
     ))
 
 
+def _star_step(gens: list[int], v: int, ends: int) -> list[int]:
+    """The minimal generators of (gens) intersected with (X_v, x^S), where
+    S = ``ends`` is v's unvisited neighbours and ``gens`` lists the minimal
+    covers of the edges already intersected; see cover_ideal_by_intersection."""
+    bv = 1 << v
+    rests = []
+    hold_s = []
+    miss = []
+    for m in gens:
+        if m & bv:
+            rests.append(m ^ bv)
+        elif ends & ~m:
+            miss.append(m)
+        else:
+            hold_s.append(m)
+    # m | v is new iff every rest r has a bit outside m: all(r & ~m)
+    out = [m | bv for m in miss if all(map((~m).__and__, rests))]
+    out += [r | bv for r in rests]  # the generators holding v
+    # by ascending degree, so only a smaller product can lie inside p;
+    # hold_s grows by each product kept
+    for p in sorted([m | ends for m in miss], key=int.bit_count):
+        if all(map((~p).__and__, hold_s)):
+            hold_s.append(p)
+    return out + hold_s
+
+
 def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
     """The ideal of vertex covers as the intersection of one prime per edge
     and one principal ideal per loop, on support masks.
 
     The loop ideals intersect to the single generator x^L, which divides
     every later generator, so an edge at a loop never changes the result and
-    the edge primes run on G - L only. They run star by star: vertices by
-    descending degree in G - L, ties by index, each with its edges to the
-    vertices not yet visited. Intersecting with (X_i, X_j) keeps every
-    generator that meets i or j (a hit) and replaces each other generator m
-    by m*X_i and m*X_j. Those products never divide each other or a hit,
-    and m*X_i is divisible only by a hit containing i, so each is kept
-    unless such a hit divides it; the generators stay minimal and distinct
-    after every step, so the answer is built without a second
-    minimalization.
+    the edge primes run on G - L only. The cover ideal of a disjoint union
+    is the product of its components' cover ideals, so each connected
+    component of G - L is intersected on its own, from the unit ideal, and
+    the answer is x^L times one generator per component: such products are
+    minimal and distinct, since the components share no vertex.
+
+    Within a component the edge primes run star by star: vertices by
+    descending degree in G - L, ties by index. The primes (X_v, X_s) for
+    the vertices s of S, v's neighbours not yet visited, meet in the one
+    star prime (X_v, x^S), so each vertex takes one step. A step keeps
+    every generator that holds v or all of S, and replaces each other
+    generator m by m*X_v and m*x^S:
+
+    * m*X_v is kept unless a kept h that holds v has h - v inside m;
+    * m*x^S is kept unless a kept generator that holds S, or a smaller
+      kept product m'*x^S, lies inside it. Products are taken by
+      ascending degree, since products of equal degree never divide each
+      other;
+    * nothing else can divide a product, nor a product a kept generator.
+
+    No two products m*x^S coincide: were m*x^S = m'*x^S with m != m', the
+    two would differ only inside S, so some u in S would lie in m but not
+    m'. m is a minimal cover of the edges already intersected, so one of
+    them joins u to a w outside m, and m' must hold w; then u and w both lie
+    in S, unvisited, yet every edge already intersected has a visited end.
+    The generators stay minimal and distinct after every step, so the
+    answer is built without a second minimalization.
     """
     if g.n > BRUTE_FORCE_LIMIT:
         raise SizeGuardError(
@@ -149,24 +195,28 @@ def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
         if not (bi | bj) & loops:
             adjacent[i - 1] |= bj
             adjacent[j - 1] |= bi
+    # sorted() is stable, so equal degrees keep ascending index
+    order = sorted(range(g.n), key=lambda v: -adjacent[v].bit_count())
     gens = [loops]
     visited = 0
-    # sorted() is stable, so equal degrees keep ascending index
-    for v in sorted(range(g.n), key=lambda v: -adjacent[v].bit_count()):
-        bi = 1 << v
-        visited |= bi
-        ends = adjacent[v] & ~visited
-        while ends:
-            bj = ends & -ends
-            ends ^= bj
-            edge = bi | bj
-            hit = [h for h in gens if h & edge]
-            miss = [m for m in gens if not m & edge]
-            gens = list(hit)
-            for b in (bi, bj):
-                rests = [h & ~b for h in hit if h & b]
-                # m | b is new iff every rest r has a bit outside m: all(r & ~m)
-                gens += [m | b for m in miss if all(map((~m).__and__, rests))]
+    for root in order:
+        if visited >> root & 1 or not adjacent[root]:
+            continue
+        component = frontier = 1 << root
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reached = adjacent[low.bit_length() - 1] & ~component
+            component |= reached
+            frontier |= reached
+        part = [0]
+        for v in order:
+            if component >> v & 1:
+                visited |= 1 << v
+                ends = adjacent[v] & ~visited
+                if ends:
+                    part = _star_step(part, v, ends)
+        gens = [m | p for m in gens for p in part]
     return MonomialIdeal._trusted(g.n, gens)
 
 

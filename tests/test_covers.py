@@ -233,6 +233,35 @@ class TestIntersectionRoute:
         trusted = MonomialIdeal._trusted(g.n, masks)
         assert trusted == MonomialIdeal(g.n, (Monomial._make(g.n, m) for m in masks))
 
+    def test_four_cycle_drops_a_product_holding_a_generator_with_s(self):
+        # vertex 3's star step (S = {4}) turns x1x2 into x1x2x4, which
+        # contains x1x4, a generator already holding S
+        g = LoopGraph(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
+        assert cover_ideal_by_intersection(g) == minimal_covers_bruteforce(g)
+
+    def test_five_cycle_drops_a_product_holding_a_smaller_product(self):
+        # vertex 3's star step (S = {4, 5}) turns x1x2 into x1x2x4x5, which
+        # contains the smaller products x2x4x5 and x1x4x5
+        g = LoopGraph(5, [(1, 2), (1, 5), (2, 4), (3, 4), (3, 5)])
+        assert cover_ideal_by_intersection(g) == minimal_covers_bruteforce(g)
+
+    @given(loop_graphs(max_n=8), loop_graphs(max_n=8))
+    def test_disjoint_union_equals_the_brute_force_route(self, first, second):
+        shift = first.n
+        union = LoopGraph(
+            first.n + second.n,
+            list(first.edges) + [(i + shift, j + shift) for i, j in second.edges],
+            list(first.loops) + [k + shift for k in second.loops],
+        )
+        assert cover_ideal_by_intersection(union) == minimal_covers_bruteforce(union)
+
+    def test_eight_disjoint_triangles(self):
+        edges = [e for t in range(0, 24, 3)
+                 for e in ((t + 1, t + 2), (t + 1, t + 3), (t + 2, t + 3))]
+        ideal = cover_ideal_by_intersection(LoopGraph(24, edges))
+        assert len(ideal.gens) == 3 ** 8
+        assert {u.degree for u in ideal.gens} == {16}
+
 
 class TestKPrimeRoute:
     def test_three_center_golden(self):
