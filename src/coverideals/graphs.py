@@ -25,15 +25,19 @@ class LoopGraph:
             raise ValidationError("vertex count must be positive")
         es = set()
         for e in edges:
-            pair = tuple(int(v) for v in e)
+            pair = tuple(map(int, e))
             if len(pair) != 2:
                 raise ValidationError(f"edge {pair} is not a pair of vertices")
             i, j = pair
-            if i == j:
+            if i < j:
+                lo, hi = pair
+            elif i > j:
+                hi, lo = pair
+            else:
                 raise ValidationError(f"edge {{{i},{j}}} is a loop; loops are listed separately")
-            if not (1 <= i <= n and 1 <= j <= n):
+            if lo < 1 or hi > n:
                 raise ValidationError(f"edge {{{i},{j}}} leaves the vertex range 1..{n}")
-            es.add((min(i, j), max(i, j)))
+            es.add((lo, hi))
         ls = set()
         for k in loops:
             k = int(k)

@@ -246,12 +246,13 @@ class MonomialIdeal:
     def _trusted(cls, n: int, masks: Iterable[int]) -> MonomialIdeal:
         """Build from distinct squarefree masks in 1..n already known to be
         a minimal generating set: they are only sorted into canonical order."""
-        nbytes = (n + 7) // 8
+        masks = list(masks)
+        if len(masks) > 1:
+            nbytes = (n + 7) // 8
+            masks.sort(key=lambda m: _squarefree_key(m, nbytes))
         ideal = object.__new__(cls)
         ideal.n = n
-        ideal.gens = tuple(
-            Monomial._make(n, m) for m in sorted(masks, key=lambda m: _squarefree_key(m, nbytes))
-        )
+        ideal.gens = tuple(Monomial._make(n, m) for m in masks)
         return ideal
 
     @property

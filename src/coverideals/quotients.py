@@ -5,7 +5,8 @@ An ideal has linear quotients when its generators can be ordered so that each
 prefix colon ideal (u_1..u_{j-1}) : (u_j) is generated by variables. The
 canonical order (degree ascending, lexicographic tie-break on index
 sequences) is tried first; a pruned backtracking search covers orders the
-canonical one misses.
+canonical one misses. One decision yields the certificate, built from the
+step masks it computed; ``check_linear_quotients`` evaluates any order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InconclusiveError, ValidationError
-from .monomials import Monomial, MonomialIdeal, _mask_indices
+from .monomials import Monomial, MonomialIdeal
 
 __all__ = [
     "BACKTRACK_GENERATOR_LIMIT",
@@ -100,8 +101,14 @@ def _linear_step(prefix_masks, u: int) -> int | None:
 
 
 def _variables_ideal(n: int, variables: int) -> MonomialIdeal:
-    """The ideal of the variables in a mask: distinct bits, so minimal."""
-    return MonomialIdeal._trusted(n, (1 << (i - 1) for i in _mask_indices(variables)))
+    """The ideal of the variables in a mask, one generator per bit peeled
+    off with v & -v: distinct bits, so minimal."""
+    bits = []
+    while variables:
+        bit = variables & -variables
+        bits.append(bit)
+        variables ^= bit
+    return MonomialIdeal._trusted(n, bits)
 
 
 def canonical_order(ideal: MonomialIdeal) -> list[Monomial]:
@@ -143,35 +150,49 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
     prefix as a set, so exhausted sets are memoized. Candidates are taken in
     canonical rank, which makes the returned order deterministic. Beyond
     ``BACKTRACK_GENERATOR_LIMIT`` generators the search is refused with
-    InconclusiveError, which is distinct from a definitive absence. On
-    squarefree ideals every step is decided on masks, and only the returned
-    certificate builds step ideals; on ideals with powers each step is the
-    colon ideal of its prefix.
+    InconclusiveError, which is distinct from a definitive absence.
+
+    Each step is decided once, as the mask of its variables: from the
+    generator masks on squarefree ideals, else from the colon ideal of its
+    prefix. The certificate is built from the masks of the order that
+    passed, so only its steps become ideals and no order is checked twice.
     """
     t = len(ideal.gens)
     if t <= 1:
         return QuotientCertificate(ideal.gens, (), 0, True)
+    n = ideal.n
     gens = ideal.gens  # held in canonical order
-    squarefree = ideal.is_squarefree
-    if squarefree:
+    if ideal.is_squarefree:
         items = [u.mask for u in gens]
-
-        def step_is_linear(prefix, u) -> bool:
-            return _linear_step(prefix, u) is not None
+        step_variables = _linear_step
     else:
         items = gens
 
-        def step_is_linear(prefix, u) -> bool:
-            return _variable_generated(MonomialIdeal(ideal.n, prefix).colon(u))
+        def step_variables(prefix, u) -> int | None:
+            step = MonomialIdeal(n, prefix).colon(u)
+            if not _variable_generated(step):
+                return None
+            return sum(g.mask for g in step.gens)  # distinct bits: their union
 
-    if all(step_is_linear(items[:j], items[j]) for j in range(1, t)):
-        return check_linear_quotients(ideal, canonical_order(ideal) if squarefree else gens)
+    def certificate(order, step_masks) -> QuotientCertificate:
+        steps = tuple(_variables_ideal(n, v) for v in step_masks)
+        return QuotientCertificate(tuple(order), steps, max(len(s.gens) for s in steps), True)
+
+    step_masks = []
+    for j in range(1, t):
+        variables = step_variables(items[:j], items[j])
+        if variables is None:
+            break
+        step_masks.append(variables)
+    else:
+        return certificate(gens, step_masks)
     if t > BACKTRACK_GENERATOR_LIMIT:
         raise InconclusiveError(
             f"{t} generators exceed the search limit {BACKTRACK_GENERATOR_LIMIT}; "
             "linear quotients undecided"
         )
     chosen: list[int] = []  # positions in gens, in order
+    step_masks = []  # the step of each chosen generator, 0 for the first
     dead: set[int] = set()  # exhausted prefixes, as bitsets of positions
 
     def search(used: int) -> bool:
@@ -183,17 +204,20 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
         for k in range(t):
             if used >> k & 1:
                 continue
-            if prefix and not step_is_linear(prefix, items[k]):
+            variables = step_variables(prefix, items[k]) if prefix else 0
+            if variables is None:
                 continue
             chosen.append(k)
+            step_masks.append(variables)
             if search(used | 1 << k):
                 return True
             chosen.pop()
+            step_masks.pop()
         dead.add(used)
         return False
 
     if search(0):
-        return check_linear_quotients(ideal, [gens[i] for i in chosen])
+        return certificate([gens[i] for i in chosen], step_masks[1:])
     return None
 
 

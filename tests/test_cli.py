@@ -27,6 +27,8 @@ FIVE_CENTER_JSON = json.dumps(
 )
 TRIANGLE_JSON = json.dumps({"n": 3, "edges": [[1, 2], [1, 3], [2, 3]], "loops": []})
 CITY_JSON = json.dumps({"n": CITY_N, "gens": [list(g) for g in CITY_GENS]})
+SEARCHED_SPEC_JSON = '{"alphas":[2,4,5],"loops":[5]}'  # the canonical order fails
+POWERS_JSON = '{"n":4,"gens":[[1,1],[1,2],[1,3],[1,4]]}'
 
 
 def run_cli(capsys, *argv):
@@ -309,3 +311,174 @@ class TestExitCodesAndDeterminism:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# Exact stdout of each verb: text as printed, JSON as the report that the CLI
+# prints with indent 2 and sorted keys.
+GOLDEN_STDOUT = [
+    (
+        "five-center",
+        FIVE_CENTER_JSON,
+        "linear-quotients",
+        "route: closed-form\n"
+        "linear quotients: yes\n"
+        "q: 1\n"
+        "order:\n"
+        "  X3X5X6X8X12\n"
+        "  X3X4X5X8X9X12\n"
+        "  X1X2X5X6X8X9X12\n"
+        "steps:\n"
+        "  (X6)\n"
+        "  (X3)\n"
+        "resolution shifts:\n"
+        "  i=0: -5 -6 -7\n"
+        "  i=1: -7 -8\n",
+        {"certificate": {"linear": True,
+                         "order": [[3, 5, 6, 8, 12],
+                                   [3, 4, 5, 8, 9, 12],
+                                   [1, 2, 5, 6, 8, 9, 12]],
+                         "q": 1,
+                         "steps": [[6], [3]]},
+         "ideal": {"gens": [[3, 5, 6, 8, 12],
+                            [3, 4, 5, 8, 9, 12],
+                            [1, 2, 5, 6, 8, 9, 12]],
+                   "n": 12},
+         "resolution": {"shifts": [[5, 6, 7], [7, 8]]},
+         "route": "closed-form"},
+    ),
+    (
+        "five-center",
+        FIVE_CENTER_JSON,
+        "invariants",
+        "route: closed-form / linear-quotients\n"
+        "n: 12  h: 1  q: 1\n"
+        "pd: 2  depth: 10  dim: 11\n"
+        "reg: 6  (bounds 5..10)\n"
+        "cohen_macaulay: false\n",
+        {"ideal": {"gens": [[3, 5, 6, 8, 12],
+                            [3, 4, 5, 8, 9, 12],
+                            [1, 2, 5, 6, 8, 9, 12]],
+                   "n": 12},
+         "invariants": {"cm": False,
+                        "depth": 10,
+                        "dim": 11,
+                        "h": 1,
+                        "n": 12,
+                        "pd": 2,
+                        "q": 1,
+                        "reg": 6,
+                        "reg_bounds": [5, 10],
+                        "route": "linear-quotients"},
+         "route": "closed-form"},
+    ),
+    (
+        "searched",
+        SEARCHED_SPEC_JSON,
+        "linear-quotients",
+        "route: closed-form\n"
+        "linear quotients: yes\n"
+        "q: 1\n"
+        "order:\n"
+        "  X1X4X5\n"
+        "  X2X4X5\n"
+        "  X2X3X5\n"
+        "steps:\n"
+        "  (X1)\n"
+        "  (X4)\n"
+        "resolution shifts:\n"
+        "  i=0: -3 -3 -3\n"
+        "  i=1: -4 -4\n",
+        {"certificate": {"linear": True,
+                         "order": [[1, 4, 5], [2, 4, 5], [2, 3, 5]],
+                         "q": 1,
+                         "steps": [[1], [4]]},
+         "ideal": {"gens": [[1, 4, 5], [2, 3, 5], [2, 4, 5]], "n": 5},
+         "resolution": {"shifts": [[3, 3, 3], [4, 4]]},
+         "route": "closed-form"},
+    ),
+    (
+        "searched",
+        SEARCHED_SPEC_JSON,
+        "invariants",
+        "route: closed-form / linear-quotients\n"
+        "n: 5  h: 1  q: 1\n"
+        "pd: 2  depth: 3  dim: 4\n"
+        "reg: 2  (bounds 2..3)\n"
+        "cohen_macaulay: false\n",
+        {"ideal": {"gens": [[1, 4, 5], [2, 3, 5], [2, 4, 5]], "n": 5},
+         "invariants": {"cm": False,
+                        "depth": 3,
+                        "dim": 4,
+                        "h": 1,
+                        "n": 5,
+                        "pd": 2,
+                        "q": 1,
+                        "reg": 2,
+                        "reg_bounds": [2, 3],
+                        "route": "linear-quotients"},
+         "route": "closed-form"},
+    ),
+    (
+        "powers",
+        POWERS_JSON,
+        "linear-quotients",
+        "route: ideal-input\n"
+        "linear quotients: yes\n"
+        "q: 3\n"
+        "order:\n"
+        "  X1^2\n"
+        "  X1X2\n"
+        "  X1X3\n"
+        "  X1X4\n"
+        "steps:\n"
+        "  (X1)\n"
+        "  (X1, X2)\n"
+        "  (X1, X2, X3)\n"
+        "resolution shifts:\n"
+        "  i=0: -2 -2 -2 -2\n"
+        "  i=1: -3 -3 -3 -3 -3 -3\n"
+        "  i=2: -4 -4 -4 -4\n"
+        "  i=3: -5\n",
+        {"certificate": {"linear": True,
+                         "order": [[1, 1], [1, 2], [1, 3], [1, 4]],
+                         "q": 3,
+                         "steps": [[1], [1, 2], [1, 2, 3]]},
+         "ideal": {"gens": [[1, 1], [1, 2], [1, 3], [1, 4]], "n": 4},
+         "resolution": {"shifts": [[2, 2, 2, 2],
+                                   [3, 3, 3, 3, 3, 3],
+                                   [4, 4, 4, 4],
+                                   [5]]},
+         "route": "ideal-input"},
+    ),
+    (
+        "powers",
+        POWERS_JSON,
+        "invariants",
+        "route: ideal-input / linear-quotients\n"
+        "n: 4  h: 1  q: 3\n"
+        "pd: 4  depth: 0  dim: 3\n"
+        "reg: 1\n"
+        "cohen_macaulay: false\n",
+        {"ideal": {"gens": [[1, 1], [1, 2], [1, 3], [1, 4]], "n": 4},
+         "invariants": {"cm": False,
+                        "depth": 0,
+                        "dim": 3,
+                        "h": 1,
+                        "n": 4,
+                        "pd": 4,
+                        "q": 3,
+                        "reg": 1,
+                        "reg_bounds": None,
+                        "route": "linear-quotients"},
+         "route": "ideal-input"},
+    ),
+]
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("name, payload, verb, text, report", GOLDEN_STDOUT,
+                             ids=[f"{g[0]}-{g[2]}" for g in GOLDEN_STDOUT])
+    def test_text_and_json_stdout(self, capsys, name, payload, verb, text, report):
+        assert run_cli(capsys, verb, "--json", payload) == (0, text)
+        rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert run_cli(capsys, verb, "--json", payload, "--format", "json") == (0, rendered)

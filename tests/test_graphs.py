@@ -28,16 +28,26 @@ class TestLoopGraph:
         assert g.edges == ((1, 2), (3, 4))
         assert g.loops == (2, 4)
 
+    def test_string_vertices_normalize(self):
+        assert LoopGraph(3, [("2", "1")], ["3"]) == LoopGraph(3, [(1, 2)], [3])
+        assert LoopGraph(3, [("1", "2")]).edges == ((1, 2),)
+
     def test_rejects_bad_values(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^vertex count must be positive$"):
             LoopGraph(0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match=r"^edge \{1,1\} is a loop; loops are listed separately$"):
             LoopGraph(3, [(1, 1)])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match=r"^edge \{1,4\} leaves the vertex range 1\.\.3$"):
             LoopGraph(3, [(1, 4)])
-        with pytest.raises(ValidationError):
+        # the message keeps the caller's order of the endpoints
+        with pytest.raises(ValidationError,
+                           match=r"^edge \{4,1\} leaves the vertex range 1\.\.3$"):
+            LoopGraph(3, [(4, 1)])
+        with pytest.raises(ValidationError, match=r"^loop at 5 leaves the vertex range 1\.\.3$"):
             LoopGraph(3, [], [5])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^edge \(1, 2, 3\) is not a pair of vertices$"):
             LoopGraph(3, [(1, 2, 3)])
 
     def test_json_round_trip(self):

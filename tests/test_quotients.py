@@ -4,9 +4,10 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from coverideals import quotients
 from coverideals import (
     InconclusiveError,
     KPrimeSpec,
@@ -181,6 +182,34 @@ class TestMaskStepsAgainstDenseOracle:
     @settings(max_examples=150)
     def test_search_with_powers_decides_like_the_oracle(self, ideal):
         assert find_linear_order(ideal) == dense_find_linear_order(ideal)
+
+    @given(st.one_of(squarefree_ideals(), ideals_with_powers()))
+    @example(kprime_cover_ideal(KPrimeSpec((2, 4, 5), loops=(5,))))
+    @example(ideal_of(3, (1, 3), (2, 2), (2, 3)))
+    @settings(max_examples=200)
+    def test_returned_certificate_is_its_order_checked_again(self, ideal):
+        # the two examples are rescued by the search, one of them with powers
+        try:
+            cert = find_linear_order(ideal)
+        except InconclusiveError:
+            return
+        assume(cert is not None)
+        assert cert == check_linear_quotients(ideal, cert.order)
+        assert cert == dense_check_linear_quotients(ideal, cert.order)
+
+    def test_canonical_order_is_decided_once(self, monkeypatch):
+        ideal = kprime_cover_ideal(five_center_spec())
+        calls = []
+
+        def counting_step(prefix, u):
+            calls.append(u)
+            return linear_step(prefix, u)
+
+        linear_step = quotients._linear_step
+        monkeypatch.setattr(quotients, "_linear_step", counting_step)
+        cert = find_linear_order(ideal)
+        assert cert.order == ideal.gens
+        assert len(calls) == len(ideal.gens) - 1
 
     def test_rejected_orders_build_no_step_ideal(self, monkeypatch):
         gens = [mono((2 * i + 1, 2 * i + 2), 26) for i in range(13)]
