@@ -24,9 +24,7 @@ from .errors import (
 from .graphs import KPrimeSpec, LoopGraph, expand_kprime
 from .invariants import (
     HITTING_SET_LIMIT,
-    CmSaturationVerdict,
     InvariantReport,
-    cm_by_loop_saturation,
     h_of,
     invariants,
 )
@@ -35,7 +33,6 @@ from .quotients import (
     BACKTRACK_GENERATOR_LIMIT,
     QuotientCertificate,
     ResolutionShifts,
-    canonical_order,
     check_linear_quotients,
     find_linear_order,
     resolution_shifts,
@@ -47,7 +44,6 @@ __all__ = [
     "BACKTRACK_GENERATOR_LIMIT",
     "BRUTE_FORCE_LIMIT",
     "HITTING_SET_LIMIT",
-    "CmSaturationVerdict",
     "CoverIdealsError",
     "InconclusiveError",
     "InvariantReport",
@@ -61,9 +57,7 @@ __all__ = [
     "ResolutionShifts",
     "SizeGuardError",
     "ValidationError",
-    "canonical_order",
     "check_linear_quotients",
-    "cm_by_loop_saturation",
     "cover_ideal_by_intersection",
     "expand_kprime",
     "find_linear_order",

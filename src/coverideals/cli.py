@@ -38,8 +38,8 @@ from .errors import (
     ValidationError,
 )
 from .graphs import KPrimeSpec, LoopGraph, expand_kprime
-from .invariants import cm_by_loop_saturation, invariants
-from .monomials import Monomial, MonomialIdeal
+from .invariants import invariants
+from .monomials import Monomial, MonomialIdeal, _indices_mask
 from .quotients import find_linear_order, resolution_shifts
 
 ROUTES = ("auto", "bruteforce", "intersection", "closed-form")
@@ -85,13 +85,13 @@ def load_payload(path: str | None, inline: str | None = None):
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read {path}: {exc}") from exc
     else:
         raw = inline
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         source = "input" if path is None else path
         raise ValidationError(f"{source} is not valid JSON: {exc}") from exc
 
@@ -229,14 +229,15 @@ def run_cm_check(obj, args):
     cm_text = "inconclusive" if rep.cm is None else str(rep.cm).lower()
     lines = [f"route: {route} / {rep.route}", f"cohen_macaulay: {cm_text}"]
     if args.base_ideal is not None:
+        # once the loops hold a minimal cover w of the loopless base graph, the
+        # loop set is the one minimal cover left: J is principal, hence CM
         base = _ideal_from_json(load_payload(args.base_ideal))
-        loops = _resolve_loops(obj, args, base.n)
-        verdict = cm_by_loop_saturation(base, loops)
-        report["saturation"] = verdict.to_json_dict()
-        if verdict.satisfied:
-            lines.append(f"loop saturation: satisfied, witness {verdict.witness.compact()}")
-        else:
-            lines.append("loop saturation: not satisfied")
+        loop_mask = _indices_mask(_resolve_loops(obj, args, base.n))
+        witness = next((w for w in base.gens if not w.mask & ~loop_mask), None)
+        report["saturation"] = {"satisfied": witness is not None,
+                                "witness": list(witness.index_seq) if witness else None}
+        lines.append(f"loop saturation: satisfied, witness {witness.compact()}" if witness
+                     else "loop saturation: not satisfied")
     return report, lines
 
 
@@ -324,7 +325,7 @@ def main(argv=None) -> int:
     except (SizeGuardError, InconclusiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    except (MemoryError, OverflowError):  # an integer too large to allocate
         print("error: out of memory; the input is too large", file=sys.stderr)
         return 2
     except CoverIdealsError as exc:

@@ -6,9 +6,10 @@ evaluated bit-parallel on Python integers; an intersection of primes, where
 the loop primes (X_k) give the factor x^L and each connected component of
 G - L meets one star prime (X_v, x^S) per vertex, the meet of the edge
 primes (X_v, X_s) for s in S; and a closed-form candidate construction for
-complete-core-plus-stars graphs that never enumerates subsets. Each route
-finds exactly the minimal covers, every loop vertex in each, and hands them
-as support masks to the ideal, which only sorts them.
+complete-core-plus-stars graphs that never enumerates subsets. Both graph
+routes read G - L off ``LoopGraph.open_edges``. Each route finds exactly the
+minimal covers, every loop vertex in each, and hands them as support masks
+to the ideal, which only sorts them.
 """
 
 from __future__ import annotations
@@ -84,9 +85,7 @@ def minimal_covers_bruteforce(g: LoopGraph) -> MonomialIdeal:
     so the guard counts f, not n; the answer costs O(n) per cover, so
     ``_OUTPUT_LIMIT`` bounds their product, a popcount, before any is built.
     """
-    loops = set(g.loops)
-    open_edges = [e for e in g.edges if e[0] not in loops and e[1] not in loops]
-    free = sorted({v for e in open_edges for v in e})
+    free = sorted({v for e in g.open_edges for v in e})
     f = len(free)
     if f > BRUTE_FORCE_LIMIT:
         raise SizeGuardError(
@@ -95,7 +94,7 @@ def minimal_covers_bruteforce(g: LoopGraph) -> MonomialIdeal:
         )
     position = {v: k for k, v in enumerate(free)}
     neighbours: list[list[int]] = [[] for _ in free]
-    for i, j in open_edges:
+    for i, j in g.open_edges:
         neighbours[position[i]].append(position[j])
         neighbours[position[j]].append(position[i])
     covers = (1 << (1 << f)) - 1
@@ -114,7 +113,7 @@ def minimal_covers_bruteforce(g: LoopGraph) -> MonomialIdeal:
             f"brute force refused for {count} minimal covers x n={g.n} > "
             f"{_OUTPUT_LIMIT} output slots; use the structured closed form"
         )
-    loop_mask = _indices_mask(loops, g.n)
+    loop_mask = _indices_mask(g.loops)
     bits = [1 << (v - 1) for v in free]
     # subset s is the set bit at 1-based position s + 1 of the table
     return MonomialIdeal._trusted(g.n, (
@@ -155,11 +154,11 @@ def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
 
     The loop ideals intersect to the single generator x^L, which divides
     every later generator, so an edge at a loop never changes the result and
-    the edge primes run on G - L only. The cover ideal of a disjoint union
-    is the product of its components' cover ideals, so each connected
-    component of G - L is intersected on its own, from the unit ideal, and
-    the answer is x^L times one generator per component: such products are
-    minimal and distinct, since the components share no vertex.
+    the edge primes run on G - L, ``g.open_edges``, only. The cover ideal of
+    a disjoint union is the product of its components' cover ideals, so each
+    connected component of G - L is intersected on its own, from the unit
+    ideal, and the answer is x^L times one generator per component: such
+    products are minimal and distinct, since the components share no vertex.
 
     Within a component the edge primes run star by star: vertices by
     descending degree in G - L, ties by index. The primes (X_v, X_s) for
@@ -188,16 +187,13 @@ def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
             f"prime intersection refused for n={g.n} > {BRUTE_FORCE_LIMIT}; "
             "use the structured closed form"
         )
-    loops = _indices_mask(g.loops, g.n)
     adjacent = [0] * g.n
-    for i, j in g.edges:
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
-        if not (bi | bj) & loops:
-            adjacent[i - 1] |= bj
-            adjacent[j - 1] |= bi
+    for i, j in g.open_edges:
+        adjacent[i - 1] |= 1 << (j - 1)
+        adjacent[j - 1] |= 1 << (i - 1)
     # sorted() is stable, so equal degrees keep ascending index
     order = sorted(range(g.n), key=lambda v: -adjacent[v].bit_count())
-    gens = [loops]
+    gens = [_indices_mask(g.loops)]
     visited = 0
     for root in order:
         if visited >> root & 1 or not adjacent[root]:
@@ -235,8 +231,8 @@ def _kprime_candidate_masks(spec: KPrimeSpec) -> list[int]:
     it divides no other; the all-centers one is divisible, and left out, iff
     some unlooped center has every leaf looped (a bare center counts).
     """
-    centers = _indices_mask(spec.alphas, spec.n)
-    loops = _indices_mask(spec.loops, spec.n)
+    centers = _indices_mask(spec.alphas)
+    loops = _indices_mask(spec.loops)
     looped_leaves = loops & ~centers
     cands = []
     all_centers_minimal = True

@@ -1,4 +1,10 @@
-"""Graphs with loops and the complete-core-plus-stars family."""
+"""Graphs with loops and the complete-core-plus-stars family.
+
+A loop puts its vertex in every cover, so the ideal of vertex covers of a
+graph with loop set L is x^L times that of G - L, the edges with no looped
+end. ``LoopGraph`` builds that normal form once, as ``open_edges``, and every
+graph route reads it.
+"""
 
 from __future__ import annotations
 
@@ -15,9 +21,11 @@ class LoopGraph:
 
     Edges are unordered pairs of distinct vertices; loops are listed apart.
     Values are immutable, with edges and loops stored sorted and deduplicated.
+    ``open_edges`` are the edges of G - L, those with no looped end, in the
+    same order; it costs O(|E|), never O(n).
     """
 
-    __slots__ = ("n", "edges", "loops")
+    __slots__ = ("n", "edges", "loops", "open_edges")
 
     def __init__(self, n: int, edges: Iterable = (), loops: Iterable[int] = ()):
         n = int(n)
@@ -47,6 +55,9 @@ class LoopGraph:
         self.n = n
         self.edges = tuple(sorted(es))
         self.loops = tuple(sorted(ls))
+        self.open_edges = self.edges if not ls else tuple(
+            e for e in self.edges if e[0] not in ls and e[1] not in ls
+        )
 
     def __eq__(self, other) -> bool:
         return (

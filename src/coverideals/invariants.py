@@ -17,16 +17,14 @@ from operator import and_
 
 from .errors import InconclusiveError, SizeGuardError, ValidationError
 from .graphs import KPrimeSpec, LoopGraph
-from .monomials import Monomial, MonomialIdeal
+from .monomials import MonomialIdeal
 from .quotients import find_linear_order
 
 __all__ = [
     "HITTING_SET_LIMIT",
     "InvariantReport",
-    "CmSaturationVerdict",
     "h_of",
     "invariants",
-    "cm_by_loop_saturation",
 ]
 
 HITTING_SET_LIMIT = 25
@@ -64,20 +62,6 @@ class InvariantReport:
             "reg": self.reg,
             "reg_bounds": list(self.reg_bounds) if self.reg_bounds else None,
             "cm": self.cm,
-        }
-
-
-@dataclass(frozen=True)
-class CmSaturationVerdict:
-    """Whether the loop set swallows some generator of the base cover ideal."""
-
-    satisfied: bool
-    witness: Monomial | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "witness": list(self.witness.index_seq) if self.witness else None,
         }
 
 
@@ -172,16 +156,3 @@ def invariants(
         reg_bounds=(0, n - 1) if principal else _context_reg_bounds(context),
         cm=depth == dim,
     )
-
-
-def cm_by_loop_saturation(base_cover_ideal: MonomialIdeal, loops) -> CmSaturationVerdict:
-    """Check whether the loop set contains the support of some generator of
-    the loopless base graph's cover ideal. When it does, the loop vertices
-    alone form the unique minimal cover of the looped graph, so its cover
-    ideal is principal and Cohen-Macaulay."""
-    loopset = {int(k) for k in loops}
-    for g in base_cover_ideal.gens:
-        if set(g.support) <= loopset:
-            return CmSaturationVerdict(True, g)
-    return CmSaturationVerdict(False, None)
-

@@ -38,12 +38,16 @@ _NONZERO_BYTE = re.compile(rb"[^\x00]")
 _BYTE_BITS = tuple(tuple(b + 1 for b in range(8) if v >> b & 1) for v in range(256))
 
 
-def _indices_mask(indices: Iterable[int], n: int) -> int:
-    """Bitmask of 1-based indices known to lie in 1..n, built in O(n) as a
-    binary numeral rather than by OR-ing n-bit integers."""
-    digits = bytearray(b"0" * n)
+def _indices_mask(indices: Iterable[int]) -> int:
+    """Bitmask of positive 1-based indices, built in O(largest index) as a
+    binary numeral rather than by OR-ing wide integers."""
+    indices = list(indices)
+    top = max(indices, default=0)
+    if not top:
+        return 0
+    digits = bytearray(b"0" * top)
     for i in indices:
-        digits[n - i] = 49  # ord("1")
+        digits[top - i] = 49  # ord("1")
     return int(digits, 2)
 
 
@@ -84,7 +88,7 @@ class Monomial:
         if any(e < 0 for e in exps):
             raise ValidationError(f"monomial exponents must be nonnegative, got {exps}")
         self.n = len(exps)
-        self.mask = _indices_mask((i for i, e in enumerate(exps, start=1) if e), self.n)
+        self.mask = _indices_mask(i for i, e in enumerate(exps, start=1) if e)
         self.powers = tuple((i, e) for i, e in enumerate(exps, start=1) if e >= 2)
 
     @classmethod
@@ -104,7 +108,7 @@ class Monomial:
             if not 1 <= i <= n:
                 raise ValidationError(f"variable index {i} outside 1..{n}")
         powers = tuple(sorted((i, e) for i, e in counts.items() if e >= 2))
-        return cls._make(n, _indices_mask(counts, n), powers)
+        return cls._make(n, _indices_mask(counts), powers)
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -228,8 +232,8 @@ class MonomialIdeal:
         self.n = n
         if squarefree:
             # a divides m iff a & m == a
-            nbytes = (n + 7) // 8
             by_mask = {g.mask: g for g in pool}
+            nbytes = (max(by_mask, default=0).bit_length() + 7) // 8
             kept_masks: list[int] = []
             for m in sorted(by_mask, key=lambda m: _squarefree_key(m, nbytes)):
                 if all(a & m != a for a in kept_masks):
@@ -248,7 +252,7 @@ class MonomialIdeal:
         a minimal generating set: they are only sorted into canonical order."""
         masks = list(masks)
         if len(masks) > 1:
-            nbytes = (n + 7) // 8
+            nbytes = (max(masks).bit_length() + 7) // 8
             masks.sort(key=lambda m: _squarefree_key(m, nbytes))
         ideal = object.__new__(cls)
         ideal.n = n

@@ -21,7 +21,6 @@ __all__ = [
     "BACKTRACK_GENERATOR_LIMIT",
     "QuotientCertificate",
     "ResolutionShifts",
-    "canonical_order",
     "check_linear_quotients",
     "find_linear_order",
     "resolution_shifts",
@@ -109,13 +108,6 @@ def _variables_ideal(n: int, variables: int) -> MonomialIdeal:
         bits.append(bit)
         variables ^= bit
     return MonomialIdeal._trusted(n, bits)
-
-
-def canonical_order(ideal: MonomialIdeal) -> list[Monomial]:
-    """Generators sorted by degree, ties broken by ascending index sequences."""
-    if not ideal.is_squarefree:
-        raise ValidationError("the canonical ordering is defined for squarefree ideals")
-    return sorted(ideal.gens)
 
 
 def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:

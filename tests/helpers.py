@@ -8,13 +8,14 @@ over generator subsets.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from functools import reduce
 from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from coverideals import KPrimeSpec, LoopGraph, Monomial, MonomialIdeal, QuotientCertificate
+from coverideals import KPrimeSpec, LoopGraph, Monomial, MonomialIdeal, QuotientCertificate, cli
 
 # ---------------------------------------------------------------------------
 # construction shorthands
@@ -33,6 +34,21 @@ def edge_ideal(g):
     gens = [mono(e, g.n) for e in g.edges]
     gens.extend(mono((k, k), g.n) for k in g.loops)
     return MonomialIdeal(g.n, gens)
+
+
+def spec_json(spec):
+    return json.dumps({"alphas": list(spec.alphas), "loops": list(spec.loops)})
+
+
+def cm_check_report(tmp_path, capsys, payload, base, loops):
+    """The JSON report of ``cm-check --json payload --base-ideal FILE --loops
+    LIST``, with the base ideal written to a file under tmp_path."""
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base.to_json_dict()), encoding="utf-8")
+    argv = ["cm-check", "--json", payload, "--base-ideal", str(path),
+            "--loops", ",".join(map(str, sorted(loops))), "--format", "json"]
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 def count_ideal_builds(monkeypatch):

@@ -11,8 +11,6 @@ from itertools import combinations
 from coverideals import (
     KPrimeSpec,
     LoopGraph,
-    canonical_order,
-    cm_by_loop_saturation,
     cover_ideal_by_intersection,
     expand_kprime,
     find_linear_order,
@@ -31,6 +29,7 @@ from helpers import (
     SATURATION_WITNESS,
     THREE_CENTER_GENS,
     city_ideal,
+    cm_check_report,
     exhaustive_linear_qs,
     five_center_spec,
     ideal_of,
@@ -38,6 +37,7 @@ from helpers import (
     mono,
     random_kprime,
     random_loop_graph,
+    spec_json,
     three_center_spec,
 )
 
@@ -70,7 +70,7 @@ def test_02_five_center_golden():
 
     cert = find_linear_order(closed)
     assert cert.linear and cert.q == 1
-    assert cert.order == tuple(canonical_order(closed))
+    assert cert.order == closed.gens
     step_sets = {frozenset(g.support[0] for g in s.gens) for s in cert.steps}
     assert step_sets == {frozenset({6}), frozenset({3})}
 
@@ -84,7 +84,7 @@ def test_02_five_center_golden():
     print("criterion 2 (five-center golden certificate and invariants): PASS")
 
 
-def test_03_saturated_golden():
+def test_03_saturated_golden(tmp_path, capsys):
     """Loop saturation: principal generator, witness, depth = dim, CM."""
     spec = five_center_spec(SATURATED_LOOPS)
     ideal = kprime_cover_ideal(spec)
@@ -92,9 +92,9 @@ def test_03_saturated_golden():
 
     base = ideal_of(12, *BASE_COVER_GENS)
     assert kprime_cover_ideal(five_center_spec(loops=())) == base
-    verdict = cm_by_loop_saturation(base, SATURATED_LOOPS)
-    assert verdict.satisfied
-    assert verdict.witness == mono(SATURATION_WITNESS, 12)
+    report = cm_check_report(tmp_path, capsys, spec_json(spec), base, SATURATED_LOOPS)
+    assert report["saturation"]["satisfied"] is True
+    assert report["saturation"]["witness"] == list(SATURATION_WITNESS)
 
     rep = invariants(ideal, spec)
     assert rep.depth == 11 == rep.dim
@@ -250,7 +250,7 @@ def test_08_q_order_independence():
     print("criterion 8 (q order-independence, exhaustive permutations): PASS")
 
 
-def test_09_cm_boundary():
+def test_09_cm_boundary(tmp_path, capsys):
     """CM verdict is true exactly for principal cover ideals, and a satisfied
     saturation check always lands on a principal cover ideal."""
     rng = random.Random(0xBEEF)
@@ -279,9 +279,11 @@ def test_09_cm_boundary():
             seed = set()
         extra = {v for v in range(1, spec.n + 1) if rng.random() < 0.25}
         loops = seed | extra
-        verdict = cm_by_loop_saturation(base, loops)
-        if verdict.satisfied:
-            looped_ideal = kprime_cover_ideal(KPrimeSpec(spec.alphas, loops))
+        looped = KPrimeSpec(spec.alphas, loops)
+        report = cm_check_report(tmp_path, capsys, spec_json(looped), base, loops)
+        if report["saturation"]["satisfied"]:
+            assert report["invariants"]["cm"] is True
+            looped_ideal = kprime_cover_ideal(looped)
             assert looped_ideal.is_principal
             assert looped_ideal.gens[0] == mono(sorted(loops), spec.n)
             satisfied_seen += 1

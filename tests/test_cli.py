@@ -27,8 +27,10 @@ FIVE_CENTER_JSON = json.dumps(
 )
 TRIANGLE_JSON = json.dumps({"n": 3, "edges": [[1, 2], [1, 3], [2, 3]], "loops": []})
 CITY_JSON = json.dumps({"n": CITY_N, "gens": [list(g) for g in CITY_GENS]})
+SATURATED_JSON = json.dumps({"alphas": list(FIVE_CENTER_ALPHAS), "loops": list(SATURATED_LOOPS)})
 SEARCHED_SPEC_JSON = '{"alphas":[2,4,5],"loops":[5]}'  # the canonical order fails
 POWERS_JSON = '{"n":4,"gens":[[1,1],[1,2],[1,3],[1,4]]}'
+BASE_IDEAL_JSON = json.dumps(ideal_of(12, *BASE_COVER_GENS).to_json_dict())
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +42,16 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv, "--format", "json")
     return code, json.loads(out)
+
+
+def run_error(capsys, *argv):
+    """The exit code and stderr of a call that prints nothing on stdout and
+    exactly one error line."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return code, captured.err
 
 
 class TestCoverIdeal:
@@ -233,6 +245,11 @@ class TestExitCodesAndDeterminism:
     def test_size_guard_is_exit_two(self, capsys):
         big = json.dumps({"n": 30, "edges": [[1, 2]], "loops": []})
         assert cli.main(["cover-ideal", "--json", big]) == 2
+        capsys.readouterr()
+        # the guard comes before any table of n entries
+        huge = json.dumps({"n": 10**9, "edges": [[1, 10**9]], "loops": [10**9]})
+        code, err = run_error(capsys, "cover-ideal", "--json", huge)
+        assert code == 2 and err.startswith("error: prime intersection refused")
 
     def test_graph_past_the_hitting_set_guard_gets_h_from_the_loop_rule(self, capsys):
         # brute force accepts f = 2 at n = 30, and h needs no search
@@ -260,7 +277,7 @@ class TestExitCodesAndDeterminism:
         assert code == 0 and report["invariants"]["h"] == 12
 
     def test_out_of_memory_is_exit_two(self):
-        # a ring of 10^10 variables needs a 10 GB mask buffer, past a 1.5 GB
+        # the variable X_(10^10) needs a 10 GB mask buffer, past a 1.5 GB
         # address-space limit
         resource = pytest.importorskip("resource")
         limit = 1_500_000_000
@@ -272,12 +289,26 @@ class TestExitCodesAndDeterminism:
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from coverideals import cli; "
              "sys.exit(cli.main(sys.argv[1:]))",
-             "invariants", "--json", '{"n":10000000000,"gens":[[1]]}'],
+             "invariants", "--json", '{"n":10000000000,"gens":[[10000000000]]}'],
             capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: out of memory; the input is too large\n"
+
+    def test_input_file_not_utf8_is_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_bytes(b'\xff\xfe{"n":1}')
+        assert run_error(capsys, "invariants", "--input", str(path))[0] == 1
+
+    def test_json_nested_past_the_recursion_limit_is_exit_one(self, capsys):
+        deep = "[" * 100_000 + "]" * 100_000
+        assert run_error(capsys, "invariants", "--json", deep)[0] == 1
+
+    def test_index_past_a_machine_word_is_exit_two(self, capsys):
+        spec = json.dumps({"alphas": [1, 10**30]})
+        code, err = run_error(capsys, "cover-ideal", "--json", spec)
+        assert code == 2 and err == "error: out of memory; the input is too large\n"
 
     def test_byte_determinism(self, capsys):
         first = run_cli(capsys, "invariants", "--json", FIVE_CENTER_JSON,
@@ -314,7 +345,9 @@ class TestExitCodesAndDeterminism:
 
 
 # Exact stdout of each verb: text as printed, JSON as the report that the CLI
-# prints with indent 2 and sorted keys.
+# prints with indent 2 and sorted keys, then an optional argv tail, in which
+# BASE_IDEAL_FILE stands for a file holding BASE_IDEAL_JSON.
+BASE_IDEAL_FILE = object()
 GOLDEN_STDOUT = [
     (
         "five-center",
@@ -472,13 +505,58 @@ GOLDEN_STDOUT = [
                         "route": "linear-quotients"},
          "route": "ideal-input"},
     ),
+    (
+        "saturated",
+        SATURATED_JSON,
+        "cm-check",
+        "route: closed-form / principal\n"
+        "cohen_macaulay: true\n"
+        "loop saturation: satisfied, witness X3X4X5X8X9X12\n",
+        {"invariants": {"cm": True,
+                        "depth": 11,
+                        "dim": 11,
+                        "h": 1,
+                        "n": 12,
+                        "pd": 1,
+                        "q": 0,
+                        "reg": 7,
+                        "reg_bounds": [0, 11],
+                        "route": "principal"},
+         "route": "closed-form",
+         "saturation": {"satisfied": True, "witness": [3, 4, 5, 8, 9, 12]}},
+        "--base-ideal", BASE_IDEAL_FILE,
+    ),
+    (
+        "five-center",
+        FIVE_CENTER_JSON,
+        "cm-check",
+        "route: closed-form / linear-quotients\n"
+        "cohen_macaulay: false\n"
+        "loop saturation: not satisfied\n",
+        {"invariants": {"cm": False,
+                        "depth": 10,
+                        "dim": 11,
+                        "h": 1,
+                        "n": 12,
+                        "pd": 2,
+                        "q": 1,
+                        "reg": 6,
+                        "reg_bounds": [5, 10],
+                        "route": "linear-quotients"},
+         "route": "closed-form",
+         "saturation": {"satisfied": False, "witness": None}},
+        "--base-ideal", BASE_IDEAL_FILE,
+    ),
 ]
 
 
 class TestGoldenStdout:
-    @pytest.mark.parametrize("name, payload, verb, text, report", GOLDEN_STDOUT,
-                             ids=[f"{g[0]}-{g[2]}" for g in GOLDEN_STDOUT])
-    def test_text_and_json_stdout(self, capsys, name, payload, verb, text, report):
-        assert run_cli(capsys, verb, "--json", payload) == (0, text)
+    @pytest.mark.parametrize("case", GOLDEN_STDOUT, ids=[f"{g[0]}-{g[2]}" for g in GOLDEN_STDOUT])
+    def test_text_and_json_stdout(self, tmp_path, capsys, case):
+        _, payload, verb, text, report, *tail = case
+        base = tmp_path / "base.json"
+        base.write_text(BASE_IDEAL_JSON, encoding="utf-8")
+        argv = [verb, "--json", payload, *(str(base) if a is BASE_IDEAL_FILE else a for a in tail)]
+        assert run_cli(capsys, *argv) == (0, text)
         rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        assert run_cli(capsys, verb, "--json", payload, "--format", "json") == (0, rendered)
+        assert run_cli(capsys, *argv, "--format", "json") == (0, rendered)

@@ -1,6 +1,7 @@
 """Loop graphs, block-spec expansion, and the edge-ideal helper of the tests."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,21 @@ class TestLoopGraph:
         g = LoopGraph(4, [(2, 1), (1, 2), [3, 4]], [4, 2, 2])
         assert g.edges == ((1, 2), (3, 4))
         assert g.loops == (2, 4)
+
+    def test_open_edges_are_the_edges_of_g_minus_l(self):
+        g = LoopGraph(6, [(4, 5), (1, 2), (2, 3), (3, 4), (5, 6)], [3, 6])
+        assert g.open_edges == ((1, 2), (4, 5))
+        assert LoopGraph(3, [(1, 2)]).open_edges == ((1, 2),)
+
+    def test_open_edges_cost_no_vertex_table(self):
+        tracemalloc.start()
+        try:
+            g = LoopGraph(10**9, [(1, 10**9)], [10**9])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert g.open_edges == ()
 
     def test_string_vertices_normalize(self):
         assert LoopGraph(3, [("2", "1")], ["3"]) == LoopGraph(3, [(1, 2)], [3])

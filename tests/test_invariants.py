@@ -1,5 +1,6 @@
 """Graded invariants, Cohen-Macaulay verdicts, and loop saturation."""
 
+import json
 import random
 from itertools import combinations
 
@@ -12,7 +13,6 @@ from coverideals import (
     MonomialIdeal,
     SizeGuardError,
     ValidationError,
-    cm_by_loop_saturation,
     cover_ideal_by_intersection,
     h_of,
     invariants,
@@ -23,11 +23,13 @@ from helpers import (
     SATURATED_LOOPS,
     SATURATION_WITNESS,
     block_specs,
+    cm_check_report,
     five_center_spec,
     ideal_of,
     loop_graphs,
     mono,
     random_kprime,
+    spec_json,
     three_center_spec,
 )
 
@@ -201,23 +203,29 @@ class TestCohenMacaulay:
 
 
 class TestLoopSaturation:
-    def test_five_center_witness(self):
-        base = ideal_of(12, *BASE_COVER_GENS)
-        verdict = cm_by_loop_saturation(base, SATURATED_LOOPS)
-        assert verdict.satisfied
-        assert verdict.witness == mono(SATURATION_WITNESS, 12)
+    """The saturation check of ``cm-check --base-ideal``."""
 
-    def test_empty_loops(self):
+    def test_five_center_witness(self, tmp_path, capsys):
         base = ideal_of(12, *BASE_COVER_GENS)
-        verdict = cm_by_loop_saturation(base, ())
-        assert not verdict.satisfied and verdict.witness is None
+        payload = spec_json(five_center_spec(SATURATED_LOOPS))
+        report = cm_check_report(tmp_path, capsys, payload, base, SATURATED_LOOPS)
+        assert report["saturation"] == {"satisfied": True,
+                                        "witness": list(SATURATION_WITNESS)}
 
-    def test_principal_base_containment_identity(self):
+    def test_empty_loops(self, tmp_path, capsys):
+        base = ideal_of(12, *BASE_COVER_GENS)
+        payload = spec_json(five_center_spec(()))
+        report = cm_check_report(tmp_path, capsys, payload, base, ())
+        assert report["saturation"] == {"satisfied": False, "witness": None}
+
+    def test_principal_base_containment_identity(self, tmp_path, capsys):
         base = ideal_of(5, (1, 3, 4))
-        verdict = cm_by_loop_saturation(base, (1, 3, 4))
-        assert verdict.satisfied and verdict.witness == base.gens[0]
+        payload = json.dumps(base.to_json_dict())
+        report = cm_check_report(tmp_path, capsys, payload, base, (1, 3, 4))
+        assert report["saturation"] == {"satisfied": True,
+                                        "witness": list(base.gens[0].index_seq)}
 
-    def test_satisfied_implies_principal_looped_ideal(self):
+    def test_satisfied_implies_principal_looped_ideal(self, tmp_path, capsys):
         rng = random.Random(43)
         hits = 0
         while hits < 12:
@@ -226,9 +234,10 @@ class TestLoopSaturation:
             seed = set(rng.choice(base.gens).support)
             extra = {v for v in range(1, spec.n + 1) if rng.random() < 0.2}
             looped = KPrimeSpec(spec.alphas, seed | extra)
-            verdict = cm_by_loop_saturation(base, looped.loops)
-            if not verdict.satisfied:
+            report = cm_check_report(tmp_path, capsys, spec_json(looped), base, looped.loops)
+            if not report["saturation"]["satisfied"]:
                 continue
+            assert report["invariants"]["cm"] is True
             looped_ideal = kprime_cover_ideal(looped)
             assert looped_ideal.is_principal
             assert looped_ideal.gens[0] == mono(looped.loops, spec.n)

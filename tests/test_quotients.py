@@ -15,7 +15,6 @@ from coverideals import (
     Monomial,
     MonomialIdeal,
     ValidationError,
-    canonical_order,
     check_linear_quotients,
     find_linear_order,
     kprime_cover_ideal,
@@ -42,27 +41,31 @@ COPRIME_PAIR = ideal_of(4, (1, 2), (3, 4))
 
 
 class TestCanonicalOrder:
+    """The ideal holds its generators in canonical order: degree ascending,
+    ties by ascending index sequence."""
+
     def test_five_center_degrees(self):
-        order = canonical_order(kprime_cover_ideal(five_center_spec()))
+        order = kprime_cover_ideal(five_center_spec()).gens
         assert [tuple(u.support) for u in order] == list(FIVE_CENTER_GENS)
         assert [u.degree for u in order] == [5, 6, 7]
 
     def test_principal_singleton(self):
-        assert canonical_order(ideal_of(3, (1, 2))) == [mono((1, 2), 3)]
+        assert ideal_of(3, (1, 2)).gens == (mono((1, 2), 3),)
 
     def test_same_degree_tiebreak(self):
-        order = canonical_order(ideal_of(3, (1, 3), (1, 2)))
+        order = ideal_of(3, (1, 3), (1, 2)).gens
         assert [u.compact() for u in order] == ["X1X2", "X1X3"]
 
-    def test_rejects_non_squarefree(self):
-        with pytest.raises(ValidationError):
-            canonical_order(ideal_of(2, (1, 1)))
+    def test_powers_held_in_canonical_order(self):
+        order = ideal_of(2, (1, 2), (1, 1)).gens
+        assert order[0] == mono((1, 1), 2)
+        assert [u.compact() for u in order] == ["X1^2", "X1X2"]
 
 
 class TestCheckLinearQuotients:
     def test_five_center_certificate(self):
         ideal = kprime_cover_ideal(five_center_spec())
-        cert = check_linear_quotients(ideal, canonical_order(ideal))
+        cert = check_linear_quotients(ideal, ideal.gens)
         assert cert.linear and cert.q == 1
         assert [s.compact() for s in cert.steps] == ["(X6)", "(X3)"]
         step_sets = {frozenset(g.support for g in s.gens) for s in cert.steps}
@@ -88,7 +91,7 @@ class TestFindLinearOrder:
     def test_five_center_uses_canonical_order(self):
         ideal = kprime_cover_ideal(five_center_spec())
         cert = find_linear_order(ideal)
-        assert cert.order == tuple(canonical_order(ideal))
+        assert cert.order == ideal.gens
 
     def test_principal_from_loop_saturation(self):
         ideal = kprime_cover_ideal(KPrimeSpec((2, 4), loops=(2, 4)))
@@ -102,7 +105,7 @@ class TestFindLinearOrder:
     def test_backtracking_rescues_degree_ties(self):
         # canonical order fails on this three-generator tie, another order works
         ideal = kprime_cover_ideal(KPrimeSpec((2, 4, 5), loops=(5,)))
-        assert not check_linear_quotients(ideal, canonical_order(ideal)).linear
+        assert not check_linear_quotients(ideal, ideal.gens).linear
         cert = find_linear_order(ideal)
         assert cert.linear and cert.q == 1
         assert [u.compact() for u in cert.order] == ["X1X4X5", "X2X4X5", "X2X3X5"]

@@ -10,7 +10,6 @@ import coverideals
 PUBLIC_NAMES = [
     "BACKTRACK_GENERATOR_LIMIT",
     "BRUTE_FORCE_LIMIT",
-    "CmSaturationVerdict",
     "CoverIdealsError",
     "HITTING_SET_LIMIT",
     "InconclusiveError",
@@ -25,9 +24,7 @@ PUBLIC_NAMES = [
     "ResolutionShifts",
     "SizeGuardError",
     "ValidationError",
-    "canonical_order",
     "check_linear_quotients",
-    "cm_by_loop_saturation",
     "cover_ideal_by_intersection",
     "expand_kprime",
     "find_linear_order",
@@ -40,7 +37,6 @@ PUBLIC_NAMES = [
 ]
 
 PUBLIC_MEMBERS = {
-    "CmSaturationVerdict": ["to_json_dict"],
     "CoverIdealsError": [],
     "InconclusiveError": [],
     "InvariantReport": ["to_json_dict"],
