@@ -232,8 +232,17 @@ def run_cm_check(obj, args):
         # once the loops hold a minimal cover w of the loopless base graph, the
         # loop set is the one minimal cover left: J is principal, hence CM
         base = _ideal_from_json(load_payload(args.base_ideal))
-        loop_mask = _indices_mask(_resolve_loops(obj, args, base.n))
+        loops = _resolve_loops(obj, args, base.n)
+        loop_mask = _indices_mask(loops)
         witness = next((w for w in base.gens if not w.mask & ~loop_mask), None)
+        # with the input's own loops, the true base has a witness iff G - L
+        # has no edge, iff J is principal; any other base is not the input's
+        if (isinstance(obj, (LoopGraph, KPrimeSpec)) and set(loops) == set(obj.loops)
+                and (witness is not None) != ideal.is_principal):
+            found = f"the loops hold {witness.compact()}" if witness else "no cover is in the loops"
+            raise ValidationError("the base ideal is not the cover ideal of the input's "
+                                  f"loopless graph: {found}, but G - L has "
+                                  f"{'an' if witness else 'no'} edge")
         report["saturation"] = {"satisfied": witness is not None,
                                 "witness": list(witness.index_seq) if witness else None}
         lines.append(f"loop saturation: satisfied, witness {witness.compact()}" if witness

@@ -5,12 +5,16 @@ An ideal has linear quotients when its generators can be ordered so that each
 prefix colon ideal (u_1..u_{j-1}) : (u_j) is generated by variables. The
 canonical order (degree ascending, lexicographic tie-break on index
 sequences) is tried first; a pruned backtracking search covers orders the
-canonical one misses. One decision yields the certificate, built from the
-step masks it computed; ``check_linear_quotients`` evaluates any order.
+canonical one misses. An ideal with linear quotients has them in some
+degree-nondecreasing order (Jahan–Zheng, J. Combin. Theory Ser. A 117, 2010,
+Lemma 2.1), so the search only permutes generators within a degree class.
+One decision yields the certificate, built from the step masks it computed;
+``check_linear_quotients`` evaluates any order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
 
@@ -26,8 +30,9 @@ __all__ = [
     "resolution_shifts",
 ]
 
-# The structured cover ideals here never exceed m+1 generators; past this the
-# permutation search only serves order-independence experiments.
+# Past this many generators the order search is refused as inconclusive.
+# It visits at most the sum of 2^|class| prefix sets over the degree classes,
+# so the cap bounds the worst case, one class of 12, at 4,096 prefixes.
 BACKTRACK_GENERATOR_LIMIT = 12
 
 
@@ -136,11 +141,14 @@ def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:
 def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
     """A linear-quotient certificate, or None when provably none exists.
 
-    The canonical order is tried first. When it fails, generator orders are
-    searched with backtracking, pruning any prefix whose next colon step is
-    not variable-generated; feasibility from a prefix depends only on the
-    prefix as a set, so exhausted sets are memoized. Candidates are taken in
-    canonical rank, which makes the returned order deterministic. Beyond
+    The canonical order is tried first. When it fails, degree-nondecreasing
+    orders are searched with backtracking: the c-th pick comes from the
+    degree class of canonical position c, which loses no ideal with linear
+    quotients (Jahan–Zheng, JCTA 117, 2010, Lemma 2.1). A prefix whose next
+    colon step is not variable-generated is pruned; feasibility from a prefix
+    depends only on the prefix as a set, so exhausted sets are memoized.
+    Candidates are taken in canonical rank, so the returned order is the
+    first linear one of the searched orders in that rank. Beyond
     ``BACKTRACK_GENERATOR_LIMIT`` generators the search is refused with
     InconclusiveError, which is distinct from a definitive absence.
 
@@ -183,17 +191,21 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
             f"{t} generators exceed the search limit {BACKTRACK_GENERATOR_LIMIT}; "
             "linear quotients undecided"
         )
+    # the c-th pick comes from the degree class of canonical position c
+    degrees = [u.degree for u in gens]
+    classes = [range(bisect_left(degrees, d), bisect_right(degrees, d)) for d in degrees]
     chosen: list[int] = []  # positions in gens, in order
     step_masks = []  # the step of each chosen generator, 0 for the first
     dead: set[int] = set()  # exhausted prefixes, as bitsets of positions
 
     def search(used: int) -> bool:
-        if len(chosen) == t:
+        c = len(chosen)
+        if c == t:
             return True
         if used in dead:
             return False
         prefix = [items[i] for i in chosen]
-        for k in range(t):
+        for k in classes[c]:
             if used >> k & 1:
                 continue
             variables = step_variables(prefix, items[k]) if prefix else 0

@@ -184,6 +184,22 @@ class TestCmCheck:
         assert code == 0
         assert out.splitlines() == ["route: ideal-input / bounds-only", "cohen_macaulay: false"]
 
+    @pytest.mark.parametrize("payload, base", [
+        # G - L keeps the edge {4,5}, yet the triangle's cover X1X2 lies in the loops
+        ('{"n":5,"edges":[[4,5]],"loops":[1,2]}', '{"n":3,"gens":[[1,2],[1,3],[2,3]]}'),
+        ('{"alphas":[2,3],"loops":[1]}', '{"n":3,"gens":[[1],[2,3]]}'),
+    ])
+    def test_base_contradicting_the_input_is_one_error_line(self, tmp_path, capsys,
+                                                            payload, base):
+        path = tmp_path / "base.json"
+        path.write_text(base, encoding="utf-8")
+        for loops in ((), ("--loops", ",".join(map(str, json.loads(payload)["loops"])))):
+            code = cli.main(["cm-check", "--json", payload, "--base-ideal", str(path), *loops])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error: the base ideal is not the cover ideal")
+            assert captured.err.count("\n") == 1
+
     def test_ideal_input_without_loops_fails(self, tmp_path, capsys):
         base_path = tmp_path / "base.json"
         base_path.write_text(

@@ -1,5 +1,6 @@
 """Linear-quotient orders, q, and mapping-cone resolution shifts."""
 
+import json
 import random
 from itertools import permutations
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coverideals import quotients
+from coverideals import cli, quotients
 from coverideals import (
     InconclusiveError,
     KPrimeSpec,
@@ -38,6 +39,12 @@ from helpers import (
 
 TRIANGLE_IDEAL = ideal_of(3, (1, 2), (1, 3), (2, 3))
 COPRIME_PAIR = ideal_of(4, (1, 2), (3, 4))
+# 12 generators, at the search limit, in three degree classes; no order of
+# them has linear quotients
+NO_LINEAR_ORDER_12 = (
+    (4, 11), (5, 6), (5, 8), (6, 7), (6, 11), (7, 8), (7, 11), (8, 11),
+    (1, 3, 11), (3, 4, 6), (3, 7, 9, 12), (9, 10, 11, 12),
+)
 
 
 class TestCanonicalOrder:
@@ -167,6 +174,20 @@ def squarefree_ideals(draw, max_n=8, max_gens=8):
     return ideal_of(n, *draw(st.lists(support, min_size=k, max_size=k)))
 
 
+def count_linear_steps(monkeypatch):
+    """The list to which every ``_linear_step`` call appends its generator,
+    for the rest of the test."""
+    calls = []
+    linear_step = quotients._linear_step
+
+    def counting_step(prefix, u):
+        calls.append(u)
+        return linear_step(prefix, u)
+
+    monkeypatch.setattr(quotients, "_linear_step", counting_step)
+    return calls
+
+
 class TestMaskStepsAgainstDenseOracle:
     @given(st.data())
     @settings(max_examples=150)
@@ -202,17 +223,40 @@ class TestMaskStepsAgainstDenseOracle:
 
     def test_canonical_order_is_decided_once(self, monkeypatch):
         ideal = kprime_cover_ideal(five_center_spec())
-        calls = []
-
-        def counting_step(prefix, u):
-            calls.append(u)
-            return linear_step(prefix, u)
-
-        linear_step = quotients._linear_step
-        monkeypatch.setattr(quotients, "_linear_step", counting_step)
+        calls = count_linear_steps(monkeypatch)
         cert = find_linear_order(ideal)
         assert cert.order == ideal.gens
         assert len(calls) == len(ideal.gens) - 1
+
+    def test_absence_at_the_limit_searches_within_degree_classes(self, monkeypatch):
+        # the classes hold 8, 2 and 2 generators: at most 2^8 + 2^2 + 2^2
+        # prefix sets, where all 2^12 subsets took 5,505 steps
+        ideal = ideal_of(12, *NO_LINEAR_ORDER_12)
+        calls = count_linear_steps(monkeypatch)
+        assert find_linear_order(ideal) is None
+        assert len(calls) <= 600
+
+    def test_absence_at_the_limit_through_the_cli(self, capsys):
+        payload = json.dumps({"n": 12, "gens": [list(g) for g in NO_LINEAR_ORDER_12]})
+        assert cli.main(["linear-quotients", "--json", payload]) == 0
+        assert capsys.readouterr().out == (
+            "route: ideal-input\nlinear quotients: none exist (all orders fail)\n"
+        )
+
+    @given(st.one_of(squarefree_ideals(), ideals_with_powers()))
+    @example(kprime_cover_ideal(KPrimeSpec((2, 4, 5), loops=(5,))))
+    @example(ideal_of(3, (1, 3), (2, 2), (2, 3)))
+    @settings(max_examples=200)
+    def test_returned_order_is_degree_nondecreasing(self, ideal):
+        # Jahan-Zheng: some degree-nondecreasing order is linear whenever any is
+        try:
+            cert = find_linear_order(ideal)
+        except InconclusiveError:
+            return
+        assume(cert is not None)
+        degrees = [u.degree for u in cert.order]
+        assert degrees == sorted(degrees)
+        assert dense_check_linear_quotients(ideal, cert.order).linear
 
     def test_rejected_orders_build_no_step_ideal(self, monkeypatch):
         gens = [mono((2 * i + 1, 2 * i + 2), 26) for i in range(13)]
