@@ -25,6 +25,7 @@ import sys
 from itertools import chain
 
 from .covers import (
+    _OUTPUT_LIMIT,
     cover_ideal_by_intersection,
     kprime_cover_ideal,
     min_patrols,
@@ -146,20 +147,27 @@ def classify_input(data):
 
 
 def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str]:
-    """Resolve the input to its ideal of vertex covers, honoring the route."""
+    """Resolve the input to its ideal of vertex covers, honoring the route; a
+    computed one whose degrees sum past ``_OUTPUT_LIMIT`` is refused unprinted."""
     if isinstance(obj, MonomialIdeal):
         if route != "auto":
             raise ValidationError("route overrides do not apply to ideal input")
         return obj, "ideal-input"
-    if isinstance(obj, KPrimeSpec):
-        if route in ("auto", "closed-form"):
-            return kprime_cover_ideal(obj), "closed-form"
-        obj = expand_kprime(obj)
+    if isinstance(obj, KPrimeSpec) and route in ("auto", "closed-form"):
+        ideal, route = kprime_cover_ideal(obj), "closed-form"
     elif route == "closed-form":
         raise ValidationError("the closed-form route requires a block-spec input")
-    if route == "bruteforce":
-        return minimal_covers_bruteforce(obj), "bruteforce"
-    return cover_ideal_by_intersection(obj), "intersection"
+    else:
+        graph = expand_kprime(obj) if isinstance(obj, KPrimeSpec) else obj
+        if route == "bruteforce":
+            ideal = minimal_covers_bruteforce(graph)
+        else:
+            ideal, route = cover_ideal_by_intersection(graph), "intersection"
+    size = sum(g.degree for g in ideal.gens)
+    if size > _OUTPUT_LIMIT:
+        raise SizeGuardError(f"the cover ideal holds {size} indices > {_OUTPUT_LIMIT}; "
+                             "too large to print")
+    return ideal, route
 
 
 def _gens_lines(ideal: MonomialIdeal) -> list[str]:

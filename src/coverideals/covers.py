@@ -14,7 +14,7 @@ to the ideal, which only sorts them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import takewhile
 
 from .errors import SizeGuardError, ValidationError
@@ -36,15 +36,15 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 25
 # Brute force also refuses covers * n past this, before building any generator;
 # a graph with n <= 25 has at most 8,748 minimal covers (Moon-Moser), so fits.
+# The CLI refuses to print a computed cover ideal holding more indices.
 _OUTPUT_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class PatrolSolution:
-    """All minimum-cardinality minimal covers as ascending vertex tuples."""
+class PatrolSolution(namedtuple("PatrolSolution", "covering_number optimal_covers")):
+    """All minimum-cardinality minimal covers as ascending vertex tuples:
+    ``covering_number`` (int) and ``optimal_covers`` (tuple[tuple[int, ...], ...])."""
 
-    covering_number: int
-    optimal_covers: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

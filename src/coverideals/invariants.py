@@ -10,7 +10,7 @@ principal ideal) and inconclusive otherwise rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import count
 from operator import and_
@@ -30,25 +30,16 @@ __all__ = [
 HITTING_SET_LIMIT = 25
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """Invariants of R/I with the route that determined them.
+class InvariantReport(namedtuple("InvariantReport", "n h dim route q pd depth reg reg_bounds cm",
+                                 defaults=(None,) * 6)):
+    """Invariants of R/I with the route that determined them: ints ``n``, ``h``
+    and ``dim``; ``route``, one of "principal", "linear-quotients" and
+    "bounds-only"; then, None by default, ints ``q``, ``pd``, ``depth`` and
+    ``reg`` (exact where the route pins it: max generator degree - 1), the int
+    pair ``reg_bounds``, known independently of ``reg``, and the bool ``cm``,
+    which stays None when depth could not be determined."""
 
-    ``reg`` is exact where the route pins it (max generator degree - 1);
-    ``reg_bounds`` carries the interval known independently of that value.
-    ``cm`` is None when depth could not be determined.
-    """
-
-    n: int
-    h: int
-    dim: int
-    route: str  # "principal" | "linear-quotients" | "bounds-only"
-    q: int | None = None
-    pd: int | None = None
-    depth: int | None = None
-    reg: int | None = None
-    reg_bounds: tuple[int, int] | None = None
-    cm: bool | None = None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -31,11 +31,14 @@ from .errors import ValidationError
 
 __all__ = ["Monomial", "MonomialIdeal"]
 
-# each byte value with its eight bits in reverse order
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
-# the 1-based positions of the set bits of each byte value
-_BYTE_BITS = tuple(tuple(b + 1 for b in range(8) if v >> b & 1) for v in range(256))
+# each byte value reversed, and the 1-based positions of its set bits, doubled
+# one bit at a time: for u < 2^b, byte 2^b + u is u plus bit b, reversed 7 - b
+_REVERSED_BYTE, _BYTE_BITS = [0], [()]
+for _b in range(8):
+    _REVERSED_BYTE += [r | 0x80 >> _b for r in _REVERSED_BYTE]
+    _BYTE_BITS += [t + (_b + 1,) for t in _BYTE_BITS]
+_REVERSED_BYTE, _BYTE_BITS = bytes(_REVERSED_BYTE), tuple(_BYTE_BITS)
 
 
 def _indices_mask(indices: Iterable[int]) -> int:
@@ -103,12 +106,15 @@ class Monomial:
         """Build from 1-based variable indices; a repeated index raises the exponent."""
         if n < 1:
             raise ValidationError("monomial needs a positive ambient variable count")
-        counts = Counter(int(i) for i in indices)
-        for i in counts:
-            if not 1 <= i <= n:
-                raise ValidationError(f"variable index {i} outside 1..{n}")
-        powers = tuple(sorted((i, e) for i, e in counts.items() if e >= 2))
-        return cls._make(n, _indices_mask(counts), powers)
+        indices = [int(i) for i in indices]
+        if indices and (min(indices) < 1 or max(indices) > n):
+            i = next(i for i in indices if not 1 <= i <= n)
+            raise ValidationError(f"variable index {i} outside 1..{n}")
+        mask = _indices_mask(indices)
+        if mask.bit_count() == len(indices):
+            return cls._make(n, mask)
+        powers = tuple(sorted((i, e) for i, e in Counter(indices).items() if e >= 2))
+        return cls._make(n, mask, powers)
 
     @property
     def exponents(self) -> tuple[int, ...]:

@@ -15,11 +15,11 @@ One decision yields the certificate, built from the step masks it computed;
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import InconclusiveError, ValidationError
-from .monomials import Monomial, MonomialIdeal
+from .monomials import MonomialIdeal
 
 __all__ = [
     "BACKTRACK_GENERATOR_LIMIT",
@@ -36,19 +36,14 @@ __all__ = [
 BACKTRACK_GENERATOR_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class QuotientCertificate:
-    """One generator ordering with its prefix colon ideals.
+class QuotientCertificate(namedtuple("QuotientCertificate", "order steps q linear")):
+    """One generator ordering with its prefix colon ideals: ``order``, the
+    Monomials u_1, ..., u_t; ``steps``, MonomialIdeals with ``steps[j-2]`` =
+    (u_1..u_{j-1}) : (u_j); the int ``q``, the largest step generator count
+    (0 for at most one generator); and the bool ``linear``, whether every
+    step is generated by single variables."""
 
-    ``steps[j-2]`` is (u_1..u_{j-1}) : (u_j) for the order u_1, ..., u_t;
-    ``q`` is the largest step generator count (0 for at most one generator);
-    ``linear`` records whether every step is generated by single variables.
-    """
-
-    order: tuple[Monomial, ...]
-    steps: tuple[MonomialIdeal, ...]
-    q: int
-    linear: bool
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         data = {
@@ -63,11 +58,11 @@ class QuotientCertificate:
         return data
 
 
-@dataclass(frozen=True)
-class ResolutionShifts:
-    """Multisets of graded shifts per homological degree, generators first."""
+class ResolutionShifts(namedtuple("ResolutionShifts", "levels")):
+    """Multisets of graded shifts per homological degree, generators first:
+    ``levels`` (tuple[tuple[int, ...], ...])."""
 
-    levels: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def length(self) -> int:

@@ -1,5 +1,7 @@
 """Command-line interface: verbs, routes, formats, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coverideals
 from coverideals import cli
@@ -253,6 +257,87 @@ class TestOracleVerify:
         assert code == 1
 
 
+# arbitrary JSON: the integers are small vertex counts and indices, or far
+# past a machine word, so that a mask of that width fails at once
+_HUGE = st.sampled_from([2**63, 10**30])
+_ATOMS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 13), _HUGE, st.integers(-(10**30), -(2**63)),
+    st.floats(), st.text(max_size=3),
+)
+_VALUES = st.recursive(
+    _ATOMS,
+    lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(max_size=3), kids,
+                                                              max_size=3),
+    max_leaves=16,
+)
+
+
+def _mostly(shaped, rare=_VALUES, one_in=8):
+    """The shaped strategy, or one time in ``one_in`` the rare one."""
+    return st.integers(1, one_in).flatmap(lambda k: rare if k == 1 else shaped)
+
+
+@st.composite
+def _payloads(draw):
+    """A graph, block spec or ideal object on n <= 12 vertices, or past a
+    machine word, whose fields and entries are mostly well shaped; or any
+    JSON value."""
+    kind = draw(st.sampled_from(("graph", "spec", "ideal", "any")))
+    if kind == "any":
+        return draw(_VALUES)
+    n = draw(_mostly(st.integers(1, 12), _HUGE))
+    index = st.integers(1, min(n, 12))
+    fields = {
+        "graph": {"n": st.just(n), "loops": st.lists(index, max_size=4),
+                  "edges": st.lists(_mostly(st.lists(index, min_size=2, max_size=2),
+                                            _ATOMS, 32), max_size=12)},
+        "spec": {"alphas": st.lists(_mostly(st.integers(1, 12), _HUGE, 32), min_size=2,
+                                    max_size=5, unique=True).map(sorted),
+                 "loops": st.lists(index, max_size=4)},
+        "ideal": {"n": st.just(n), "gens": st.lists(
+            _mostly(st.lists(index, min_size=1, max_size=4), _ATOMS, 32), max_size=10)},
+    }[kind]
+    return {key: draw(_mostly(shaped)) for key, shaped in fields.items()
+            if key != "loops" or draw(st.booleans())}
+
+
+_VERBS = tuple(cli.HANDLERS)
+
+
+@st.composite
+def _argvs(draw, base_path):
+    """Well-formed argv for any verb; --loops and --base-ideal on cm-check."""
+    verb = draw(st.sampled_from(_VERBS))
+    argv = [verb, "--json=" + json.dumps(draw(_payloads())),
+            "--format=" + draw(st.sampled_from(("text", "json")))]
+    if verb != "oracle-verify" and draw(st.booleans()):
+        argv.append("--route=" + draw(st.sampled_from(cli.ROUTES)))
+    if verb == "cm-check":
+        if draw(st.booleans()):
+            argv.append("--loops=" + draw(st.text(alphabet="0123456789,- x", max_size=8)))
+        if draw(st.booleans()):
+            base_path.write_text(json.dumps(draw(_payloads())), encoding="utf-8")
+            argv.append(f"--base-ideal={base_path}")
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_any_json_ends_in_one_exit_line(self, tmp_path_factory, data):
+        base_path = tmp_path_factory.getbasetemp() / "fuzz-base.json"
+        argv = data.draw(_argvs(base_path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
+
+
 class TestExitCodesAndDeterminism:
     def test_validation_error_is_exit_one(self, capsys):
         assert cli.main(["invariants", "--json", '{"bogus": 1}']) == 1
@@ -284,6 +369,19 @@ class TestExitCodesAndDeterminism:
         assert cli.main(["cover-ideal", "--route", "bruteforce", "--json", big]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "6561 minimal covers x n=100000" in err
+
+    def test_closed_form_output_guard_is_exit_two(self, capsys):
+        # two generators of 1 and 9,999,999 indices: the closed form builds
+        # them in a fraction of a second, but printing them is refused
+        spec = json.dumps({"alphas": [1, 10_000_000]})
+        for verb in ("cover-ideal", "patrol"):
+            code, err = run_error(capsys, verb, "--json", spec, "--format", "json")
+            assert code == 2
+            assert err == "error: the cover ideal holds 10000000 indices > 1048576; " \
+                          "too large to print\n"
+        # at 1,000,000 indices in all the ideal is still printed
+        code, report = run_json(capsys, "patrol", "--json", '{"alphas": [1, 1000000]}')
+        assert code == 0 and report["patrol"]["covering_number"] == 1
 
     def test_disjoint_pairs_h_within_a_second(self, capsys):
         pairs = json.dumps({"n": 24, "gens": [[i, i + 1] for i in range(1, 25, 2)]})

@@ -4,8 +4,23 @@ is a deliberate edit of this file."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import coverideals
+from coverideals import (
+    InvariantReport,
+    PatrolSolution,
+    QuotientCertificate,
+    ResolutionShifts,
+    find_linear_order,
+    resolution_shifts,
+)
+from helpers import ideal_of
 
 PUBLIC_NAMES = [
     "BACKTRACK_GENERATOR_LIMIT",
@@ -89,3 +104,64 @@ def test_exported_classes_have_exactly_the_listed_members():
     assert {
         name: _public_members(cls) for name, cls in classes.items() if inspect.isclass(cls)
     } == PUBLIC_MEMBERS
+
+
+def test_import_loads_no_introspection_modules():
+    """The result records are plain tuples, so starting the CLI loads neither
+    dataclasses nor the source-introspection chain behind it."""
+    src = str(Path(coverideals.__file__).resolve().parents[1])
+    code = ("import sys; before = set(sys.modules); import coverideals, coverideals.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    added = set(proc.stdout.split())
+    assert "coverideals.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+_IDEAL = ideal_of(3, (1, 2), (1, 3))  # canonical order linear, q = 1
+_CERT = find_linear_order(_IDEAL)
+_STEP = ideal_of(3, (2,))  # (X1X2) : (X1X3)
+
+# (class, field values in order, their names, to_json_dict of the record)
+RECORDS = [
+    (PatrolSolution, (2, ((1, 2), (1, 3))), ("covering_number", "optimal_covers"),
+     {"covering_number": 2, "optimal_covers": [[1, 2], [1, 3]]}),
+    (QuotientCertificate, (_IDEAL.gens, (_STEP,), 1, True), ("order", "steps", "q", "linear"),
+     {"order": [[1, 2], [1, 3]], "q": 1, "linear": True, "steps": [[2]]}),
+    (ResolutionShifts, (((2, 2), (3,)),), ("levels",), {"shifts": [[2, 2], [3]]}),
+    (InvariantReport, (3, 1, 2, "linear-quotients", 1, 2, 1, 1, (0, 2), False),
+     ("n", "h", "dim", "route", "q", "pd", "depth", "reg", "reg_bounds", "cm"),
+     {"n": 3, "h": 1, "dim": 2, "route": "linear-quotients", "q": 1, "pd": 2, "depth": 1,
+      "reg": 1, "reg_bounds": [0, 2], "cm": False}),
+]
+
+
+@pytest.mark.parametrize("cls, values, names, as_json", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_result_records_are_immutable_values(cls, values, names, as_json):
+    record = cls(*values)
+    assert record == cls(**dict(zip(names, values)))
+    assert [getattr(record, name) for name in names] == list(values)
+    twin = cls(*values)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    with pytest.raises(AttributeError):
+        setattr(record, names[0], values[0])
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{cls.__name__}({fields})"
+    assert record.to_json_dict() == as_json
+
+
+def test_records_built_by_the_library_match_the_listed_ones():
+    assert _CERT == RECORDS[1][0](*RECORDS[1][1])
+    assert resolution_shifts(_CERT, _IDEAL) == RECORDS[2][0](*RECORDS[2][1])
+
+
+def test_invariant_report_defaults_its_six_trailing_fields_to_none():
+    report = InvariantReport(5, 2, 3, "bounds-only")
+    assert (report.q, report.pd, report.depth, report.reg, report.reg_bounds,
+            report.cm) == (None,) * 6
+    assert report == InvariantReport(n=5, h=2, dim=3, route="bounds-only", cm=None)
+    assert report.to_json_dict() == {"n": 5, "h": 2, "dim": 3, "route": "bounds-only",
+                                     "q": None, "pd": None, "depth": None, "reg": None,
+                                     "reg_bounds": None, "cm": None}
