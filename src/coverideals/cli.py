@@ -147,26 +147,26 @@ def classify_input(data):
 
 
 def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str]:
-    """Resolve the input to its ideal of vertex covers, honoring the route; a
-    computed one whose degrees sum past ``_OUTPUT_LIMIT`` is refused unprinted."""
+    """Resolve the input to its ideal of vertex covers, honoring the route."""
     if isinstance(obj, MonomialIdeal):
         if route != "auto":
             raise ValidationError("route overrides do not apply to ideal input")
         return obj, "ideal-input"
-    if isinstance(obj, KPrimeSpec) and route in ("auto", "closed-form"):
-        ideal, route = kprime_cover_ideal(obj), "closed-form"
+    if isinstance(obj, KPrimeSpec):
+        if route in ("auto", "closed-form"):
+            return kprime_cover_ideal(obj), "closed-form"
+        obj = expand_kprime(obj)
     elif route == "closed-form":
         raise ValidationError("the closed-form route requires a block-spec input")
-    else:
-        graph = expand_kprime(obj) if isinstance(obj, KPrimeSpec) else obj
-        if route == "bruteforce":
-            ideal = minimal_covers_bruteforce(graph)
-        else:
-            ideal, route = cover_ideal_by_intersection(graph), "intersection"
-    size = sum(g.degree for g in ideal.gens)
-    if size > _OUTPUT_LIMIT:
-        raise SizeGuardError(f"the cover ideal holds {size} indices > {_OUTPUT_LIMIT}; "
-                             "too large to print")
+    if route == "bruteforce":
+        return minimal_covers_bruteforce(obj), "bruteforce"
+    return cover_ideal_by_intersection(obj), "intersection"
+
+
+def _printed_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str]:
+    ideal, route = compute_cover_ideal(obj, route)
+    if ideal is not obj and (size := sum(g.degree for g in ideal.gens)) > _OUTPUT_LIMIT:
+        raise SizeGuardError(f"the ideal holds {size} indices > {_OUTPUT_LIMIT}, too many to print")
     return ideal, route
 
 
@@ -177,14 +177,14 @@ def _gens_lines(ideal: MonomialIdeal) -> list[str]:
 
 
 def run_cover_ideal(obj, args):
-    ideal, route = compute_cover_ideal(obj, args.route)
+    ideal, route = _printed_cover_ideal(obj, args.route)
     report = {"route": route, "ideal": ideal.to_json_dict()}
     lines = [f"route: {route}", f"generators ({len(ideal.gens)}):"] + _gens_lines(ideal)
     return report, lines
 
 
 def run_invariants(obj, args):
-    ideal, route = compute_cover_ideal(obj, args.route)
+    ideal, route = _printed_cover_ideal(obj, args.route)
     rep = invariants(ideal, None if ideal is obj else obj)  # a graph or spec fixes h
     report = {"route": route, "invariants": rep.to_json_dict(),
               "ideal": ideal.to_json_dict()}
@@ -206,7 +206,7 @@ def _fmt(value) -> str:
 
 
 def run_linear_quotients(obj, args):
-    ideal, route = compute_cover_ideal(obj, args.route)
+    ideal, route = _printed_cover_ideal(obj, args.route)
     cert = find_linear_order(ideal)
     if cert is None:
         report = {"route": route, "linear": False, "verdict": "absence",

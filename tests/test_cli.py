@@ -374,14 +374,19 @@ class TestExitCodesAndDeterminism:
         # two generators of 1 and 9,999,999 indices: the closed form builds
         # them in a fraction of a second, but printing them is refused
         spec = json.dumps({"alphas": [1, 10_000_000]})
-        for verb in ("cover-ideal", "patrol"):
+        for verb in ("cover-ideal", "invariants", "linear-quotients"):
             code, err = run_error(capsys, verb, "--json", spec, "--format", "json")
             assert code == 2
-            assert err == "error: the cover ideal holds 10000000 indices > 1048576; " \
-                          "too large to print\n"
+            assert err == "error: the ideal holds 10000000 indices > 1048576, too many to print\n"
+        # the verbs that never print the ideal still answer
+        code, report = run_json(capsys, "patrol", "--json", spec)
+        assert code == 0 and report["patrol"] == {"covering_number": 1,
+                                                  "optimal_covers": [[10_000_000]]}
+        code, report = run_json(capsys, "cm-check", "--json", spec)
+        assert code == 0 and report["invariants"]["cm"] is True
         # at 1,000,000 indices in all the ideal is still printed
-        code, report = run_json(capsys, "patrol", "--json", '{"alphas": [1, 1000000]}')
-        assert code == 0 and report["patrol"]["covering_number"] == 1
+        assert cli.main(["cover-ideal", "--json", '{"alphas": [1, 1000000]}']) == 0
+        assert capsys.readouterr().out.startswith("route: closed-form\ngenerators (2):\n")
 
     def test_disjoint_pairs_h_within_a_second(self, capsys):
         pairs = json.dumps({"n": 24, "gens": [[i, i + 1] for i in range(1, 25, 2)]})

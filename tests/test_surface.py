@@ -152,6 +152,19 @@ def test_result_records_are_immutable_values(cls, values, names, as_json):
     assert record.to_json_dict() == as_json
 
 
+@pytest.mark.parametrize("cls, values, names, as_json", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_result_records_are_tuples_of_their_fields(cls, values, names, as_json):
+    """A deliberate surface: the records inherit the tuple API (len, iteration,
+    indexing, count, index, _make, _replace, _asdict) and compare equal to the
+    plain tuple of their fields, whatever the record's class."""
+    record = cls(*values)
+    assert isinstance(record, tuple) and cls._fields == names and len(record) == len(names)
+    assert record == values and hash(record) == hash(values) and tuple(record) == values
+    assert cls._make(values) == record and record._asdict() == dict(zip(names, values))
+    assert record._replace(**{names[0]: values[0]}) == record and record[0] == values[0]
+
+
 def test_records_built_by_the_library_match_the_listed_ones():
     assert _CERT == RECORDS[1][0](*RECORDS[1][1])
     assert resolution_shifts(_CERT, _IDEAL) == RECORDS[2][0](*RECORDS[2][1])
