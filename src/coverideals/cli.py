@@ -12,6 +12,13 @@ Input is a JSON object, from --input PATH or inline via --json: a graph
 {"n": .., "edges": [[i,j], ..], "loops": [..]}, a block spec
 {"alphas": [..], "loops": [..]}, or a monomial ideal {"n": .., "gens": [[..], ..]}.
 
+In ideal JSON a repeated index raises the exponent ([7, 7] is X7^2), and the
+squarefree library gets its polarization: X_i^a is X_i times a - 1 copies of
+X_i, the t-th copy (from 0) owned by X_i at i + t + 1, so the canonical order
+carries over; only copies held by a minimal generator are kept. h, pd, reg,
+the verdicts and every colon step stay; n, depth and dim are shifted back,
+and index p prints as X_i for i = p - (copies <= p).
+
 Exit codes: 0 success, 1 validation error, 2 size guard, undecided search or
 out of memory, 3 route disagreement.
 """
@@ -22,6 +29,8 @@ import argparse
 import functools
 import json
 import sys
+from bisect import bisect_right
+from collections import Counter, namedtuple
 from itertools import chain
 
 from .covers import (
@@ -39,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import KPrimeSpec, LoopGraph, expand_kprime
-from .invariants import invariants
+from .invariants import InvariantReport, invariants
 from .monomials import Monomial, MonomialIdeal, _indices_mask
 from .quotients import find_linear_order, resolution_shifts
 
@@ -121,12 +130,62 @@ def _check_fields(data, **depths: int) -> None:
             raise ValidationError(f'"{key}" must be {_SHAPES[depth]}')
 
 
-def _ideal_from_json(data) -> MonomialIdeal:
+# parsed ideal JSON: the squarefree ideal and the ascending copies kept in its ring
+_IdealInput = namedtuple("_IdealInput", "ideal copies")
+
+
+def _ideal_from_json(data, polarize: bool = False) -> _IdealInput:
+    """Parse ideal JSON; a repeated index is refused unless ``polarize``."""
     _check_fields(data, n=0, gens=2)
     if not isinstance(data, dict) or "n" not in data or "gens" not in data:
         raise ValidationError('ideal JSON needs the keys "n" and "gens"')
-    n = data["n"]
-    return MonomialIdeal(n, [Monomial.from_indices(ix, n) for ix in data["gens"]])
+    n, gens = data["n"], data["gens"]
+    try:
+        return _IdealInput(MonomialIdeal(n, [Monomial.from_indices(ix, n) for ix in gens]), ())
+    except ValidationError:  # a repeated index, or an error raised again below
+        if not polarize:
+            raise
+    for ix in gens:  # the checks of squarefree JSON, in the same order
+        Monomial.from_indices(dict.fromkeys(ix), n)
+    monomials, copies = _polarize(n, gens)
+    ideal = MonomialIdeal(n + len(copies), monomials)
+    # again from the minimal generators alone: each copy left is held by one
+    monomials, copies = _polarize(n, [_indices(g, copies) for g in ideal.gens])
+    return _IdealInput(MonomialIdeal(n + len(copies), monomials), copies)
+
+
+def _polarize(n: int, index_lists) -> tuple[list[Monomial], tuple[int, ...]]:
+    """Squarefree monomials in n + len(copies) variables for index lists in
+    1..n that may repeat an index, and the ascending copies."""
+    counts = [Counter(ix) for ix in index_lists]
+    top = {i: max(c[i] for c in counts) for i in set().union(*counts)}
+    first, copies = {}, []
+    for i in sorted(top):
+        first[i] = i + len(copies)
+        copies += range(first[i] + 1, first[i] + top[i])
+    return [Monomial.from_indices([first[i] + k for i, a in c.items() for k in range(a)],
+                                  n + len(copies)) for c in counts], tuple(copies)
+
+
+def _indices(m: Monomial, copies) -> list[int]:
+    """The index sequence in the input's ring: index p names X_{p - (copies <= p)}."""
+    if not copies:
+        return list(m.support)
+    return [p - bisect_right(copies, p) for p in m.support]
+
+
+def _compact(m: Monomial, copies) -> str:
+    """``m.compact()`` in the input's ring, a repeated X_i grouped as X_i^a."""
+    if not copies:
+        return m.compact()
+    return "".join(f"X{i}^{a}" if a > 1 else f"X{i}"
+                   for i, a in Counter(_indices(m, copies)).items())
+
+
+def _ideal_json(ideal: MonomialIdeal, copies) -> dict:
+    if not copies:
+        return ideal.to_json_dict()
+    return {"n": ideal.n - len(copies), "gens": [_indices(g, copies) for g in ideal.gens]}
 
 
 def classify_input(data):
@@ -137,7 +196,7 @@ def classify_input(data):
         _check_fields(data, alphas=1, loops=1)
         return KPrimeSpec(data["alphas"], data.get("loops", ()))
     if "gens" in data:
-        return _ideal_from_json(data)
+        return _ideal_from_json(data, polarize=True)
     if "edges" in data or "loops" in data:
         _check_fields(data, n=0, edges=2, loops=1)
         if "n" not in data:
@@ -146,48 +205,53 @@ def classify_input(data):
     raise ValidationError("input JSON is not a graph, a block spec, or an ideal")
 
 
-def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str]:
-    """Resolve the input to its ideal of vertex covers, honoring the route."""
-    if isinstance(obj, MonomialIdeal):
+def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int, ...]]:
+    """Resolve the input to its ideal of vertex covers and copies, honoring the route."""
+    if isinstance(obj, _IdealInput):
         if route != "auto":
             raise ValidationError("route overrides do not apply to ideal input")
-        return obj, "ideal-input"
+        return obj.ideal, "ideal-input", obj.copies
     if isinstance(obj, KPrimeSpec):
         if route in ("auto", "closed-form"):
-            return kprime_cover_ideal(obj), "closed-form"
+            return kprime_cover_ideal(obj), "closed-form", ()
         obj = expand_kprime(obj)
     elif route == "closed-form":
         raise ValidationError("the closed-form route requires a block-spec input")
     if route == "bruteforce":
-        return minimal_covers_bruteforce(obj), "bruteforce"
-    return cover_ideal_by_intersection(obj), "intersection"
+        return minimal_covers_bruteforce(obj), "bruteforce", ()
+    return cover_ideal_by_intersection(obj), "intersection", ()
 
 
-def _printed_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str]:
-    ideal, route = compute_cover_ideal(obj, route)
-    if ideal is not obj and (size := sum(g.degree for g in ideal.gens)) > _OUTPUT_LIMIT:
+def _printed_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int, ...]]:
+    ideal, route, copies = compute_cover_ideal(obj, route)
+    if route != "ideal-input" and (size := sum(g.degree for g in ideal.gens)) > _OUTPUT_LIMIT:
         raise SizeGuardError(f"the ideal holds {size} indices > {_OUTPUT_LIMIT}, too many to print")
-    return ideal, route
+    return ideal, route, copies
 
 
-def _gens_lines(ideal: MonomialIdeal) -> list[str]:
-    if ideal.is_zero:
-        return ["  (zero ideal)"]
-    return [f"  {g.compact()}" for g in ideal.gens]
+def _invariants(obj, ideal: MonomialIdeal, copies) -> InvariantReport:
+    """The invariants in the input's ring; a graph or spec fixes h."""
+    rep = invariants(ideal, None if isinstance(obj, _IdealInput) else obj)
+    if not copies:
+        return rep
+    c = len(copies)
+    return rep._replace(n=rep.n - c, dim=rep.dim - c,
+                        depth=None if rep.depth is None else rep.depth - c)
 
 
 def run_cover_ideal(obj, args):
-    ideal, route = _printed_cover_ideal(obj, args.route)
-    report = {"route": route, "ideal": ideal.to_json_dict()}
-    lines = [f"route: {route}", f"generators ({len(ideal.gens)}):"] + _gens_lines(ideal)
+    ideal, route, copies = _printed_cover_ideal(obj, args.route)
+    report = {"route": route, "ideal": _ideal_json(ideal, copies)}
+    lines = [f"route: {route}", f"generators ({len(ideal.gens)}):"]
+    lines += [f"  {_compact(g, copies)}" for g in ideal.gens] or ["  (zero ideal)"]
     return report, lines
 
 
 def run_invariants(obj, args):
-    ideal, route = _printed_cover_ideal(obj, args.route)
-    rep = invariants(ideal, None if ideal is obj else obj)  # a graph or spec fixes h
+    ideal, route, copies = _printed_cover_ideal(obj, args.route)
+    rep = _invariants(obj, ideal, copies)
     report = {"route": route, "invariants": rep.to_json_dict(),
-              "ideal": ideal.to_json_dict()}
+              "ideal": _ideal_json(ideal, copies)}
     cm_text = "inconclusive" if rep.cm is None else str(rep.cm).lower()
     lines = [
         f"route: {route} / {rep.route}",
@@ -206,20 +270,22 @@ def _fmt(value) -> str:
 
 
 def run_linear_quotients(obj, args):
-    ideal, route = _printed_cover_ideal(obj, args.route)
+    ideal, route, copies = _printed_cover_ideal(obj, args.route)
     cert = find_linear_order(ideal)
     if cert is None:
         report = {"route": route, "linear": False, "verdict": "absence",
-                  "ideal": ideal.to_json_dict()}
+                  "ideal": _ideal_json(ideal, copies)}
         lines = [f"route: {route}", "linear quotients: none exist (all orders fail)"]
         return report, lines
     shifts = resolution_shifts(cert, ideal)
-    report = {"route": route, "certificate": cert.to_json_dict(),
-              "resolution": shifts.to_json_dict(), "ideal": ideal.to_json_dict()}
+    certificate = {"order": [_indices(u, copies) for u in cert.order], "q": cert.q, "linear": True,
+                   "steps": [[i for g in s.gens for i in _indices(g, copies)] for s in cert.steps]}
+    report = {"route": route, "certificate": certificate,
+              "resolution": shifts.to_json_dict(), "ideal": _ideal_json(ideal, copies)}
     lines = [f"route: {route}", "linear quotients: yes", f"q: {cert.q}", "order:"]
-    lines += [f"  {u.compact()}" for u in cert.order]
+    lines += [f"  {_compact(u, copies)}" for u in cert.order]
     lines.append("steps:")
-    lines += [f"  {s.compact()}" for s in cert.steps]
+    lines += ["  (" + ", ".join(_compact(g, copies) for g in s.gens) + ")" for s in cert.steps]
     lines.append("resolution shifts:")
     lines += [
         f"  i={i}: " + " ".join(str(-s) for s in level)
@@ -231,15 +297,16 @@ def run_linear_quotients(obj, args):
 def run_cm_check(obj, args):
     if args.loops is not None and args.base_ideal is None:
         raise ValidationError("--loops applies only to the saturation check; pass --base-ideal")
-    ideal, route = compute_cover_ideal(obj, args.route)
-    rep = invariants(ideal, None if ideal is obj else obj)
+    ideal, route, copies = compute_cover_ideal(obj, args.route)
+    rep = _invariants(obj, ideal, copies)
     report = {"route": route, "invariants": rep.to_json_dict()}
     cm_text = "inconclusive" if rep.cm is None else str(rep.cm).lower()
     lines = [f"route: {route} / {rep.route}", f"cohen_macaulay: {cm_text}"]
     if args.base_ideal is not None:
         # once the loops hold a minimal cover w of the loopless base graph, the
-        # loop set is the one minimal cover left: J is principal, hence CM
-        base = _ideal_from_json(load_payload(args.base_ideal))
+        # loop set is the one minimal cover left: J is principal, hence CM;
+        # a cover ideal is squarefree, so a base that repeats an index is refused
+        base = _ideal_from_json(load_payload(args.base_ideal)).ideal
         loops = _resolve_loops(obj, args, base.n)
         loop_mask = _indices_mask(loops)
         witness = next((w for w in base.gens if not w.mask & ~loop_mask), None)
@@ -252,7 +319,7 @@ def run_cm_check(obj, args):
                                   f"loopless graph: {found}, but G - L has "
                                   f"{'an' if witness else 'no'} edge")
         report["saturation"] = {"satisfied": witness is not None,
-                                "witness": list(witness.index_seq) if witness else None}
+                                "witness": list(witness.support) if witness else None}
         lines.append(f"loop saturation: satisfied, witness {witness.compact()}" if witness
                      else "loop saturation: not satisfied")
     return report, lines
@@ -274,7 +341,9 @@ def _resolve_loops(obj, args, n: int):
 
 
 def run_patrol(obj, args):
-    ideal, route = compute_cover_ideal(obj, args.route)
+    ideal, route, copies = compute_cover_ideal(obj, args.route)
+    if copies:  # a minimal generator holds a power
+        raise ValidationError("patrol selection needs a squarefree (vertex-cover) ideal")
     solution = min_patrols(ideal)
     report = {"route": route, "patrol": solution.to_json_dict()}
     lines = [
@@ -287,7 +356,7 @@ def run_patrol(obj, args):
 
 
 def run_oracle_verify(obj, args):
-    if isinstance(obj, MonomialIdeal):
+    if isinstance(obj, _IdealInput):
         raise ValidationError("oracle-verify needs a graph or block-spec input")
     results = {}
     if isinstance(obj, KPrimeSpec):

@@ -258,9 +258,9 @@ def min_patrols(source) -> PatrolSolution:
     """Minimum-size minimal covers: the supports of the lowest-degree
     generators of the ideal of vertex covers.
 
-    Accepts a LoopGraph, a KPrimeSpec, or a squarefree MonomialIdeal that
-    already is an ideal of vertex covers. A graph with nothing to cover
-    yields covering number 0 with the empty cover.
+    Accepts a LoopGraph, a KPrimeSpec, or a MonomialIdeal that already is an
+    ideal of vertex covers. A graph with nothing to cover yields covering
+    number 0 with the empty cover.
     """
     if isinstance(source, KPrimeSpec):
         ideal = kprime_cover_ideal(source)
@@ -272,8 +272,6 @@ def min_patrols(source) -> PatrolSolution:
         raise ValidationError(f"cannot compute patrols for {type(source).__name__}")
     if ideal.is_zero:
         raise ValidationError("the zero ideal covers nothing")
-    if not ideal.is_squarefree:
-        raise ValidationError("patrol selection needs a squarefree (vertex-cover) ideal")
     # the canonical order puts the lowest degree first, ties by vertices
     best = ideal.gens[0].degree
     lowest = takewhile(lambda g: g.degree == best, ideal.gens)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import reduce
 from itertools import count
-from operator import and_
+from operator import and_, or_
 
 from .errors import InconclusiveError, SizeGuardError, ValidationError
 from .graphs import KPrimeSpec, LoopGraph
@@ -57,7 +57,8 @@ class InvariantReport(namedtuple("InvariantReport", "n h dim route q pd depth re
 
 
 def h_of(ideal: MonomialIdeal) -> int:
-    """Minimum size of a variable set meeting every minimal generator."""
+    """Minimum size of a variable set meeting every minimal generator; without
+    a shared variable, refused past ``HITTING_SET_LIMIT`` occurring ones."""
     if ideal.is_zero:
         raise ValidationError("the zero ideal has no vertex covers")
     masks = [g.mask for g in ideal.gens]
@@ -65,10 +66,11 @@ def h_of(ideal: MonomialIdeal) -> int:
         raise ValidationError("the unit ideal has no vertex cover")
     if reduce(and_, masks):
         return 1
-    if ideal.n > HITTING_SET_LIMIT:
+    occurring = reduce(or_, masks).bit_count()
+    if occurring > HITTING_SET_LIMIT:
         raise SizeGuardError(
-            f"hitting-set search refused for n={ideal.n} > {HITTING_SET_LIMIT} "
-            "without a shared variable"
+            f"hitting-set search refused for {occurring} occurring variables > "
+            f"{HITTING_SET_LIMIT} without a shared variable"
         )
     return next(k for k in count(2) if _hit_within(masks, k))
 

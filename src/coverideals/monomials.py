@@ -5,16 +5,12 @@ unique minimal generating set. Coefficients never appear: edge ideals and
 ideals of vertex covers only need divisibility arithmetic, so everything here
 is a pure function over immutable values.
 
-Representation. Every ideal of vertex covers is squarefree, so a monomial is
-held as its support bitmask ``mask`` (bit i-1 set iff X_i divides it) plus a
-``powers`` tuple of (index, exponent >= 2) pairs, which is empty for every
-squarefree monomial. On squarefree operands divisibility, the colon
-reduction and the degree are the integer operations ``a & ~b == 0``,
-``a & ~b`` and ``bit_count()``, each running in C over n/64 machine words.
-Powers come only from repeated indices in ideal JSON (``[7, 7]`` is X7^2)
-and from dense exponent vectors passed to ``Monomial``; operations that meet
-one fall back to a general path over the dense exponent tuple, which is
-computed on demand.
+Representation. Every ideal of vertex covers is squarefree, and so is every
+monomial here: it is held as its support bitmask ``mask`` (bit i-1 set iff
+X_i divides it). Divisibility, the colon reduction and the degree are the
+integer operations ``a & ~b == 0``, ``a & ~b`` and ``bit_count()``, each
+running in C over n/64 machine words. A repeated index or an exponent above
+one is refused: the CLI polarizes ideal JSON that repeats an index.
 
 Ideal operations are methods: ``MonomialIdeal(n, gens)`` minimalizes and
 ``colon`` builds the colon ideal. The routes intersect their primes on plain
@@ -24,7 +20,6 @@ masks, and the CLI parses ideal JSON with ``Monomial.from_indices``.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Iterable
 
 from .errors import ValidationError
@@ -75,35 +70,34 @@ def _squarefree_key(mask: int, nbytes: int) -> tuple[int, int]:
 
 
 class Monomial:
-    """A power product X1^e1 * ... * Xn^en: a support bitmask plus the
-    exponents above one.
+    """A squarefree power product X_i1 * ... * X_ik, built from its 0/1
+    exponent vector and held as its support bitmask.
 
-    The unit monomial (all exponents zero) is a valid value; a zero monomial
-    has no representation. Instances are immutable and hashable.
+    The unit monomial (empty support) is a valid value; a zero monomial has
+    no representation. Instances are immutable and hashable.
     """
 
-    __slots__ = ("n", "mask", "powers")
+    __slots__ = ("n", "mask")
 
-    def __init__(self, exponents: Iterable[int]):
-        exps = tuple(int(e) for e in exponents)
-        if not exps:
+    def __init__(self, vector: Iterable[int]):
+        bits = tuple(int(e) for e in vector)
+        if not bits:
             raise ValidationError("monomial needs a positive ambient variable count")
-        if any(e < 0 for e in exps):
-            raise ValidationError(f"monomial exponents must be nonnegative, got {exps}")
-        self.n = len(exps)
-        self.mask = _indices_mask(i for i, e in enumerate(exps, start=1) if e)
-        self.powers = tuple((i, e) for i, e in enumerate(exps, start=1) if e >= 2)
+        if any(e not in (0, 1) for e in bits):
+            raise ValidationError(f"a squarefree monomial has exponent 0 or 1, got {bits}")
+        self.n = len(bits)
+        self.mask = _indices_mask(i for i, e in enumerate(bits, start=1) if e)
 
     @classmethod
-    def _make(cls, n: int, mask: int, powers: tuple[tuple[int, int], ...] = ()) -> Monomial:
-        """Build from a mask and powers already known to be valid for n."""
+    def _make(cls, n: int, mask: int) -> Monomial:
+        """Build from a mask already known to be valid for n."""
         m = object.__new__(cls)
-        m.n, m.mask, m.powers = n, mask, powers
+        m.n, m.mask = n, mask
         return m
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> Monomial:
-        """Build from 1-based variable indices; a repeated index raises the exponent."""
+        """Build from distinct 1-based variable indices."""
         if n < 1:
             raise ValidationError("monomial needs a positive ambient variable count")
         indices = [int(i) for i in indices]
@@ -111,33 +105,13 @@ class Monomial:
             i = next(i for i in indices if not 1 <= i <= n)
             raise ValidationError(f"variable index {i} outside 1..{n}")
         mask = _indices_mask(indices)
-        if mask.bit_count() == len(indices):
-            return cls._make(n, mask)
-        powers = tuple(sorted((i, e) for i, e in Counter(indices).items() if e >= 2))
-        return cls._make(n, mask, powers)
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        exps = [0] * self.n
-        for i in _mask_indices(self.mask):
-            exps[i - 1] = 1
-        for i, e in self.powers:
-            exps[i - 1] = e
-        return tuple(exps)
+        if mask.bit_count() != len(indices):
+            raise ValidationError("a variable index repeats in a squarefree monomial")
+        return cls._make(n, mask)
 
     @property
     def degree(self) -> int:
-        if not self.powers:
-            return self.mask.bit_count()
-        return self.mask.bit_count() + sum(e - 1 for _, e in self.powers)
-
-    @property
-    def index_seq(self) -> tuple[int, ...]:
-        """Variable indices with multiplicity, ascending (X3^2*X5 -> (3, 3, 5))."""
-        if not self.powers:
-            return tuple(_mask_indices(self.mask))
-        extra = dict(self.powers)
-        return tuple(i for i in _mask_indices(self.mask) for _ in range(extra.get(i, 1)))
+        return self.mask.bit_count()
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -147,10 +121,6 @@ class Monomial:
     def is_unit(self) -> bool:
         return not self.mask
 
-    @property
-    def is_squarefree(self) -> bool:
-        return not self.powers
-
     def _check_same_ring(self, other: Monomial) -> None:
         if self.n != other.n:
             raise ValidationError(
@@ -159,47 +129,29 @@ class Monomial:
 
     def divides(self, other: Monomial) -> bool:
         self._check_same_ring(other)
-        if self.mask & ~other.mask:
-            return False
-        return not self.powers or all(
-            a <= b for a, b in zip(self.exponents, other.exponents)
-        )
+        return not self.mask & ~other.mask
 
     def div_by_gcd(self, other: Monomial) -> Monomial:
         """self / gcd(self, other): the colon reduction of one generator."""
         self._check_same_ring(other)
-        if self.powers or other.powers:
-            return Monomial(max(a - b, 0) for a, b in zip(self.exponents, other.exponents))
         return Monomial._make(self.n, self.mask & ~other.mask)
 
     def text(self) -> str:
-        """Starred form, e.g. X3*X5^2*X12; the unit monomial prints as 1."""
-        if self.is_unit:
-            return "1"
-        extra = dict(self.powers)
-        return "*".join(
-            f"X{i}^{extra[i]}" if i in extra else f"X{i}" for i in _mask_indices(self.mask)
-        )
+        """Starred form, e.g. X3*X5*X12; the unit monomial prints as 1."""
+        return "*".join(f"X{i}" for i in _mask_indices(self.mask)) or "1"
 
     def compact(self) -> str:
         """Compressed form without separators, e.g. X3X5X12."""
         return self.text().replace("*", "")
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Monomial)
-            and self.mask == other.mask
-            and self.n == other.n
-            and self.powers == other.powers
-        )
+        return isinstance(other, Monomial) and self.mask == other.mask and self.n == other.n
 
     def __hash__(self) -> int:
-        return hash((self.mask, self.powers))
+        return hash(self.mask)
 
     def __lt__(self, other: Monomial) -> bool:
         """Canonical order: degree ascending, then lexicographic index sequence."""
-        if self.powers or other.powers:
-            return (self.degree, self.index_seq) < (other.degree, other.index_seq)
         a, b = self.mask, other.mask
         da, db = a.bit_count(), b.bit_count()
         if da != db:
@@ -227,30 +179,20 @@ class MonomialIdeal:
         if n < 1:
             raise ValidationError("ambient variable count must be positive")
         pool = list(gens)
-        squarefree = True
         for g in pool:
             if g.n != n:
                 raise ValidationError(
                     f"generator in {g.n} variables placed in a {n}-variable ring"
                 )
-            if g.powers:
-                squarefree = False
         self.n = n
-        if squarefree:
-            # a divides m iff a & m == a
-            by_mask = {g.mask: g for g in pool}
-            nbytes = (max(by_mask, default=0).bit_length() + 7) // 8
-            kept_masks: list[int] = []
-            for m in sorted(by_mask, key=lambda m: _squarefree_key(m, nbytes)):
-                if all(a & m != a for a in kept_masks):
-                    kept_masks.append(m)
-            self.gens = tuple(by_mask[m] for m in kept_masks)
-        else:
-            kept: list[Monomial] = []
-            for m in sorted(set(pool)):
-                if not any(a.divides(m) for a in kept):
-                    kept.append(m)
-            self.gens = tuple(kept)
+        # a divides m iff a & m == a
+        by_mask = {g.mask: g for g in pool}
+        nbytes = (max(by_mask, default=0).bit_length() + 7) // 8
+        kept: list[int] = []
+        for m in sorted(by_mask, key=lambda m: _squarefree_key(m, nbytes)):
+            if all(a & m != a for a in kept):
+                kept.append(m)
+        self.gens = tuple(by_mask[m] for m in kept)
 
     @classmethod
     def _trusted(cls, n: int, masks: Iterable[int]) -> MonomialIdeal:
@@ -272,10 +214,6 @@ class MonomialIdeal:
     @property
     def is_principal(self) -> bool:
         return len(self.gens) == 1
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(g.is_squarefree for g in self.gens)
 
     @property
     def max_degree(self) -> int:
@@ -302,7 +240,7 @@ class MonomialIdeal:
         return "(" + ", ".join(g.compact() for g in self.gens) + ")"
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "gens": [list(g.index_seq) for g in self.gens]}
+        return {"n": self.n, "gens": [list(g.support) for g in self.gens]}
 
     def __eq__(self, other) -> bool:
         return (

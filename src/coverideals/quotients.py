@@ -45,18 +45,6 @@ class QuotientCertificate(namedtuple("QuotientCertificate", "order steps q linea
 
     __slots__ = ()
 
-    def to_json_dict(self) -> dict:
-        data = {
-            "order": [list(u.index_seq) for u in self.order],
-            "q": self.q,
-            "linear": self.linear,
-        }
-        if self.linear:
-            data["steps"] = [[g.support[0] for g in s.gens] for s in self.steps]
-        else:
-            data["steps"] = [[list(g.index_seq) for g in s.gens] for s in self.steps]
-        return data
-
 
 class ResolutionShifts(namedtuple("ResolutionShifts", "levels")):
     """Multisets of graded shifts per homological degree, generators first:
@@ -73,11 +61,6 @@ class ResolutionShifts(namedtuple("ResolutionShifts", "levels")):
 
     def to_json_dict(self) -> dict:
         return {"shifts": [list(level) for level in self.levels]}
-
-
-def _variable_generated(step: MonomialIdeal) -> bool:
-    """True iff every generator is a single variable: one bit, no power."""
-    return all(g.mask and not g.mask & (g.mask - 1) and not g.powers for g in step.gens)
 
 
 def _linear_step(prefix_masks, u: int) -> int | None:
@@ -113,23 +96,23 @@ def _variables_ideal(n: int, variables: int) -> MonomialIdeal:
 def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:
     """Evaluate one ordering: all prefix colon ideals, q, and the linear flag.
 
-    On a squarefree ideal a variable-generated step is built from its
-    variable mask; any other step is the colon ideal of its prefix.
+    A variable-generated step is built from its variable mask; any other
+    step is the colon ideal of its prefix.
     """
     order = tuple(order)
     if sorted(order) != list(ideal.gens):
         raise ValidationError("order is not a permutation of the minimal generators")
     n = ideal.n
-    masks = [u.mask for u in order] if ideal.is_squarefree else None
-    steps = []
+    masks = [u.mask for u in order]
+    steps, linear = [], True
     for j in range(1, len(order)):
-        variables = None if masks is None else _linear_step(masks[:j], masks[j])
-        if variables is not None:
-            steps.append(_variables_ideal(n, variables))
-        else:
+        variables = _linear_step(masks[:j], masks[j])
+        if variables is None:
+            linear = False
             steps.append(MonomialIdeal(n, order[:j]).colon(order[j]))
+        else:
+            steps.append(_variables_ideal(n, variables))
     q = max((len(s.gens) for s in steps), default=0)
-    linear = all(_variable_generated(s) for s in steps)
     return QuotientCertificate(order, tuple(steps), q, linear)
 
 
@@ -147,9 +130,8 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
     ``BACKTRACK_GENERATOR_LIMIT`` generators the search is refused with
     InconclusiveError, which is distinct from a definitive absence.
 
-    Each step is decided once, as the mask of its variables: from the
-    generator masks on squarefree ideals, else from the colon ideal of its
-    prefix. The certificate is built from the masks of the order that
+    Each step is decided once, from the generator masks, as the mask of its
+    variables. The certificate is built from the masks of the order that
     passed, so only its steps become ideals and no order is checked twice.
     """
     t = len(ideal.gens)
@@ -157,17 +139,7 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
         return QuotientCertificate(ideal.gens, (), 0, True)
     n = ideal.n
     gens = ideal.gens  # held in canonical order
-    if ideal.is_squarefree:
-        items = [u.mask for u in gens]
-        step_variables = _linear_step
-    else:
-        items = gens
-
-        def step_variables(prefix, u) -> int | None:
-            step = MonomialIdeal(n, prefix).colon(u)
-            if not _variable_generated(step):
-                return None
-            return sum(g.mask for g in step.gens)  # distinct bits: their union
+    masks = [u.mask for u in gens]
 
     def certificate(order, step_masks) -> QuotientCertificate:
         steps = tuple(_variables_ideal(n, v) for v in step_masks)
@@ -175,7 +147,7 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
 
     step_masks = []
     for j in range(1, t):
-        variables = step_variables(items[:j], items[j])
+        variables = _linear_step(masks[:j], masks[j])
         if variables is None:
             break
         step_masks.append(variables)
@@ -199,11 +171,11 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
             return True
         if used in dead:
             return False
-        prefix = [items[i] for i in chosen]
+        prefix = [masks[i] for i in chosen]
         for k in classes[c]:
             if used >> k & 1:
                 continue
-            variables = step_variables(prefix, items[k]) if prefix else 0
+            variables = _linear_step(prefix, masks[k]) if prefix else 0
             if variables is None:
                 continue
             chosen.append(k)

@@ -2,20 +2,20 @@
 
 The oracles here deliberately avoid the library's own code paths: membership
 is enumerated from divisibility alone, colon steps are recomputed with plain
-set arithmetic on supports, and K-polynomials come from inclusion-exclusion
-over generator subsets.
+set arithmetic on supports or on exponent tuples, and K-polynomials come from
+inclusion-exclusion over generator subsets. Monomials with a power exist only
+as exponent tuples here; the library sees them polarized by the CLI.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from functools import reduce
 from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from coverideals import KPrimeSpec, LoopGraph, Monomial, MonomialIdeal, QuotientCertificate, cli
+from coverideals import KPrimeSpec, LoopGraph, Monomial, MonomialIdeal, cli
 
 # ---------------------------------------------------------------------------
 # construction shorthands
@@ -28,12 +28,24 @@ def ideal_of(n, *index_lists):
     return MonomialIdeal(n, [mono(ix, n) for ix in index_lists])
 
 
+def polarized(n, index_lists):
+    """The CLI's parse of ideal JSON whose index lists may repeat an index:
+    the pair (squarefree ideal, ascending copies) of the polarized ring."""
+    return cli.classify_input({"n": n, "gens": [list(ix) for ix in index_lists]})
+
+
+def input_gens(parsed):
+    """The generators of a CLI-parsed ideal as index lists of the input's
+    ring, a repeated index for each power."""
+    ideal, copies = parsed
+    return [cli._indices(g, copies) for g in ideal.gens]
+
+
 def edge_ideal(g):
     """The edge ideal of a graph with loops: X_i*X_j per edge and X_k^2 per
-    loop, so its loops give ideals with powers."""
-    gens = [mono(e, g.n) for e in g.edges]
-    gens.extend(mono((k, k), g.n) for k in g.loops)
-    return MonomialIdeal(g.n, gens)
+    loop, so its loops give ideals with powers. The CLI polarizes it into a
+    pair (ideal, copies) with one copy per loop."""
+    return polarized(g.n, [*g.edges, *((k, k) for k in g.loops)])
 
 
 def spec_json(spec):
@@ -149,10 +161,10 @@ def city_ideal():
 # enumeration oracles
 
 def all_monomials(n, max_degree):
-    """Every monomial in n variables of degree at most max_degree."""
+    """Every exponent vector in n variables of degree at most max_degree."""
     for exps in product(range(max_degree + 1), repeat=n):
         if sum(exps) <= max_degree:
-            yield Monomial(exps)
+            yield exps
 
 
 def brute_minimal_covers(n, edges, loops=()):
@@ -208,15 +220,27 @@ def dense_div_by_gcd(a, b):
     return tuple(max(x - y, 0) for x, y in zip(a, b))
 
 
-def dense_member(ideal, a):
-    """Whether the monomial with exponent vector a lies in the ideal: some
-    generator's exponents are entrywise at most a."""
-    return any(dense_divides(g.exponents, a) for g in ideal.gens)
+def dense_member(gens, a):
+    """Whether the monomial with exponent vector a lies in the ideal of the
+    exponent vectors gens: some generator is entrywise at most a."""
+    return any(dense_divides(g, a) for g in gens)
+
+
+def dense_indices(a):
+    """The ascending index sequence of an exponent vector, an index repeated
+    once per unit of its exponent."""
+    return tuple(i for i, e in enumerate(a, start=1) for _ in range(e))
+
+
+def dense_vector(indices, n):
+    """The exponent vector in n variables of an index sequence."""
+    counts = Counter(indices)
+    return tuple(counts[i] for i in range(1, n + 1))
 
 
 def dense_key(a):
     """Canonical order: degree, then the ascending index sequence."""
-    return sum(a), tuple(i for i, e in enumerate(a, start=1) for _ in range(e))
+    return sum(a), dense_indices(a)
 
 
 def dense_minimalize(vectors):
@@ -266,7 +290,6 @@ def exhaustive_linear_qs(ideal):
     Colon steps are recomputed as support differences, so this path shares
     nothing with the library's colon implementation.
     """
-    assert ideal.is_squarefree
     supports = [frozenset(g.support) for g in ideal.gens]
     qs = []
     for perm in permutations(range(len(supports))):
@@ -284,28 +307,28 @@ def exhaustive_linear_qs(ideal):
     return qs
 
 
-def dense_check_linear_quotients(ideal, order):
-    """Certificate of one order with every colon step built as the minimalized
-    ideal of the reductions v / gcd(v, u), and linearity read off degrees."""
+def dense_check_linear_quotients(order):
+    """(order, steps, q, linear) of an order of exponent vectors: every colon
+    step is the minimalized list of the reductions v / gcd(v, u), and
+    linearity is read off degrees."""
     order = tuple(order)
     steps = tuple(
-        MonomialIdeal(ideal.n, (v.div_by_gcd(order[j]) for v in order[:j]))
+        tuple(dense_minimalize(dense_div_by_gcd(v, order[j]) for v in order[:j]))
         for j in range(1, len(order))
     )
-    q = max((len(s.gens) for s in steps), default=0)
-    linear = all(g.degree == 1 for s in steps for g in s.gens)
-    return QuotientCertificate(order, steps, q, linear)
+    q = max((len(s) for s in steps), default=0)
+    linear = all(sum(g) == 1 for s in steps for g in s)
+    return order, steps, q, linear
 
 
-def dense_find_linear_order(ideal):
-    """The canonical order if it is linear, else the first linear order in a
-    depth-first scan over canonical rank, every step built in full; None when
-    no order is linear. Prefix sets that led nowhere are skipped."""
-    gens = ideal.gens
-    if len(gens) <= 1:
-        return QuotientCertificate(gens, (), 0, True)
-    cert = dense_check_linear_quotients(ideal, gens)
-    if cert.linear:
+def dense_find_linear_order(gens):
+    """For minimal exponent vectors in canonical order: the canonical order
+    if it is linear, else the first linear order in a depth-first scan over
+    canonical rank, every step built in full; None when no order is linear.
+    Prefix sets that led nowhere are skipped."""
+    gens = tuple(gens)
+    cert = dense_check_linear_quotients(gens)
+    if cert[3]:
         return cert
     exhausted = set()
 
@@ -317,10 +340,9 @@ def dense_find_linear_order(ideal):
         for u in gens:
             if u in prefix:
                 continue
-            if prefix:
-                step = MonomialIdeal(ideal.n, (v.div_by_gcd(u) for v in prefix))
-                if any(g.degree != 1 for g in step.gens):
-                    continue
+            step = dense_minimalize(dense_div_by_gcd(v, u) for v in prefix)
+            if any(sum(g) != 1 for g in step):
+                continue
             found = extend(prefix + [u])
             if found:
                 return found
@@ -328,19 +350,37 @@ def dense_find_linear_order(ideal):
         return None
 
     found = extend([])
-    return None if found is None else dense_check_linear_quotients(ideal, found)
+    return None if found is None else dense_check_linear_quotients(found)
+
+
+def dense_gens(ideal, copies=()):
+    """The generators of a library ideal as exponent vectors of the input's
+    ring, its copies mapped back onto their owners."""
+    n = ideal.n - len(copies)
+    return [dense_vector(cli._indices(g, copies), n) for g in ideal.gens]
+
+
+def dense_certificate(cert, n, copies=()):
+    """A library certificate in the shape of dense_check_linear_quotients, as
+    exponent vectors of the input's ring."""
+    def vector(m):
+        return dense_vector(cli._indices(m, copies), n)
+
+    steps = tuple(tuple(map(vector, s.gens)) for s in cert.steps)
+    return tuple(map(vector, cert.order)), steps, cert.q, cert.linear
 
 
 # ---------------------------------------------------------------------------
 # K-polynomial oracles (numerator of the Hilbert series of R/I)
 
 def kpoly_inclusion_exclusion(ideal):
-    """Alternating sum over generator subsets of t^(deg lcm), as a Counter."""
+    """Alternating sum over generator subsets of t^(deg lcm), as a Counter;
+    the lcm of squarefree generators has the union of their supports."""
     coeffs = Counter({0: 1})
     gens = ideal.gens
     for r in range(1, len(gens) + 1):
         for subset in combinations(gens, r):
-            deg = sum(reduce(dense_lcm, (g.exponents for g in subset)))
+            deg = len(set().union(*(g.support for g in subset)))
             coeffs[deg] += (-1) ** r
     return +Counter({d: c for d, c in coeffs.items() if c})
 

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coverideals
@@ -338,6 +338,31 @@ class TestFuzz:
             assert err.getvalue() == ""
 
 
+@st.composite
+def _ideal_payloads(draw):
+    """Ideal JSON on n <= 6 variables whose index lists may repeat an index."""
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.lists(st.integers(1, n), min_size=1, max_size=5),
+                         min_size=1, max_size=5))
+    return json.dumps({"n": n, "gens": gens})
+
+
+class TestRegBoundsOnIdealJson:
+    @settings(max_examples=300)
+    @given(_ideal_payloads())
+    @example('{"n":1,"gens":[[1,1,1]]}')
+    @example('{"n":2,"gens":[[1,2,2]]}')
+    def test_reg_within_its_printed_bounds(self, payload):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["invariants", "--json", payload, "--format", "json"])
+        if code == 0:
+            inv = json.loads(out.getvalue())["invariants"]
+            if inv["reg"] is not None and inv["reg_bounds"] is not None:
+                lo, hi = inv["reg_bounds"]
+                assert lo <= inv["reg"] <= hi
+
+
 class TestExitCodesAndDeterminism:
     def test_validation_error_is_exit_one(self, capsys):
         assert cli.main(["invariants", "--json", '{"bogus": 1}']) == 1
@@ -387,6 +412,20 @@ class TestExitCodesAndDeterminism:
         # at 1,000,000 indices in all the ideal is still printed
         assert cli.main(["cover-ideal", "--json", '{"alphas": [1, 1000000]}']) == 0
         assert capsys.readouterr().out.startswith("route: closed-form\ngenerators (2):\n")
+
+    def test_powers_in_a_huge_ring_within_a_second(self, capsys):
+        # polarization adds one copy of X1 and builds nothing of size n
+        payload = '{"n":10000000,"gens":[[1,1],[1,2]]}'
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "invariants", "--json", payload)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out == (
+            "route: ideal-input / linear-quotients\n"
+            "n: 10000000  h: 1  q: 1\n"
+            "pd: 2  depth: 9999998  dim: 9999999\n"
+            "reg: 1\n"
+            "cohen_macaulay: false\n"
+        )
 
     def test_disjoint_pairs_h_within_a_second(self, capsys):
         pairs = json.dumps({"n": 24, "gens": [[i, i + 1] for i in range(1, 25, 2)]})
@@ -625,6 +664,18 @@ GOLDEN_STDOUT = [
          "route": "ideal-input"},
     ),
     (
+        # the power X1^2 lies in no minimal generator: the ideal is (X1)
+        "squarefree-minimal",
+        '{"n":2,"gens":[[1,1],[1]]}',
+        "patrol",
+        "route: ideal-input\n"
+        "covering number: 1\n"
+        "optimal covers (1):\n"
+        "  {1}\n",
+        {"patrol": {"covering_number": 1, "optimal_covers": [[1]]},
+         "route": "ideal-input"},
+    ),
+    (
         "saturated",
         SATURATED_JSON,
         "cm-check",
@@ -679,3 +730,26 @@ class TestGoldenStdout:
         assert run_cli(capsys, *argv) == (0, text)
         rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert run_cli(capsys, *argv, "--format", "json") == (0, rendered)
+
+
+# Exact exit code and stderr of refused calls, which print nothing on stdout;
+# REPEATED_BASE_FILE stands for a file holding a base ideal with X3^2.
+REPEATED_BASE_FILE = object()
+GOLDEN_ERRORS = [
+    ("power-in-a-minimal-generator", ["patrol", "--json", '{"n":3,"gens":[[1,1],[2]]}'], 1,
+     "error: patrol selection needs a squarefree (vertex-cover) ideal\n"),
+    ("base-ideal-with-a-power",
+     ["cm-check", "--json", SATURATED_JSON, "--base-ideal", REPEATED_BASE_FILE], 1,
+     "error: a variable index repeats in a squarefree monomial\n"),
+]
+
+
+class TestGoldenErrors:
+    @pytest.mark.parametrize("case", GOLDEN_ERRORS, ids=[g[0] for g in GOLDEN_ERRORS])
+    def test_exit_code_and_stderr(self, tmp_path, capsys, case):
+        _, argv, code, err = case
+        base = tmp_path / "base.json"
+        base.write_text('{"n":12,"gens":[[3,3,4,5,8,9,12]]}', encoding="utf-8")
+        argv = [str(base) if a is REPEATED_BASE_FILE else a for a in argv]
+        for fmt in ("text", "json"):
+            assert run_error(capsys, *argv, "--format", fmt) == (code, err)

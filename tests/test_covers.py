@@ -406,7 +406,9 @@ class TestMinPatrols:
     def test_rejects_zero_and_non_squarefree_ideals(self):
         with pytest.raises(ValidationError):
             min_patrols(MonomialIdeal(3))
-        with pytest.raises(ValidationError):
+        # a power never reaches the library: its index list is refused, and
+        # the CLI refuses patrol on ideal JSON whose minimal generators hold one
+        with pytest.raises(ValidationError, match="repeats"):
             min_patrols(ideal_of(3, (1, 1)))
         with pytest.raises(ValidationError):
             min_patrols("not a graph")

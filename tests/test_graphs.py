@@ -17,7 +17,7 @@ from helpers import (
     edge_ideal,
     five_center_spec,
     ideal_of,
-    mono,
+    input_gens,
     random_kprime,
     three_center_spec,
 )
@@ -138,27 +138,31 @@ class TestExpandKPrime:
 
 
 class TestEdgeIdeal:
+    """The edge ideal helper, whose loops (X_k^2) the CLI polarizes."""
+
     def test_triangle(self):
         g = LoopGraph(3, [(1, 2), (1, 3), (2, 3)])
-        assert edge_ideal(g) == ideal_of(3, (1, 2), (1, 3), (2, 3))
+        assert edge_ideal(g) == (ideal_of(3, (1, 2), (1, 3), (2, 3)), ())
 
     def test_single_loop(self):
         g = LoopGraph(1, [], [1])
-        assert edge_ideal(g) == ideal_of(1, (1, 1))
+        assert edge_ideal(g) == (ideal_of(2, (1, 2)), (2,))
+        assert input_gens(edge_ideal(g)) == [[1, 1]]
 
     def test_three_center_graph_ideal(self):
         g = expand_kprime(three_center_spec())
-        ideal = edge_ideal(g)
-        assert len(ideal.gens) == 11 + 4
+        parsed = edge_ideal(g)
+        gens = input_gens(parsed)
+        assert len(gens) == 11 + 4
         for k in (2, 5, 7, 11):
-            assert mono((k, k), 11) in ideal.gens
-        squares = [g_ for g_ in ideal.gens if not g_.is_squarefree]
-        assert len(squares) == 4
-        assert all(g_.degree == 2 for g_ in ideal.gens)
+            assert [k, k] in gens
+        squares = [ix for ix in gens if len(set(ix)) < len(ix)]
+        assert len(squares) == 4 == len(parsed.copies)
+        assert all(g_.degree == 2 for g_ in parsed.ideal.gens)
 
     def test_generator_count_matches_edges_plus_loops(self):
         rng = random.Random(7)
         for _ in range(30):
             spec = random_kprime(rng)
             g = expand_kprime(spec)
-            assert len(edge_ideal(g).gens) == len(g.edges) + len(g.loops)
+            assert len(edge_ideal(g).ideal.gens) == len(g.edges) + len(g.loops)

@@ -13,6 +13,7 @@ from coverideals import (
     MonomialIdeal,
     SizeGuardError,
     ValidationError,
+    cli,
     cover_ideal_by_intersection,
     h_of,
     invariants,
@@ -79,10 +80,16 @@ class TestHOf:
         assert h_of(MonomialIdeal(n, gens)) == 1
 
     def test_guard_without_shared_variable(self):
+        # 13 disjoint pairs: 26 occurring variables, one past the guard
         n = 30
-        ideal = MonomialIdeal(n, [mono((1, 2), n), mono((3, 4), n)])
-        with pytest.raises(SizeGuardError):
+        ideal = MonomialIdeal(n, [mono((k, k + 1), n) for k in range(1, 27, 2)])
+        with pytest.raises(SizeGuardError, match="26 occurring variables > 25"):
             h_of(ideal)
+
+    def test_guard_counts_occurring_variables_not_n(self, capsys):
+        assert h_of(ideal_of(30, (1, 2), (3, 4))) == 2
+        assert cli.main(["invariants", "--json", '{"n":30,"gens":[[1,2],[3,4]]}']) == 0
+        assert "n: 30  h: 2  q: -" in capsys.readouterr().out
 
 
 class TestContextH:
@@ -114,14 +121,16 @@ class TestContextH:
             assert invariants(ideal, g).h == h_of(ideal)
 
     def test_loopless_graph_past_the_search_guard(self):
-        g = LoopGraph(30, [(1, 2), (3, 4)])
-        ideal = MonomialIdeal(30, [mono((1, 3), 30), mono((1, 4), 30),
-                                   mono((2, 3), 30), mono((2, 4), 30)])
+        # the star from 1 to 2..27: its covers X1 and X2...X27 share no
+        # variable, and 27 variables occur
+        edges = [(1, k) for k in range(2, 28)]
+        g = LoopGraph(30, edges)
+        ideal = MonomialIdeal(30, [mono((1,), 30), mono(range(2, 28), 30)])
         with pytest.raises(SizeGuardError):
             h_of(ideal)
         rep = invariants(ideal, g)
         assert rep.h == 2 and rep.dim == 28
-        assert invariants(ideal, LoopGraph(30, [(1, 2), (3, 4)], [1])).h == 1
+        assert invariants(ideal, LoopGraph(30, edges, [1])).h == 1
 
 
 class TestInvariants:
@@ -223,7 +232,7 @@ class TestLoopSaturation:
         payload = json.dumps(base.to_json_dict())
         report = cm_check_report(tmp_path, capsys, payload, base, (1, 3, 4))
         assert report["saturation"] == {"satisfied": True,
-                                        "witness": list(base.gens[0].index_seq)}
+                                        "witness": list(base.gens[0].support)}
 
     def test_satisfied_implies_principal_looped_ideal(self, tmp_path, capsys):
         rng = random.Random(43)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverideals import Monomial, MonomialIdeal, ValidationError
+from coverideals import Monomial, MonomialIdeal, ValidationError, cli
 from coverideals.cli import classify_input
 from coverideals.monomials import _mask_indices
 from helpers import (
@@ -12,36 +12,50 @@ from helpers import (
     bin_scan_indices,
     dense_div_by_gcd,
     dense_divides,
+    dense_gens,
+    dense_indices,
     dense_key,
     dense_lcm,
     dense_member,
     dense_minimalize,
     dense_mul,
+    dense_vector,
     ideal_of,
+    input_gens,
     mono,
+    polarized,
 )
+
+
+def polarize(n, vectors):
+    """The CLI's polarization of exponent vectors in n variables, all in one
+    ring: the squarefree monomials and a map back to exponent vectors."""
+    monos, copies = cli._polarize(n, [dense_indices(v) for v in vectors])
+    return monos, lambda m: dense_vector(cli._indices(m, copies), n)
 
 
 @st.composite
 def monomial_pair(draw, max_n=5, max_e=3):
     n = draw(st.integers(1, max_n))
-    vec = st.lists(st.integers(0, max_e), min_size=n, max_size=n)
-    return Monomial(draw(vec)), Monomial(draw(vec))
+    vec = st.lists(st.integers(0, max_e), min_size=n, max_size=n).map(tuple)
+    return n, draw(vec), draw(vec)
 
 
 @st.composite
 def small_ideal(draw, max_n=4, max_e=2, max_gens=4, min_gens=0):
+    """An ideal with exponents up to max_e, polarized by the CLI."""
     n = draw(st.integers(1, max_n))
     vec = st.lists(st.integers(0, max_e), min_size=n, max_size=n)
     gens = draw(st.lists(vec, min_size=min_gens, max_size=max_gens))
-    return MonomialIdeal(n, [Monomial(g) for g in gens])
+    return polarized(n, [dense_indices(v) for v in gens]).ideal
 
 
 @st.composite
 def ideal_with_monomial(draw, max_n=4, max_e=2, max_gens=4):
-    ideal = draw(small_ideal(max_n=max_n, max_e=max_e, max_gens=max_gens))
-    vec = st.lists(st.integers(0, max_e), min_size=ideal.n, max_size=ideal.n)
-    return ideal, Monomial(draw(vec))
+    """Exponent vectors of generators and of one more monomial f."""
+    n = draw(st.integers(1, max_n))
+    vec = st.lists(st.integers(0, max_e), min_size=n, max_size=n).map(tuple)
+    return n, draw(st.lists(vec, max_size=max_gens)), draw(vec)
 
 
 @st.composite
@@ -64,24 +78,32 @@ def dense_generators(draw, max_n=20, max_gens=6):
 
 
 class TestMaskAgainstDenseOracle:
+    """Squarefree vectors go to the library as they are; vectors with a power
+    go through the CLI's polarization and are mapped back to compare."""
+
     @given(dense_generators())
     @settings(max_examples=150)
     def test_operations_order_and_minimalization(self, data):
         n, vectors = data
-        monos = [Monomial(v) for v in vectors]
+        for v in vectors:
+            if max(v) <= 1:
+                assert Monomial(v).support == dense_indices(v)
+            else:
+                with pytest.raises(ValidationError):
+                    Monomial(v)
+        monos, back = polarize(n, vectors)
         for a, ma in zip(vectors, monos):
-            assert ma.exponents == a and ma.degree == sum(a)
-            assert ma.is_squarefree == (max(a) <= 1)
+            assert back(ma) == a and ma.degree == sum(a)
             for b, mb in zip(vectors, monos):
                 assert ma.divides(mb) == dense_divides(a, b)
-                assert ma.div_by_gcd(mb).exponents == dense_div_by_gcd(a, b)
+                assert back(ma.div_by_gcd(mb)) == dense_div_by_gcd(a, b)
                 assert (ma < mb) == (dense_key(a) < dense_key(b))
-        assert [m.exponents for m in sorted(monos)] == sorted(vectors, key=dense_key)
-        ideal = MonomialIdeal(n, monos)
-        assert [g.exponents for g in ideal.gens] == dense_minimalize(vectors)
-        assert [g.index_seq for g in ideal.gens] == [
-            dense_key(v)[1] for v in dense_minimalize(vectors)
-        ]
+        assert [back(m) for m in sorted(monos)] == sorted(vectors, key=dense_key)
+        ring = monos[0].n
+        assert [back(g) for g in MonomialIdeal(ring, monos).gens] == dense_minimalize(vectors)
+        parsed = polarized(n, [dense_indices(v) for v in vectors])
+        assert dense_gens(*parsed) == dense_minimalize(vectors)
+        assert input_gens(parsed) == [list(dense_indices(v)) for v in dense_minimalize(vectors)]
 
 
 class TestMonomial:
@@ -91,9 +113,14 @@ class TestMonomial:
         with pytest.raises(ValidationError):
             Monomial((1, -1))
 
+    def test_construction_rejects_powers(self):
+        with pytest.raises(ValidationError, match="exponent 0 or 1"):
+            Monomial((2, 0, 0))
+
     def test_divides_basic(self):
         assert mono([1], 2).divides(mono([1, 2], 2))
-        assert not mono((1, 1), 1).divides(mono([1], 1))  # X1^2 does not divide X1
+        (square, x1), _ = polarize(1, [(2,), (1,)])
+        assert not square.divides(x1) and x1.divides(square)  # X1^2 does not divide X1
         assert mono((), 3).divides(mono([1, 2, 3], 3))
 
     def test_divides_dimension_mismatch(self):
@@ -102,12 +129,19 @@ class TestMonomial:
 
     @given(monomial_pair())
     def test_div_by_gcd_membership(self, pair):
-        a, b = pair
-        q = a.div_by_gcd(b)
-        assert dense_mul(q.exponents, b.exponents) == dense_lcm(a.exponents, b.exponents)
+        n, a, b = pair
+        (ma, mb), back = polarize(n, [a, b])
+        q = back(ma.div_by_gcd(mb))
+        assert dense_mul(q, b) == dense_lcm(a, b)
 
     def test_from_indices_counts_multiplicity(self):
-        assert mono([7, 7], 8).exponents[6] == 2
+        # the library refuses a repeated index; the CLI polarizes it into
+        # X7 and its copy, which prints as X7 again
+        with pytest.raises(ValidationError, match="index repeats"):
+            mono([7, 7], 8)
+        (m,), copies = cli._polarize(8, [[7, 7]])
+        assert (m.n, m.support, copies) == (9, (7, 8), (8,))
+        assert cli._indices(m, copies) == [7, 7]
         with pytest.raises(ValidationError):
             mono([0], 3)
         with pytest.raises(ValidationError):
@@ -115,7 +149,8 @@ class TestMonomial:
 
     def test_text_forms(self):
         assert mono([3, 5, 12], 12).text() == "X3*X5*X12"
-        assert mono([5, 5, 3], 5).text() == "X3*X5^2"
+        (m,), copies = cli._polarize(5, [[5, 5, 3]])
+        assert cli._compact(m, copies) == "X3X5^2"
         assert mono([3, 5, 12], 12).compact() == "X3X5X12"
         assert mono((), 4).text() == "1"
 
@@ -123,7 +158,8 @@ class TestMonomial:
         # degree first, then index sequence
         assert mono([1, 2], 3) < mono([1, 2, 3], 3)
         assert mono([1, 2], 3) < mono([1, 3], 3)
-        assert Monomial((2, 0, 0)) < mono([1, 2], 3)  # (1,1) before (1,2)
+        (square, x1x2), _ = polarize(3, [(2, 0, 0), (1, 1, 0)])
+        assert square < x1x2  # (1,1) before (1,2)
 
 
 class TestMinimalize:
@@ -165,11 +201,13 @@ class TestColon:
     @given(ideal_with_monomial())
     @settings(max_examples=40)
     def test_membership_equivalence(self, data):
-        ideal, f = data
-        quot = ideal.colon(f)
-        for g in all_monomials(ideal.n, 3):
-            e = g.exponents
-            assert dense_member(quot, e) == dense_member(ideal, dense_mul(e, f.exponents))
+        # the ideal and f are polarized in one ring, as the CLI does
+        n, vectors, f = data
+        monos, back = polarize(n, vectors + [f])
+        ring = monos[-1].n
+        quot = [back(g) for g in MonomialIdeal(ring, monos[:-1]).colon(monos[-1]).gens]
+        for e in all_monomials(n, 3):
+            assert dense_member(quot, e) == dense_member(vectors, dense_mul(e, f))
 
 
 class TestMonomialIdeal:
@@ -184,8 +222,12 @@ class TestMonomialIdeal:
         assert ideal_of(3, (1, 2), (1, 3)).text() == "(X1*X2, X1*X3)"
 
     def test_json_round_trip_with_squares(self):
-        ideal = ideal_of(4, (1, 2), (3, 3))
-        assert classify_input(ideal.to_json_dict()) == ideal
+        ideal = ideal_of(4, (1, 2), (3, 4))
+        assert classify_input(ideal.to_json_dict()) == (ideal, ())
+        # X3^2 is polarized into X3 and its copy, the new X4; X4 becomes X5
+        parsed = classify_input({"n": 4, "gens": [[1, 2], [3, 3]]})
+        assert parsed == (ideal_of(5, (1, 2), (3, 4)), (4,))
+        assert cli._ideal_json(*parsed) == {"n": 4, "gens": [[1, 2], [3, 3]]}
         with pytest.raises(ValidationError, match='needs the keys "n" and "gens"'):
             classify_input({"gens": [[1]]})
 

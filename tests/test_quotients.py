@@ -13,7 +13,6 @@ from coverideals import (
     InconclusiveError,
     KPrimeSpec,
     LoopGraph,
-    Monomial,
     MonomialIdeal,
     ValidationError,
     check_linear_quotients,
@@ -25,15 +24,19 @@ from helpers import (
     FIVE_CENTER_GENS,
     brute_minimal_covers,
     count_ideal_builds,
-    edge_ideal,
+    dense_certificate,
     dense_check_linear_quotients,
     dense_find_linear_order,
+    dense_gens,
+    dense_indices,
+    edge_ideal,
     exhaustive_linear_qs,
     five_center_spec,
     ideal_of,
     kpoly_from_shifts,
     kpoly_inclusion_exclusion,
     mono,
+    polarized,
     random_kprime,
 )
 
@@ -64,9 +67,10 @@ class TestCanonicalOrder:
         assert [u.compact() for u in order] == ["X1X2", "X1X3"]
 
     def test_powers_held_in_canonical_order(self):
-        order = ideal_of(2, (1, 2), (1, 1)).gens
-        assert order[0] == mono((1, 1), 2)
-        assert [u.compact() for u in order] == ["X1^2", "X1X2"]
+        # polarized, X1^2 is X1 times its copy, the new X2, ahead of X1X3
+        ideal, copies = polarized(2, [(1, 2), (1, 1)])
+        assert ideal.gens[0] == mono((1, 2), 3)
+        assert [cli._compact(u, copies) for u in ideal.gens] == ["X1^2", "X1X2"]
 
 
 class TestCheckLinearQuotients:
@@ -129,7 +133,7 @@ class TestFindLinearOrder:
         # linear with 12 variables in its last step
         tail = [(1, j) for j in range(2, 14)]
         for first in ((1, 1), (1, 14)):
-            ideal = ideal_of(14, first, *tail)
+            ideal = polarized(14, [first, *tail]).ideal
             cert = find_linear_order(ideal)
             assert cert.linear and cert.q == 12
             assert list(cert.order) == sorted(ideal.gens)
@@ -138,9 +142,9 @@ class TestFindLinearOrder:
 @st.composite
 def ideals_with_powers(draw, max_n=5, max_gens=7):
     """At most max_gens generators with exponents up to 2, one of them a
-    square: the edge ideal of a random graph with loops (X_k^2 per loop), or
-    random generators of degree at least 2 next to a square that none of
-    them divides."""
+    square, polarized by the CLI into a pair (ideal, copies): the edge ideal
+    of a random graph with loops (X_k^2 per loop), or random generators of
+    degree at least 2 next to a square that none of them divides."""
     n = draw(st.integers(2, max_n))
     if draw(st.booleans()):
         vertex = st.integers(1, n)
@@ -152,7 +156,7 @@ def ideals_with_powers(draw, max_n=5, max_gens=7):
     vectors = draw(st.lists(vec, min_size=2, max_size=max_gens - 1))
     square = [0] * n
     square[draw(st.integers(0, n - 1))] = 2
-    return MonomialIdeal(n, [Monomial(v) for v in vectors + [square]])
+    return polarized(n, [dense_indices(v) for v in vectors + [square]])
 
 
 @st.composite
@@ -188,38 +192,57 @@ def count_linear_steps(monkeypatch):
     return calls
 
 
+def as_parsed(ideal):
+    """A squarefree ideal as the CLI's pair (ideal, copies): no copies."""
+    return ideal, ()
+
+
 class TestMaskStepsAgainstDenseOracle:
+    """The library's certificates, mapped back to exponent vectors of the
+    input's ring, against the oracles on exponent tuples in helpers."""
+
     @given(st.data())
     @settings(max_examples=150)
     def test_certificate_of_any_order(self, data):
         ideal = data.draw(squarefree_ideals())
         order = data.draw(st.permutations(ideal.gens))
-        assert check_linear_quotients(ideal, order) == dense_check_linear_quotients(ideal, order)
+        mapped = dense_certificate(check_linear_quotients(ideal, order), ideal.n)
+        assert mapped == dense_check_linear_quotients(mapped[0])
 
     @given(squarefree_ideals())
     @settings(max_examples=150)
     def test_search_decides_like_the_oracle(self, ideal):
         assume(len(ideal.gens) <= 8)
-        assert find_linear_order(ideal) == dense_find_linear_order(ideal)
+        cert = find_linear_order(ideal)
+        oracle = dense_find_linear_order(dense_gens(ideal))
+        assert (cert and dense_certificate(cert, ideal.n)) == oracle
 
     @given(ideals_with_powers())
     @settings(max_examples=150)
-    def test_search_with_powers_decides_like_the_oracle(self, ideal):
-        assert find_linear_order(ideal) == dense_find_linear_order(ideal)
+    def test_search_with_powers_decides_like_the_oracle(self, parsed):
+        # polarize, search, map back: the dense search on the input's ring
+        ideal, copies = parsed
+        cert = find_linear_order(ideal)
+        oracle = dense_find_linear_order(dense_gens(ideal, copies))
+        assert (cert and dense_certificate(cert, ideal.n - len(copies), copies)) == oracle
+        if cert is not None:  # q of some order of the polarized supports
+            assert cert.q in exhaustive_linear_qs(ideal)
 
-    @given(st.one_of(squarefree_ideals(), ideals_with_powers()))
-    @example(kprime_cover_ideal(KPrimeSpec((2, 4, 5), loops=(5,))))
-    @example(ideal_of(3, (1, 3), (2, 2), (2, 3)))
+    @given(st.one_of(squarefree_ideals().map(as_parsed), ideals_with_powers()))
+    @example(as_parsed(kprime_cover_ideal(KPrimeSpec((2, 4, 5), loops=(5,)))))
+    @example(polarized(3, [(1, 3), (2, 2), (2, 3)]))
     @settings(max_examples=200)
-    def test_returned_certificate_is_its_order_checked_again(self, ideal):
+    def test_returned_certificate_is_its_order_checked_again(self, parsed):
         # the two examples are rescued by the search, one of them with powers
+        ideal, copies = parsed
         try:
             cert = find_linear_order(ideal)
         except InconclusiveError:
             return
         assume(cert is not None)
         assert cert == check_linear_quotients(ideal, cert.order)
-        assert cert == dense_check_linear_quotients(ideal, cert.order)
+        mapped = dense_certificate(cert, ideal.n - len(copies), copies)
+        assert mapped == dense_check_linear_quotients(mapped[0])
 
     def test_canonical_order_is_decided_once(self, monkeypatch):
         ideal = kprime_cover_ideal(five_center_spec())
@@ -243,12 +266,13 @@ class TestMaskStepsAgainstDenseOracle:
             "route: ideal-input\nlinear quotients: none exist (all orders fail)\n"
         )
 
-    @given(st.one_of(squarefree_ideals(), ideals_with_powers()))
-    @example(kprime_cover_ideal(KPrimeSpec((2, 4, 5), loops=(5,))))
-    @example(ideal_of(3, (1, 3), (2, 2), (2, 3)))
+    @given(st.one_of(squarefree_ideals().map(as_parsed), ideals_with_powers()))
+    @example(as_parsed(kprime_cover_ideal(KPrimeSpec((2, 4, 5), loops=(5,)))))
+    @example(polarized(3, [(1, 3), (2, 2), (2, 3)]))
     @settings(max_examples=200)
-    def test_returned_order_is_degree_nondecreasing(self, ideal):
+    def test_returned_order_is_degree_nondecreasing(self, parsed):
         # Jahan-Zheng: some degree-nondecreasing order is linear whenever any is
+        ideal, copies = parsed
         try:
             cert = find_linear_order(ideal)
         except InconclusiveError:
@@ -256,7 +280,8 @@ class TestMaskStepsAgainstDenseOracle:
         assume(cert is not None)
         degrees = [u.degree for u in cert.order]
         assert degrees == sorted(degrees)
-        assert dense_check_linear_quotients(ideal, cert.order).linear
+        order = dense_certificate(cert, ideal.n - len(copies), copies)[0]
+        assert dense_check_linear_quotients(order)[3]
 
     def test_rejected_orders_build_no_step_ideal(self, monkeypatch):
         gens = [mono((2 * i + 1, 2 * i + 2), 26) for i in range(13)]

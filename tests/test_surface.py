@@ -58,16 +58,15 @@ PUBLIC_MEMBERS = {
     "KPrimeSpec": ["blocks", "m", "n", "sigma"],
     "LoopGraph": [],
     "Monomial": [
-        "compact", "degree", "div_by_gcd", "divides", "exponents", "from_indices",
-        "index_seq", "is_squarefree", "is_unit", "support", "text",
+        "compact", "degree", "div_by_gcd", "divides", "from_indices", "is_unit", "support",
+        "text",
     ],
     "MonomialIdeal": [
-        "colon", "compact", "is_principal", "is_squarefree", "is_zero", "max_degree",
-        "text", "to_json_dict",
+        "colon", "compact", "is_principal", "is_zero", "max_degree", "text", "to_json_dict",
     ],
     "OracleDisagreementError": [],
     "PatrolSolution": ["to_json_dict"],
-    "QuotientCertificate": ["to_json_dict"],
+    "QuotientCertificate": [],
     "ResolutionShifts": ["betti", "length", "to_json_dict"],
     "SizeGuardError": [],
     "ValidationError": [],
@@ -123,12 +122,13 @@ _IDEAL = ideal_of(3, (1, 2), (1, 3))  # canonical order linear, q = 1
 _CERT = find_linear_order(_IDEAL)
 _STEP = ideal_of(3, (2,))  # (X1X2) : (X1X3)
 
-# (class, field values in order, their names, to_json_dict of the record)
+# (class, field values in order, their names, to_json_dict of the record or
+# None for a record without one)
 RECORDS = [
     (PatrolSolution, (2, ((1, 2), (1, 3))), ("covering_number", "optimal_covers"),
      {"covering_number": 2, "optimal_covers": [[1, 2], [1, 3]]}),
     (QuotientCertificate, (_IDEAL.gens, (_STEP,), 1, True), ("order", "steps", "q", "linear"),
-     {"order": [[1, 2], [1, 3]], "q": 1, "linear": True, "steps": [[2]]}),
+     None),
     (ResolutionShifts, (((2, 2), (3,)),), ("levels",), {"shifts": [[2, 2], [3]]}),
     (InvariantReport, (3, 1, 2, "linear-quotients", 1, 2, 1, 1, (0, 2), False),
      ("n", "h", "dim", "route", "q", "pd", "depth", "reg", "reg_bounds", "cm"),
@@ -149,7 +149,8 @@ def test_result_records_are_immutable_values(cls, values, names, as_json):
         setattr(record, names[0], values[0])
     fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
     assert repr(record) == f"{cls.__name__}({fields})"
-    assert record.to_json_dict() == as_json
+    if as_json is not None:
+        assert record.to_json_dict() == as_json
 
 
 @pytest.mark.parametrize("cls, values, names, as_json", RECORDS,
