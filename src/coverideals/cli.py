@@ -35,6 +35,9 @@ from itertools import chain
 
 from .covers import (
     _OUTPUT_LIMIT,
+    _guard_bruteforce,
+    _guard_intersection,
+    _spec_free_count,
     cover_ideal_by_intersection,
     kprime_cover_ideal,
     min_patrols,
@@ -141,12 +144,12 @@ def _ideal_from_json(data, polarize: bool = False) -> _IdealInput:
         raise ValidationError('ideal JSON needs the keys "n" and "gens"')
     n, gens = data["n"], data["gens"]
     try:
-        return _IdealInput(MonomialIdeal(n, [Monomial.from_indices(ix, n) for ix in gens]), ())
+        return _IdealInput(MonomialIdeal(n, [Monomial(ix, n) for ix in gens]), ())
     except ValidationError:  # a repeated index, or an error raised again below
         if not polarize:
             raise
     for ix in gens:  # the checks of squarefree JSON, in the same order
-        Monomial.from_indices(dict.fromkeys(ix), n)
+        Monomial(dict.fromkeys(ix), n)
     monomials, copies = _polarize(n, gens)
     ideal = MonomialIdeal(n + len(copies), monomials)
     # again from the minimal generators alone: each copy left is held by one
@@ -163,8 +166,8 @@ def _polarize(n: int, index_lists) -> tuple[list[Monomial], tuple[int, ...]]:
     for i in sorted(top):
         first[i] = i + len(copies)
         copies += range(first[i] + 1, first[i] + top[i])
-    return [Monomial.from_indices([first[i] + k for i, a in c.items() for k in range(a)],
-                                  n + len(copies)) for c in counts], tuple(copies)
+    return [Monomial([first[i] + k for i, a in c.items() for k in range(a)], n + len(copies))
+            for c in counts], tuple(copies)
 
 
 def _indices(m: Monomial, copies) -> list[int]:
@@ -214,6 +217,11 @@ def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int,
     if isinstance(obj, KPrimeSpec):
         if route in ("auto", "closed-form"):
             return kprime_cover_ideal(obj), "closed-form", ()
+        # the graph route's own refusal, before the graph is built
+        if route == "bruteforce":
+            _guard_bruteforce(_spec_free_count(obj))
+        else:
+            _guard_intersection(obj.n)
         obj = expand_kprime(obj)
     elif route == "closed-form":
         raise ValidationError("the closed-form route requires a block-spec input")
@@ -224,7 +232,7 @@ def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int,
 
 def _printed_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int, ...]]:
     ideal, route, copies = compute_cover_ideal(obj, route)
-    if route != "ideal-input" and (size := sum(g.degree for g in ideal.gens)) > _OUTPUT_LIMIT:
+    if route != "ideal-input" and (size := sum(m.bit_count() for m in ideal.masks)) > _OUTPUT_LIMIT:
         raise SizeGuardError(f"the ideal holds {size} indices > {_OUTPUT_LIMIT}, too many to print")
     return ideal, route, copies
 
@@ -242,7 +250,7 @@ def _invariants(obj, ideal: MonomialIdeal, copies) -> InvariantReport:
 def run_cover_ideal(obj, args):
     ideal, route, copies = _printed_cover_ideal(obj, args.route)
     report = {"route": route, "ideal": _ideal_json(ideal, copies)}
-    lines = [f"route: {route}", f"generators ({len(ideal.gens)}):"]
+    lines = [f"route: {route}", f"generators ({len(ideal.masks)}):"]
     lines += [f"  {_compact(g, copies)}" for g in ideal.gens] or ["  (zero ideal)"]
     return report, lines
 
@@ -308,8 +316,8 @@ def run_cm_check(obj, args):
         # a cover ideal is squarefree, so a base that repeats an index is refused
         base = _ideal_from_json(load_payload(args.base_ideal)).ideal
         loops = _resolve_loops(obj, args, base.n)
-        loop_mask = _indices_mask(loops)
-        witness = next((w for w in base.gens if not w.mask & ~loop_mask), None)
+        outside = ~_indices_mask(loops)
+        witness = next((Monomial._make(base.n, w) for w in base.masks if not w & outside), None)
         # with the input's own loops, the true base has a witness iff G - L
         # has no edge, iff J is principal; any other base is not the input's
         if (isinstance(obj, (LoopGraph, KPrimeSpec)) and set(loops) == set(obj.loops)
@@ -361,6 +369,7 @@ def run_oracle_verify(obj, args):
     results = {}
     if isinstance(obj, KPrimeSpec):
         results["closed-form"] = kprime_cover_ideal(obj)
+        _guard_intersection(obj.n)  # the intersection route's refusal, before expanding
         graph = expand_kprime(obj)
     else:
         graph = obj

@@ -14,6 +14,7 @@ to the ideal, which only sorts them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import takewhile
 
@@ -53,6 +54,40 @@ class PatrolSolution(namedtuple("PatrolSolution", "covering_number optimal_cover
         }
 
 
+def _guard_bruteforce(f: int) -> None:
+    if f > BRUTE_FORCE_LIMIT:
+        raise SizeGuardError(
+            f"brute force refused for f={f} free vertices > {BRUTE_FORCE_LIMIT}; "
+            "use the structured closed form"
+        )
+
+
+def _guard_intersection(n: int) -> None:
+    if n > BRUTE_FORCE_LIMIT:
+        raise SizeGuardError(
+            f"prime intersection refused for n={n} > {BRUTE_FORCE_LIMIT}; "
+            "use the structured closed form"
+        )
+
+
+def _spec_free_count(spec: KPrimeSpec) -> int:
+    """The free vertex count f of ``expand_kprime(spec)``, read off the spec
+    in O(|L| + m log |L|) without building the graph. A leaf's one edge goes
+    to its center, so it is free iff both are unlooped; an unlooped center is
+    free iff another center or a leaf of its own block is unlooped."""
+    loops = spec.loops
+    looped = set(loops)
+    open_centers = sum(a not in looped for a in spec.alphas)
+    f = prev = 0
+    for a in spec.alphas:
+        if a not in looped:
+            # the leaves of block (prev, a] less the loops among them
+            leaves = a - prev - 1 - (bisect_left(loops, a) - bisect_right(loops, prev))
+            f += leaves + (leaves > 0 or open_centers > 1)
+        prev = a
+    return f
+
+
 _LOW_PATTERNS = (0xAA, 0xCC, 0xF0)
 
 
@@ -87,11 +122,7 @@ def minimal_covers_bruteforce(g: LoopGraph) -> MonomialIdeal:
     """
     free = sorted({v for e in g.open_edges for v in e})
     f = len(free)
-    if f > BRUTE_FORCE_LIMIT:
-        raise SizeGuardError(
-            f"brute force refused for f={f} free vertices > {BRUTE_FORCE_LIMIT}; "
-            "use the structured closed form"
-        )
+    _guard_bruteforce(f)
     position = {v: k for k, v in enumerate(free)}
     neighbours: list[list[int]] = [[] for _ in free]
     for i, j in g.open_edges:
@@ -182,11 +213,7 @@ def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
     The generators stay minimal and distinct after every step, so the
     answer is built without a second minimalization.
     """
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise SizeGuardError(
-            f"prime intersection refused for n={g.n} > {BRUTE_FORCE_LIMIT}; "
-            "use the structured closed form"
-        )
+    _guard_intersection(g.n)
     adjacent = [0] * g.n
     for i, j in g.open_edges:
         adjacent[i - 1] |= 1 << (j - 1)
@@ -273,6 +300,6 @@ def min_patrols(source) -> PatrolSolution:
     if ideal.is_zero:
         raise ValidationError("the zero ideal covers nothing")
     # the canonical order puts the lowest degree first, ties by vertices
-    best = ideal.gens[0].degree
-    lowest = takewhile(lambda g: g.degree == best, ideal.gens)
-    return PatrolSolution(best, tuple(g.support for g in lowest))
+    best = ideal.masks[0].bit_count()
+    lowest = takewhile(lambda m: m.bit_count() == best, ideal.masks)
+    return PatrolSolution(best, tuple(tuple(_mask_indices(m)) for m in lowest))

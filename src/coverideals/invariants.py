@@ -61,7 +61,7 @@ def h_of(ideal: MonomialIdeal) -> int:
     a shared variable, refused past ``HITTING_SET_LIMIT`` occurring ones."""
     if ideal.is_zero:
         raise ValidationError("the zero ideal has no vertex covers")
-    masks = [g.mask for g in ideal.gens]
+    masks = ideal.masks
     if not all(masks):
         raise ValidationError("the unit ideal has no vertex cover")
     if reduce(and_, masks):

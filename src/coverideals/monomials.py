@@ -6,15 +6,12 @@ ideals of vertex covers only need divisibility arithmetic, so everything here
 is a pure function over immutable values.
 
 Representation. Every ideal of vertex covers is squarefree, and so is every
-monomial here: it is held as its support bitmask ``mask`` (bit i-1 set iff
-X_i divides it). Divisibility, the colon reduction and the degree are the
-integer operations ``a & ~b == 0``, ``a & ~b`` and ``bit_count()``, each
-running in C over n/64 machine words. A repeated index or an exponent above
-one is refused: the CLI polarizes ideal JSON that repeats an index.
-
-Ideal operations are methods: ``MonomialIdeal(n, gens)`` minimalizes and
-``colon`` builds the colon ideal. The routes intersect their primes on plain
-masks, and the CLI parses ideal JSON with ``Monomial.from_indices``.
+monomial here: it is a support bitmask (bit i-1 set iff X_i divides it).
+Divisibility, the colon reduction and the degree are ``a & ~b == 0``,
+``a & ~b`` and ``bit_count()``, each running in C over n/64 machine words.
+``MonomialIdeal`` holds the canonical tuple ``masks``, which every layer
+reads; ``gens`` builds ``Monomial`` views of them for output. A repeated
+index is refused: the CLI polarizes ideal JSON that repeats an index.
 """
 
 from __future__ import annotations
@@ -61,17 +58,40 @@ def _mask_indices(mask: int) -> list[int]:
     return out
 
 
-def _squarefree_key(mask: int, nbytes: int) -> tuple[int, int]:
-    """Canonical sort key of a squarefree mask: degree, then ascending index
+def _mask_text(mask: int, sep: str = "*") -> str:
+    """X3*X5*X12 for sep "*"; the unit monomial prints as 1."""
+    return sep.join(f"X{i}" for i in _mask_indices(mask)) or "1"
+
+
+def _canonical(masks: Iterable[int]) -> list[int]:
+    """Squarefree masks in canonical order: degree, then ascending index
     sequence. For equal degree, A precedes B iff the lowest set bit of A ^ B
     lies in A, i.e. iff the bit-reversed A is the larger integer."""
-    reversed_bits = mask.to_bytes(nbytes, "little").translate(_REVERSED_BYTE)
-    return mask.bit_count(), -int.from_bytes(reversed_bits, "big")
+    masks = list(masks)
+    if len(masks) > 1:
+        nbytes = (max(masks).bit_length() + 7) // 8
+
+        def key(mask: int) -> tuple[int, int]:
+            reversed_bits = mask.to_bytes(nbytes, "little").translate(_REVERSED_BYTE)
+            return mask.bit_count(), -int.from_bytes(reversed_bits, "big")
+
+        masks.sort(key=key)
+    return masks
+
+
+def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
+    """The minimal masks, duplicates dropped, in canonical order: a mask is
+    kept unless a smaller kept one lies inside it (a divides m iff a & m == a)."""
+    kept: list[int] = []
+    for m in _canonical(set(masks)):
+        if all(a & m != a for a in kept):
+            kept.append(m)
+    return tuple(kept)
 
 
 class Monomial:
-    """A squarefree power product X_i1 * ... * X_ik, built from its 0/1
-    exponent vector and held as its support bitmask.
+    """A squarefree power product X_i1 * ... * X_ik in n variables, built from
+    its distinct 1-based indices and held as its support bitmask ``mask``.
 
     The unit monomial (empty support) is a valid value; a zero monomial has
     no representation. Instances are immutable and hashable.
@@ -79,25 +99,7 @@ class Monomial:
 
     __slots__ = ("n", "mask")
 
-    def __init__(self, vector: Iterable[int]):
-        bits = tuple(int(e) for e in vector)
-        if not bits:
-            raise ValidationError("monomial needs a positive ambient variable count")
-        if any(e not in (0, 1) for e in bits):
-            raise ValidationError(f"a squarefree monomial has exponent 0 or 1, got {bits}")
-        self.n = len(bits)
-        self.mask = _indices_mask(i for i, e in enumerate(bits, start=1) if e)
-
-    @classmethod
-    def _make(cls, n: int, mask: int) -> Monomial:
-        """Build from a mask already known to be valid for n."""
-        m = object.__new__(cls)
-        m.n, m.mask = n, mask
-        return m
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], n: int) -> Monomial:
-        """Build from distinct 1-based variable indices."""
+    def __init__(self, indices: Iterable[int], n: int):
         if n < 1:
             raise ValidationError("monomial needs a positive ambient variable count")
         indices = [int(i) for i in indices]
@@ -107,7 +109,14 @@ class Monomial:
         mask = _indices_mask(indices)
         if mask.bit_count() != len(indices):
             raise ValidationError("a variable index repeats in a squarefree monomial")
-        return cls._make(n, mask)
+        self.n, self.mask = n, mask
+
+    @classmethod
+    def _make(cls, n: int, mask: int) -> Monomial:
+        """Build from a mask already known to be valid for n."""
+        m = object.__new__(cls)
+        m.n, m.mask = n, mask
+        return m
 
     @property
     def degree(self) -> int:
@@ -117,32 +126,13 @@ class Monomial:
     def support(self) -> tuple[int, ...]:
         return tuple(_mask_indices(self.mask))
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.mask
-
-    def _check_same_ring(self, other: Monomial) -> None:
-        if self.n != other.n:
-            raise ValidationError(
-                f"monomials in {self.n} and {other.n} variables cannot be combined"
-            )
-
-    def divides(self, other: Monomial) -> bool:
-        self._check_same_ring(other)
-        return not self.mask & ~other.mask
-
-    def div_by_gcd(self, other: Monomial) -> Monomial:
-        """self / gcd(self, other): the colon reduction of one generator."""
-        self._check_same_ring(other)
-        return Monomial._make(self.n, self.mask & ~other.mask)
-
     def text(self) -> str:
         """Starred form, e.g. X3*X5*X12; the unit monomial prints as 1."""
-        return "*".join(f"X{i}" for i in _mask_indices(self.mask)) or "1"
+        return _mask_text(self.mask)
 
     def compact(self) -> str:
         """Compressed form without separators, e.g. X3X5X12."""
-        return self.text().replace("*", "")
+        return _mask_text(self.mask, "")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.mask == other.mask and self.n == other.n
@@ -166,91 +156,72 @@ class Monomial:
 class MonomialIdeal:
     """A monomial ideal held as its unique minimal generating set.
 
-    Construction minimalizes: duplicates and generators divisible by another
-    are dropped, and the survivors are stored in canonical order (degree
-    ascending, then lexicographic on the index sequence). An empty generating
-    set is the zero ideal; the unit monomial generates the whole ring.
+    ``masks`` is the tuple of their support masks in canonical order (degree
+    ascending, then lexicographic on the index sequence); construction drops
+    duplicates and generators divisible by another. ``gens`` builds a fresh
+    ``Monomial`` view of each mask on every read. An empty generating set is
+    the zero ideal; the unit monomial generates the whole ring.
     """
 
-    __slots__ = ("n", "gens")
+    __slots__ = ("n", "masks")
 
     def __init__(self, n: int, gens: Iterable[Monomial] = ()):
         n = int(n)
         if n < 1:
             raise ValidationError("ambient variable count must be positive")
-        pool = list(gens)
-        for g in pool:
+        masks = []
+        for g in gens:
             if g.n != n:
                 raise ValidationError(
                     f"generator in {g.n} variables placed in a {n}-variable ring"
                 )
-        self.n = n
-        # a divides m iff a & m == a
-        by_mask = {g.mask: g for g in pool}
-        nbytes = (max(by_mask, default=0).bit_length() + 7) // 8
-        kept: list[int] = []
-        for m in sorted(by_mask, key=lambda m: _squarefree_key(m, nbytes)):
-            if all(a & m != a for a in kept):
-                kept.append(m)
-        self.gens = tuple(by_mask[m] for m in kept)
+            masks.append(g.mask)
+        self.n, self.masks = n, _minimal_masks(masks)
 
     @classmethod
     def _trusted(cls, n: int, masks: Iterable[int]) -> MonomialIdeal:
         """Build from distinct squarefree masks in 1..n already known to be
         a minimal generating set: they are only sorted into canonical order."""
-        masks = list(masks)
-        if len(masks) > 1:
-            nbytes = (max(masks).bit_length() + 7) // 8
-            masks.sort(key=lambda m: _squarefree_key(m, nbytes))
         ideal = object.__new__(cls)
-        ideal.n = n
-        ideal.gens = tuple(Monomial._make(n, m) for m in masks)
+        ideal.n, ideal.masks = n, tuple(_canonical(masks))
         return ideal
 
     @property
+    def gens(self) -> tuple[Monomial, ...]:
+        return tuple(Monomial._make(self.n, m) for m in self.masks)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.masks
 
     @property
     def is_principal(self) -> bool:
-        return len(self.gens) == 1
+        return len(self.masks) == 1
 
     @property
     def max_degree(self) -> int:
         if self.is_zero:
             raise ValidationError("the zero ideal has no generator degrees")
-        return max(g.degree for g in self.gens)
-
-    def colon(self, f: Monomial) -> MonomialIdeal:
-        """The colon ideal (self : f), all g with g*f in self."""
-        if f.n != self.n:
-            raise ValidationError(
-                f"monomial in {f.n} variables cannot divide into a {self.n}-variable ideal"
-            )
-        return MonomialIdeal(self.n, (u.div_by_gcd(f) for u in self.gens))
+        return max(m.bit_count() for m in self.masks)
 
     def text(self) -> str:
-        if self.is_zero:
-            return "(0)"
-        return "(" + ", ".join(g.text() for g in self.gens) + ")"
+        return "(" + ", ".join(map(_mask_text, self.masks)) + ")" if self.masks else "(0)"
 
     def compact(self) -> str:
-        if self.is_zero:
-            return "(0)"
-        return "(" + ", ".join(g.compact() for g in self.gens) + ")"
+        return "(" + ", ".join(_mask_text(m, "") for m in self.masks) + ")" if self.masks else "(0)"
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "gens": [list(g.support) for g in self.gens]}
+        return {"n": self.n, "gens": [_mask_indices(m) for m in self.masks]}
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MonomialIdeal)
             and self.n == other.n
-            and self.gens == other.gens
+            and self.masks == other.masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.gens))
+        return hash((self.n, self.masks))
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(n={self.n}, gens={self.text()})"

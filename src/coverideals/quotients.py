@@ -8,8 +8,8 @@ sequences) is tried first; a pruned backtracking search covers orders the
 canonical one misses. An ideal with linear quotients has them in some
 degree-nondecreasing order (Jahan–Zheng, J. Combin. Theory Ser. A 117, 2010,
 Lemma 2.1), so the search only permutes generators within a degree class.
-One decision yields the certificate, built from the step masks it computed;
-``check_linear_quotients`` evaluates any order.
+One decision on the generator masks yields the certificate, and only its
+``order`` holds Monomial views; ``check_linear_quotients`` evaluates any order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import namedtuple
 from math import comb
 
 from .errors import InconclusiveError, ValidationError
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, _minimal_masks
 
 __all__ = [
     "BACKTRACK_GENERATOR_LIMIT",
@@ -93,26 +93,31 @@ def _variables_ideal(n: int, variables: int) -> MonomialIdeal:
     return MonomialIdeal._trusted(n, bits)
 
 
+def _is_order_of(order, ideal: MonomialIdeal) -> bool:
+    """Whether the Monomials in order are the ideal's minimal generators, each once."""
+    return sorted((u.n, u.mask) for u in order) == [(ideal.n, m) for m in sorted(ideal.masks)]
+
+
 def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:
     """Evaluate one ordering: all prefix colon ideals, q, and the linear flag.
 
     A variable-generated step is built from its variable mask; any other
-    step is the colon ideal of its prefix.
+    step from the minimal masks among its prefix's reductions v & ~u.
     """
     order = tuple(order)
-    if sorted(order) != list(ideal.gens):
+    if not _is_order_of(order, ideal):
         raise ValidationError("order is not a permutation of the minimal generators")
     n = ideal.n
     masks = [u.mask for u in order]
     steps, linear = [], True
-    for j in range(1, len(order)):
-        variables = _linear_step(masks[:j], masks[j])
+    for j, u in enumerate(masks[1:], start=1):
+        variables = _linear_step(masks[:j], u)
         if variables is None:
             linear = False
-            steps.append(MonomialIdeal(n, order[:j]).colon(order[j]))
+            steps.append(MonomialIdeal._trusted(n, _minimal_masks(v & ~u for v in masks[:j])))
         else:
             steps.append(_variables_ideal(n, variables))
-    q = max((len(s.gens) for s in steps), default=0)
+    q = max((len(s.masks) for s in steps), default=0)
     return QuotientCertificate(order, tuple(steps), q, linear)
 
 
@@ -132,18 +137,18 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
 
     Each step is decided once, from the generator masks, as the mask of its
     variables. The certificate is built from the masks of the order that
-    passed, so only its steps become ideals and no order is checked twice.
+    passed: only its steps become ideals, only its order Monomial views, and
+    no order is checked twice.
     """
-    t = len(ideal.gens)
+    masks = list(ideal.masks)  # a list: its prefix slices would linger on tuple free lists
+    t = len(masks)
     if t <= 1:
         return QuotientCertificate(ideal.gens, (), 0, True)
     n = ideal.n
-    gens = ideal.gens  # held in canonical order
-    masks = [u.mask for u in gens]
 
     def certificate(order, step_masks) -> QuotientCertificate:
         steps = tuple(_variables_ideal(n, v) for v in step_masks)
-        return QuotientCertificate(tuple(order), steps, max(len(s.gens) for s in steps), True)
+        return QuotientCertificate(order, steps, max(len(s.masks) for s in steps), True)
 
     step_masks = []
     for j in range(1, t):
@@ -152,16 +157,16 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
             break
         step_masks.append(variables)
     else:
-        return certificate(gens, step_masks)
+        return certificate(ideal.gens, step_masks)
     if t > BACKTRACK_GENERATOR_LIMIT:
         raise InconclusiveError(
             f"{t} generators exceed the search limit {BACKTRACK_GENERATOR_LIMIT}; "
             "linear quotients undecided"
         )
     # the c-th pick comes from the degree class of canonical position c
-    degrees = [u.degree for u in gens]
+    degrees = [m.bit_count() for m in masks]
     classes = [range(bisect_left(degrees, d), bisect_right(degrees, d)) for d in degrees]
-    chosen: list[int] = []  # positions in gens, in order
+    chosen: list[int] = []  # positions in masks, in order
     step_masks = []  # the step of each chosen generator, 0 for the first
     dead: set[int] = set()  # exhausted prefixes, as bitsets of positions
 
@@ -188,7 +193,8 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
         return False
 
     if search(0):
-        return certificate([gens[i] for i in chosen], step_masks[1:])
+        gens = ideal.gens
+        return certificate(tuple(gens[i] for i in chosen), step_masks[1:])
     return None
 
 
@@ -201,11 +207,11 @@ def resolution_shifts(
     degree i, for 0 <= i <= r."""
     if not cert.linear:
         raise ValidationError("resolution shifts require a linear-quotient certificate")
-    if ideal is not None and sorted(cert.order) != list(ideal.gens):
+    if ideal is not None and not _is_order_of(cert.order, ideal):
         raise ValidationError("certificate does not belong to this ideal")
     if not cert.order:
         return ResolutionShifts(())
-    ranks = [0] + [len(s.gens) for s in cert.steps]
+    ranks = [0] + [len(s.masks) for s in cert.steps]
     levels: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
     for u, r in zip(cert.order, ranks):
         for i in range(r + 1):

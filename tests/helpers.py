@@ -21,7 +21,7 @@ from coverideals import KPrimeSpec, LoopGraph, Monomial, MonomialIdeal, cli
 # construction shorthands
 
 def mono(indices, n):
-    return Monomial.from_indices(indices, n)
+    return Monomial(indices, n)
 
 
 def ideal_of(n, *index_lists):
@@ -85,8 +85,10 @@ def count_ideal_builds(monkeypatch):
 
 def count_monomial_builds(monkeypatch):
     """The list to which every Monomial constructed from now on, by the
-    constructor or by the private ``_make`` that the other constructors and
-    the routes use, is appended, for the rest of the test."""
+    constructor or by the private ``_make`` behind each view that
+    ``MonomialIdeal.gens`` builds, is appended, for the rest of the test.
+    Ideals hold masks, so a route or an invariant that builds a Monomial
+    shows up here; reading ``gens`` in the test itself does too."""
     built = []
     init, make = Monomial.__init__, Monomial._make
 
@@ -442,8 +444,8 @@ def loop_graphs(draw, max_n=12):
 
 
 @st.composite
-def block_specs(draw, max_n=25):
+def block_specs(draw, max_n=25, max_loops=3):
     n = draw(st.integers(2, max_n))
     centers = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(n - 1, 8)))
-    loops = draw(st.sets(st.integers(1, n), max_size=3))
+    loops = draw(st.sets(st.integers(1, n), max_size=max_loops))
     return KPrimeSpec(sorted(centers) + [n], loops)

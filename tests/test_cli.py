@@ -377,6 +377,27 @@ class TestExitCodesAndDeterminism:
         code, err = run_error(capsys, "cover-ideal", "--json", huge)
         assert code == 2 and err.startswith("error: prime intersection refused")
 
+    def test_spec_guards_come_before_the_expansion(self, capsys, monkeypatch):
+        # each graph route refuses a block spec with its own message, read
+        # off the spec: the graph is never built
+        def expand_kprime(spec):
+            raise AssertionError(f"{spec} was expanded")
+
+        monkeypatch.setattr(cli, "expand_kprime", expand_kprime)
+        tail = " > 25; use the structured closed form\n"
+        for argv, message in [
+            (["oracle-verify"], "prime intersection refused for n=1000000"),
+            (["cover-ideal", "--route", "intersection"], "prime intersection refused for n=1000000"),
+            (["cover-ideal", "--route", "bruteforce"],
+             "brute force refused for f=1000000 free vertices"),
+        ]:
+            code, err = run_error(capsys, *argv, "--json", '{"alphas":[1,1000000]}')
+            assert (code, err) == (2, f"error: {message}{tail}")
+        # with the far center looped no vertex is free: brute force would run
+        looped = '{"alphas":[1,1000000],"loops":[1000000]}'
+        with pytest.raises(AssertionError, match="was expanded"):
+            cli.main(["cover-ideal", "--route", "bruteforce", "--json", looped])
+
     def test_graph_past_the_hitting_set_guard_gets_h_from_the_loop_rule(self, capsys):
         # brute force accepts f = 2 at n = 30, and h needs no search
         graph = json.dumps({"n": 30, "edges": [[1, 2]]})

@@ -23,10 +23,12 @@ from coverideals import (
     min_patrols,
     minimal_covers_bruteforce,
 )
+from coverideals.covers import _spec_free_count
 from helpers import (
     CITY_OPTIMUM,
     SATURATED_GEN,
     SATURATED_LOOPS,
+    FIVE_CENTER_GENS,
     THREE_CENTER_GENS,
     block_specs,
     brute_minimal_covers,
@@ -140,9 +142,16 @@ class TestBruteForce:
         ideals = count_ideal_builds(monkeypatch)
         monomials = count_monomial_builds(monkeypatch)
         ideal = minimal_covers_bruteforce(g)
-        assert ideals == [ideal] and monomials == list(ideal.gens)
+        assert ideals == [ideal] and monomials == []
         covers = brute_minimal_covers(g.n, g.edges, g.loops)
         assert supports(ideal) == [tuple(sorted(c)) for c in covers]
+        assert len(monomials) == len(covers)  # the views that reading gens built
+
+    @given(block_specs(max_n=40, max_loops=40))
+    def test_free_count_of_a_spec_is_that_of_its_expansion(self, spec):
+        # the CLI guards a spec's brute force on this count before expanding
+        g = expand_kprime(spec)
+        assert _spec_free_count(spec) == len({v for e in g.open_edges for v in e})
 
     def test_size_guard(self):
         # the guard counts the f free vertices, not n
@@ -217,10 +226,12 @@ class TestIntersectionRoute:
     def test_builds_only_the_returned_ideal(self, monkeypatch):
         graph = LoopGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)], [3])
         built = count_ideal_builds(monkeypatch)
+        monomials = count_monomial_builds(monkeypatch)
         ideal = cover_ideal_by_intersection(graph)
-        assert built == [ideal]
+        assert built == [ideal] and monomials == []
         covers = brute_minimal_covers(6, graph.edges, graph.loops)
         assert [u.support for u in ideal.gens] == [tuple(sorted(c)) for c in covers]
+        assert len(monomials) == len(covers)
 
     @settings(max_examples=200)
     @given(g=st.one_of(loop_graphs(max_n=14), graphs_led_by_the_last_vertex()),
@@ -275,6 +286,14 @@ class TestKPrimeRoute:
         ideal = kprime_cover_ideal(spec)
         assert mono((3, 5, 6, 8, 9, 12), 12) not in ideal.gens
         assert mono((3, 5, 6, 8, 12), 12) in ideal.gens
+
+    def test_builds_only_the_returned_ideal(self, monkeypatch):
+        built = count_ideal_builds(monkeypatch)
+        monomials = count_monomial_builds(monkeypatch)
+        ideal = kprime_cover_ideal(five_center_spec())
+        assert built == [ideal] and monomials == []
+        assert [g.support for g in ideal.gens] == list(FIVE_CENTER_GENS)
+        assert len(monomials) == len(FIVE_CENTER_GENS)
 
     def test_saturated_spec_is_principal(self):
         ideal = kprime_cover_ideal(five_center_spec(SATURATED_LOOPS))
@@ -378,8 +397,8 @@ class TestRouteAgreement:
             g = random_loop_graph(rng, n_hi=8, loop_p=0.5)
             ideal = cover_ideal_by_intersection(g)
             for k in g.loops:
-                x = mono((k,), g.n)
-                assert all(x.divides(gen) for gen in ideal.gens)
+                x = 1 << (k - 1)
+                assert all(x & ~m == 0 for m in ideal.masks)
 
 
 class TestMinPatrols:
@@ -387,6 +406,20 @@ class TestMinPatrols:
         solution = min_patrols(city_ideal())
         assert solution.covering_number == 21
         assert list(solution.optimal_covers) == [CITY_OPTIMUM]
+
+    def test_invariants_and_patrols_build_no_monomial(self, monkeypatch):
+        # a graph the size of the benchmark's G(n, p) pool: 20 vertices, one
+        # loop, tens of generators and no certificate, so no order is built
+        rng = random.Random(19)
+        g = LoopGraph(20, [e for e in combinations(range(1, 21), 2) if rng.random() < 0.5], [7])
+        ideal = cover_ideal_by_intersection(g)
+        monomials = count_monomial_builds(monkeypatch)
+        report = invariants(ideal, g)
+        solution = min_patrols(ideal)
+        assert monomials == []
+        assert report.route == "bounds-only" and len(ideal.masks) > 12
+        lowest = [u.support for u in ideal.gens if u.degree == solution.covering_number]
+        assert list(solution.optimal_covers) == lowest
 
     def test_triangle(self):
         solution = min_patrols(TRIANGLE)

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverideals import Monomial, MonomialIdeal, ValidationError, cli
+from coverideals import Monomial, MonomialIdeal, ValidationError, check_linear_quotients, cli
 from coverideals.cli import classify_input
-from coverideals.monomials import _mask_indices
+from coverideals.monomials import _mask_indices, _minimal_masks
 from helpers import (
+    FIVE_CENTER_GENS,
     all_monomials,
     bin_scan_indices,
+    dense_check_linear_quotients,
     dense_div_by_gcd,
     dense_divides,
     dense_gens,
@@ -51,11 +53,15 @@ def small_ideal(draw, max_n=4, max_e=2, max_gens=4, min_gens=0):
 
 
 @st.composite
-def ideal_with_monomial(draw, max_n=4, max_e=2, max_gens=4):
-    """Exponent vectors of generators and of one more monomial f."""
+def ideal_with_order(draw, max_n=4, max_e=2, max_gens=5):
+    """Exponent vectors of generators polarized in one ring, the map back,
+    the minimal ideal they generate, and an order of its generators."""
     n = draw(st.integers(1, max_n))
     vec = st.lists(st.integers(0, max_e), min_size=n, max_size=n).map(tuple)
-    return n, draw(st.lists(vec, max_size=max_gens)), draw(vec)
+    vectors = draw(st.lists(vec, min_size=1, max_size=max_gens))
+    monos, back = polarize(n, vectors)
+    ideal = MonomialIdeal(monos[0].n, monos)
+    return n, back, ideal, draw(st.permutations(ideal.gens))
 
 
 @st.composite
@@ -87,20 +93,28 @@ class TestMaskAgainstDenseOracle:
         n, vectors = data
         for v in vectors:
             if max(v) <= 1:
-                assert Monomial(v).support == dense_indices(v)
+                assert Monomial(dense_indices(v), n).support == dense_indices(v)
             else:
                 with pytest.raises(ValidationError):
-                    Monomial(v)
+                    Monomial(dense_indices(v), n)
         monos, back = polarize(n, vectors)
+        ring = monos[0].n
         for a, ma in zip(vectors, monos):
             assert back(ma) == a and ma.degree == sum(a)
             for b, mb in zip(vectors, monos):
-                assert ma.divides(mb) == dense_divides(a, b)
-                assert back(ma.div_by_gcd(mb)) == dense_div_by_gcd(a, b)
+                # divisibility and the colon reduction are a & ~b on masks
+                assert (not ma.mask & ~mb.mask) == dense_divides(a, b)
+                assert back(Monomial._make(ring, ma.mask & ~mb.mask)) == dense_div_by_gcd(a, b)
                 assert (ma < mb) == (dense_key(a) < dense_key(b))
         assert [back(m) for m in sorted(monos)] == sorted(vectors, key=dense_key)
-        ring = monos[0].n
-        assert [back(g) for g in MonomialIdeal(ring, monos).gens] == dense_minimalize(vectors)
+        ideal = MonomialIdeal(ring, monos)
+        assert [back(g) for g in ideal.gens] == dense_minimalize(vectors)
+        # every step of the reversed order, non-linear ones included
+        order = ideal.gens[::-1]
+        cert = check_linear_quotients(ideal, order)
+        steps = tuple(tuple(map(back, s.gens)) for s in cert.steps)
+        assert ((tuple(map(back, order)), steps, cert.q, cert.linear)
+                == dense_check_linear_quotients(map(back, order)))
         parsed = polarized(n, [dense_indices(v) for v in vectors])
         assert dense_gens(*parsed) == dense_minimalize(vectors)
         assert input_gens(parsed) == [list(dense_indices(v)) for v in dense_minimalize(vectors)]
@@ -108,30 +122,37 @@ class TestMaskAgainstDenseOracle:
 
 class TestMonomial:
     def test_construction_rejects_empty_and_negative(self):
-        with pytest.raises(ValidationError):
-            Monomial(())
-        with pytest.raises(ValidationError):
-            Monomial((1, -1))
+        with pytest.raises(ValidationError, match="positive ambient"):
+            Monomial((), 0)
+        with pytest.raises(ValidationError, match="index -1 outside 1..3"):
+            Monomial((1, -1), 3)
+        unit = Monomial((), 3)
+        assert (unit.n, unit.mask, unit.text()) == (3, 0, "1")
 
     def test_construction_rejects_powers(self):
-        with pytest.raises(ValidationError, match="exponent 0 or 1"):
-            Monomial((2, 0, 0))
+        with pytest.raises(ValidationError, match="index repeats"):
+            Monomial((1, 1), 3)
 
     def test_divides_basic(self):
-        assert mono([1], 2).divides(mono([1, 2], 2))
+        # a divides b iff a & ~b == 0
+        assert not mono([1], 2).mask & ~mono([1, 2], 2).mask
         (square, x1), _ = polarize(1, [(2,), (1,)])
-        assert not square.divides(x1) and x1.divides(square)  # X1^2 does not divide X1
-        assert mono((), 3).divides(mono([1, 2, 3], 3))
+        assert square.mask & ~x1.mask and not x1.mask & ~square.mask  # X1^2 does not divide X1
+        assert not mono((), 3).mask & ~mono([1, 2, 3], 3).mask
 
     def test_divides_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            mono([1], 2).divides(mono([1], 3))
+        # masks carry no ring; an order is checked against the ideal's ring
+        ideal = ideal_of(2, (1,))
+        with pytest.raises(ValidationError, match="not a permutation"):
+            check_linear_quotients(ideal, [mono([1], 3)])
+        assert check_linear_quotients(ideal, [mono([1], 2)]).q == 0
 
     @given(monomial_pair())
     def test_div_by_gcd_membership(self, pair):
+        # u / gcd(u, v) is the mask u & ~v
         n, a, b = pair
         (ma, mb), back = polarize(n, [a, b])
-        q = back(ma.div_by_gcd(mb))
+        q = back(Monomial._make(ma.n, ma.mask & ~mb.mask))
         assert dense_mul(q, b) == dense_lcm(a, b)
 
     def test_from_indices_counts_multiplicity(self):
@@ -185,29 +206,40 @@ class TestMinimalize:
 
 
 class TestColon:
+    """The colon steps (u_1..u_{j-1}) : (u_j) of ``check_linear_quotients``."""
+
     def test_single_generator_reduction(self):
-        ideal = ideal_of(12, (3, 5, 6, 8, 12))
-        assert ideal.colon(mono((3, 4, 5, 8, 9, 12), 12)) == ideal_of(12, (6,))
+        ideal = ideal_of(12, *FIVE_CENTER_GENS[:2])
+        cert = check_linear_quotients(ideal, ideal.gens)
+        assert cert.steps == (ideal_of(12, (6,)),)
 
     def test_two_generator_reduction(self):
-        ideal = ideal_of(12, (3, 5, 6, 8, 12), (3, 4, 5, 8, 9, 12))
-        f = mono((1, 2, 5, 6, 8, 9, 12), 12)
-        assert ideal.colon(f) == ideal_of(12, (3,))
+        ideal = ideal_of(12, *FIVE_CENTER_GENS)
+        cert = check_linear_quotients(ideal, ideal.gens)
+        assert cert.steps[1] == ideal_of(12, (3,))
 
     def test_colon_by_unit_is_identity(self):
+        # the unit reduces nothing: v & ~0 == v; a generator coprime to its
+        # prefix acts alike, so that step is the prefix itself
         ideal = ideal_of(3, (1, 2), (3,))
-        assert ideal.colon(mono((), 3)) == ideal
+        assert _minimal_masks(m & ~0 for m in ideal.masks) == ideal.masks
+        order = [mono((1, 2), 5), mono((3,), 5), mono((4, 5), 5)]
+        cert = check_linear_quotients(ideal_of(5, (1, 2), (3,), (4, 5)), order)
+        assert cert.steps[1] == ideal_of(5, (1, 2), (3,)) and not cert.linear
 
-    @given(ideal_with_monomial())
+    @given(ideal_with_order())
     @settings(max_examples=40)
     def test_membership_equivalence(self, data):
-        # the ideal and f are polarized in one ring, as the CLI does
-        n, vectors, f = data
-        monos, back = polarize(n, vectors + [f])
-        ring = monos[-1].n
-        quot = [back(g) for g in MonomialIdeal(ring, monos[:-1]).colon(monos[-1]).gens]
-        for e in all_monomials(n, 3):
-            assert dense_member(quot, e) == dense_member(vectors, dense_mul(e, f))
+        # the generators are polarized in one ring, as the CLI does, and
+        # each step is mapped back: e lies in it iff e * u_j lies in the prefix
+        n, back, ideal, order = data
+        cert = check_linear_quotients(ideal, order)
+        for j, step in enumerate(cert.steps, start=1):
+            quot = [back(g) for g in step.gens]
+            prefix = [back(u) for u in order[:j]]
+            u = back(order[j])
+            for e in all_monomials(n, 3):
+                assert dense_member(quot, e) == dense_member(prefix, dense_mul(e, u))
 
 
 class TestMonomialIdeal:
@@ -232,10 +264,8 @@ class TestMonomialIdeal:
             classify_input({"gens": [[1]]})
 
     def test_mixed_rings_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="generator in 2 variables"):
             MonomialIdeal(3, [mono([1], 2)])
-        with pytest.raises(ValidationError):
-            ideal_of(3, (1,)).colon(mono([1], 2))
 
 
 class TestMaskIndices:

@@ -57,12 +57,9 @@ PUBLIC_MEMBERS = {
     "InvariantReport": ["to_json_dict"],
     "KPrimeSpec": ["blocks", "m", "n", "sigma"],
     "LoopGraph": [],
-    "Monomial": [
-        "compact", "degree", "div_by_gcd", "divides", "from_indices", "is_unit", "support",
-        "text",
-    ],
+    "Monomial": ["compact", "degree", "support", "text"],
     "MonomialIdeal": [
-        "colon", "compact", "is_principal", "is_zero", "max_degree", "text", "to_json_dict",
+        "compact", "gens", "is_principal", "is_zero", "max_degree", "text", "to_json_dict",
     ],
     "OracleDisagreementError": [],
     "PatrolSolution": ["to_json_dict"],
