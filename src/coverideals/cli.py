@@ -38,6 +38,7 @@ from .covers import (
     _guard_bruteforce,
     _guard_intersection,
     _spec_free_count,
+    _spec_open_edges,
     cover_ideal_by_intersection,
     kprime_cover_ideal,
     min_patrols,
@@ -219,10 +220,12 @@ def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int,
             return kprime_cover_ideal(obj), "closed-form", ()
         # the graph route's own refusal, before the graph is built
         if route == "bruteforce":
+            # G - L alone has the same cover ideal, and at most 300 edges
             _guard_bruteforce(_spec_free_count(obj))
+            obj = LoopGraph(obj.n, _spec_open_edges(obj), obj.loops)
         else:
             _guard_intersection(obj.n)
-        obj = expand_kprime(obj)
+            obj = expand_kprime(obj)
     elif route == "closed-form":
         raise ValidationError("the closed-form route requires a block-spec input")
     if route == "bruteforce":

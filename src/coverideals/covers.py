@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import takewhile
+from itertools import combinations, takewhile
 
 from .errors import SizeGuardError, ValidationError
 from .graphs import KPrimeSpec, LoopGraph
-from .monomials import MonomialIdeal, _indices_mask, _mask_indices
+from .monomials import MonomialIdeal, _canonical, _indices_mask, _mask_indices
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
@@ -86,6 +86,22 @@ def _spec_free_count(spec: KPrimeSpec) -> int:
             f += leaves + (leaves > 0 or open_centers > 1)
         prev = a
     return f
+
+
+def _spec_open_edges(spec: KPrimeSpec) -> list[tuple[int, int]]:
+    """The edges of G - L for ``expand_kprime(spec)``, read off the spec:
+    the core pairs of unlooped centers, and each unlooped center's edges to
+    its unlooped leaves. Only the blocks of unlooped centers are walked;
+    past the brute-force guard each holds at most 25 unlooped leaves, so
+    the walk costs O(m + |L|) and the answer has at most 300 edges."""
+    looped = set(spec.loops)
+    edges = list(combinations([a for a in spec.alphas if a not in looped], 2))
+    prev = 0
+    for a in spec.alphas:
+        if a not in looped:
+            edges += [(v, a) for v in range(prev + 1, a) if v not in looped]
+        prev = a
+    return edges
 
 
 _LOW_PATTERNS = (0xAA, 0xCC, 0xF0)
@@ -249,30 +265,31 @@ def _kprime_candidate_masks(spec: KPrimeSpec) -> list[int]:
     The core forces all centers but one into any cover, and a skipped center
     forces its whole block in. That leaves exactly these candidates:
 
-    * all centers, plus every looped leaf;
-    * per unlooped center a, all other centers, all of a's block except a,
-      and the looped leaves of the other blocks.
+    * all centers, plus every loop;
+    * per unlooped center a, all centers, loops and vertices of a's block,
+      less a itself.
 
-    Each block is the interval (prev, a], so a candidate takes O(m) integer
-    operations on n-bit masks. An omit-one candidate lacks its own center, so
-    it divides no other; the all-centers one is divisible, and left out, iff
-    some unlooped center has every leaf looped (a bare center counts).
+    Each block is the interval (prev, a], so an omit-one candidate is one OR
+    of n-bit masks and one XOR that clears its center's bit. An omit-one
+    candidate lacks its own center, so it divides no other; the all-centers
+    one is divisible, and left out, iff some unlooped center has every leaf
+    looped (a bare center counts), which bisection over the loops decides.
     """
-    centers = _indices_mask(spec.alphas)
-    loops = _indices_mask(spec.loops)
-    looped_leaves = loops & ~centers
+    loops = spec.loops
+    centers_and_loops = _indices_mask(spec.alphas) | _indices_mask(loops)
     cands = []
     all_centers_minimal = True
     prev = 0
     for a in spec.alphas:
-        bit = 1 << (a - 1)
-        if not loops & bit:
-            block = ((1 << a) - 1) ^ ((1 << prev) - 1)
-            all_centers_minimal &= block & ~loops != bit
-            cands.append(((centers | block) & ~bit) | (looped_leaves & ~block))
+        # the loops in (prev, a), and whether a is one
+        first, at = bisect_right(loops, prev), bisect_left(loops, a)
+        if at == len(loops) or loops[at] != a:
+            all_centers_minimal &= at - first != a - prev - 1
+            block = ((1 << (a - prev)) - 1) << prev
+            cands.append((centers_and_loops | block) ^ 1 << (a - 1))
         prev = a
     if all_centers_minimal:
-        cands.append(centers | looped_leaves)
+        cands.append(centers_and_loops)
     return cands
 
 
@@ -287,11 +304,16 @@ def min_patrols(source) -> PatrolSolution:
 
     Accepts a LoopGraph, a KPrimeSpec, or a MonomialIdeal that already is an
     ideal of vertex covers. A graph with nothing to cover yields covering
-    number 0 with the empty cover.
+    number 0 with the empty cover. A block spec's closed-form candidates are
+    its generators, so only those of the lowest degree are sorted; a graph's
+    or an ideal's are read off the canonical order's first degree.
     """
     if isinstance(source, KPrimeSpec):
-        ideal = kprime_cover_ideal(source)
-    elif isinstance(source, LoopGraph):
+        cands = _kprime_candidate_masks(source)
+        best = min(map(int.bit_count, cands))
+        lowest = _canonical(m for m in cands if m.bit_count() == best)
+        return PatrolSolution(best, tuple(tuple(_mask_indices(m)) for m in lowest))
+    if isinstance(source, LoopGraph):
         ideal = cover_ideal_by_intersection(source)
     elif isinstance(source, MonomialIdeal):
         ideal = source

@@ -2,7 +2,9 @@
 Krull dimension, regularity, and Cohen-Macaulay verdicts.
 
 Depth is always derived as n - pd (Auslander-Buchsbaum); dim as n - h(I).
-pd is q + 1 off the linear-quotient certificate (q = 0 for a principal ideal).
+pd is q + 1, with q the largest step of the linear order that the decision
+behind ``find_linear_order`` returns as masks (q = 0 for a principal ideal);
+no certificate, step ideal or Monomial is built for it.
 Without one only dim and regularity bounds are reported, and the
 Cohen-Macaulay verdict is False when h = 1 (dim n - 1 needs pd 1, i.e. a
 principal ideal) and inconclusive otherwise rather than guessed.
@@ -18,7 +20,7 @@ from operator import and_, or_
 from .errors import InconclusiveError, SizeGuardError, ValidationError
 from .graphs import KPrimeSpec, LoopGraph
 from .monomials import MonomialIdeal
-from .quotients import find_linear_order
+from .quotients import _linear_order_steps
 
 __all__ = [
     "HITTING_SET_LIMIT",
@@ -119,9 +121,9 @@ def invariants(
 ) -> InvariantReport:
     """Full invariant report for R/I, routed by the ideal's structure.
 
-    A linear-quotient certificate gives pd = q + 1 and reg exact; a principal
-    ideal is the certificate with q = 0, reported under the route "principal"
-    with reg bounds (0, n - 1). Without a certificate only dim is exact, with
+    A linear-quotient order gives pd = q + 1 and reg exact; a principal
+    ideal is the order with q = 0, reported under the route "principal"
+    with reg bounds (0, n - 1). Without an order only dim is exact, with
     regularity bounds from the block-spec context when one is supplied, and
     the ideal is not Cohen-Macaulay when h = 1. A graph or block-spec context
     also fixes h by the loop rule, with no hitting-set search.
@@ -132,20 +134,21 @@ def invariants(
     h = _context_h(context) or h_of(ideal)
     dim = n - h
     try:
-        cert = find_linear_order(ideal)
+        decided = _linear_order_steps(ideal.masks)
     except InconclusiveError:
-        cert = None
-    if cert is None:
+        decided = None
+    if decided is None:
         return InvariantReport(
             n=n, h=h, dim=dim, route="bounds-only",
             reg_bounds=_context_reg_bounds(context), cm=False if h == 1 else None,
         )
     principal = ideal.is_principal
-    pd = cert.q + 1
+    q = max((v.bit_count() for v in decided[1]), default=0)
+    pd = q + 1
     depth = n - pd
     return InvariantReport(
         n=n, h=h, dim=dim, route="principal" if principal else "linear-quotients",
-        q=cert.q, pd=pd, depth=depth, reg=ideal.max_degree - 1,
+        q=q, pd=pd, depth=depth, reg=ideal.max_degree - 1,
         reg_bounds=(0, n - 1) if principal else _context_reg_bounds(context),
         cm=depth == dim,
     )

@@ -8,8 +8,10 @@ sequences) is tried first; a pruned backtracking search covers orders the
 canonical one misses. An ideal with linear quotients has them in some
 degree-nondecreasing order (Jahan–Zheng, J. Combin. Theory Ser. A 117, 2010,
 Lemma 2.1), so the search only permutes generators within a degree class.
-One decision on the generator masks yields the certificate, and only its
-``order`` holds Monomial views; ``check_linear_quotients`` evaluates any order.
+One private decision on the canonical masks returns the chosen positions
+and step variable masks: ``find_linear_order`` builds its certificate from
+them, only its ``order`` holding Monomial views, and ``invariants`` reads q
+off them with no ideal built. ``check_linear_quotients`` evaluates any order.
 """
 
 from __future__ import annotations
@@ -121,35 +123,13 @@ def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:
     return QuotientCertificate(order, tuple(steps), q, linear)
 
 
-def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
-    """A linear-quotient certificate, or None when provably none exists.
-
-    The canonical order is tried first. When it fails, degree-nondecreasing
-    orders are searched with backtracking: the c-th pick comes from the
-    degree class of canonical position c, which loses no ideal with linear
-    quotients (Jahan–Zheng, JCTA 117, 2010, Lemma 2.1). A prefix whose next
-    colon step is not variable-generated is pruned; feasibility from a prefix
-    depends only on the prefix as a set, so exhausted sets are memoized.
-    Candidates are taken in canonical rank, so the returned order is the
-    first linear one of the searched orders in that rank. Beyond
-    ``BACKTRACK_GENERATOR_LIMIT`` generators the search is refused with
-    InconclusiveError, which is distinct from a definitive absence.
-
-    Each step is decided once, from the generator masks, as the mask of its
-    variables. The certificate is built from the masks of the order that
-    passed: only its steps become ideals, only its order Monomial views, and
-    no order is checked twice.
-    """
-    masks = list(ideal.masks)  # a list: its prefix slices would linger on tuple free lists
+def _linear_order_steps(masks) -> tuple[list[int], list[int]] | None:
+    """The decision behind ``find_linear_order``, on an ideal's canonical
+    masks: the chosen positions, in order, and the variable mask of each
+    step after the first; None when provably no order is linear, and
+    InconclusiveError past ``BACKTRACK_GENERATOR_LIMIT`` generators."""
+    masks = list(masks)  # a list: its prefix slices would linger on tuple free lists
     t = len(masks)
-    if t <= 1:
-        return QuotientCertificate(ideal.gens, (), 0, True)
-    n = ideal.n
-
-    def certificate(order, step_masks) -> QuotientCertificate:
-        steps = tuple(_variables_ideal(n, v) for v in step_masks)
-        return QuotientCertificate(order, steps, max(len(s.masks) for s in steps), True)
-
     step_masks = []
     for j in range(1, t):
         variables = _linear_step(masks[:j], masks[j])
@@ -157,7 +137,7 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
             break
         step_masks.append(variables)
     else:
-        return certificate(ideal.gens, step_masks)
+        return list(range(t)), step_masks
     if t > BACKTRACK_GENERATOR_LIMIT:
         raise InconclusiveError(
             f"{t} generators exceed the search limit {BACKTRACK_GENERATOR_LIMIT}; "
@@ -192,10 +172,36 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
         dead.add(used)
         return False
 
-    if search(0):
-        gens = ideal.gens
-        return certificate(tuple(gens[i] for i in chosen), step_masks[1:])
-    return None
+    return (chosen, step_masks[1:]) if search(0) else None
+
+
+def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
+    """A linear-quotient certificate, or None when provably none exists.
+
+    The canonical order is tried first. When it fails, degree-nondecreasing
+    orders are searched with backtracking: the c-th pick comes from the
+    degree class of canonical position c, which loses no ideal with linear
+    quotients (Jahan–Zheng, JCTA 117, 2010, Lemma 2.1). A prefix whose next
+    colon step is not variable-generated is pruned; feasibility from a prefix
+    depends only on the prefix as a set, so exhausted sets are memoized.
+    Candidates are taken in canonical rank, so the returned order is the
+    first linear one of the searched orders in that rank. Beyond
+    ``BACKTRACK_GENERATOR_LIMIT`` generators the search is refused with
+    InconclusiveError, which is distinct from a definitive absence.
+
+    Each step is decided once, from the generator masks, as the mask of its
+    variables. The certificate is built from the masks of the order that
+    passed: only its steps become ideals, only its order Monomial views, and
+    no order is checked twice.
+    """
+    decided = _linear_order_steps(ideal.masks)
+    if decided is None:
+        return None
+    chosen, step_masks = decided
+    gens = ideal.gens
+    steps = tuple(_variables_ideal(ideal.n, v) for v in step_masks)
+    q = max((v.bit_count() for v in step_masks), default=0)
+    return QuotientCertificate(tuple(gens[i] for i in chosen), steps, q, True)
 
 
 def resolution_shifts(

@@ -23,7 +23,7 @@ from coverideals import (
     min_patrols,
     minimal_covers_bruteforce,
 )
-from coverideals.covers import _spec_free_count
+from coverideals.covers import _spec_free_count, _spec_open_edges
 from helpers import (
     CITY_OPTIMUM,
     SATURATED_GEN,
@@ -149,9 +149,11 @@ class TestBruteForce:
 
     @given(block_specs(max_n=40, max_loops=40))
     def test_free_count_of_a_spec_is_that_of_its_expansion(self, spec):
-        # the CLI guards a spec's brute force on this count before expanding
+        # the CLI guards a spec's brute force on this count, then runs it on
+        # these edges of G - L, both read off the spec
         g = expand_kprime(spec)
         assert _spec_free_count(spec) == len({v for e in g.open_edges for v in e})
+        assert LoopGraph(spec.n, _spec_open_edges(spec), spec.loops).open_edges == g.open_edges
 
     def test_size_guard(self):
         # the guard counts the f free vertices, not n
@@ -420,6 +422,26 @@ class TestMinPatrols:
         assert report.route == "bounds-only" and len(ideal.masks) > 12
         lowest = [u.support for u in ideal.gens if u.degree == solution.covering_number]
         assert list(solution.optimal_covers) == lowest
+
+    def test_spec_invariants_and_patrols_build_no_ideal_or_monomial(self, monkeypatch):
+        # the loopless five-center spec: five generators in a linear canonical
+        # order, so q is read off step masks and the patrols off candidates
+        spec = KPrimeSpec(five_center_spec().alphas)
+        ideal = kprime_cover_ideal(spec)
+        ideals = count_ideal_builds(monkeypatch)
+        monomials = count_monomial_builds(monkeypatch)
+        report = invariants(ideal, spec)
+        solution = min_patrols(spec)
+        assert ideals == [] and monomials == []
+        assert report.route == "linear-quotients" and len(ideal.masks) == 5 and report.q == 1
+        lowest = [u.support for u in ideal.gens if u.degree == solution.covering_number]
+        assert list(solution.optimal_covers) == lowest == [(3, 6, 8, 12)]
+
+    @given(block_specs(max_n=40, max_loops=40))
+    def test_spec_patrols_are_those_of_its_ideal(self, spec):
+        # ties of the lowest degree, and specs whose all-centers candidate
+        # is left out, sorted from the candidates alone
+        assert min_patrols(spec) == min_patrols(kprime_cover_ideal(spec))
 
     def test_triangle(self):
         solution = min_patrols(TRIANGLE)

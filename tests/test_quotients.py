@@ -2,7 +2,7 @@
 
 import json
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +17,7 @@ from coverideals import (
     ValidationError,
     check_linear_quotients,
     find_linear_order,
+    invariants,
     kprime_cover_ideal,
     resolution_shifts,
 )
@@ -297,6 +298,37 @@ class TestMaskStepsAgainstDenseOracle:
         built = count_ideal_builds(monkeypatch)
         cert = find_linear_order(ideal)
         assert list(cert.steps) == built
+
+
+# the 24 edges of K8 less the 4-cycle 1-2-3-4: the complement holds a
+# 4-cycle, not chordal, so no order is linear, and 24 > 12 generators
+K8_LESS_C4 = tuple(
+    e for e in combinations(range(1, 9), 2) if e not in ((1, 2), (2, 3), (3, 4), (1, 4))
+)
+
+
+class TestInvariantsShareTheDecision:
+    """``invariants`` reads q off the decision that ``find_linear_order``
+    builds its certificate from, so the two agree on every ideal."""
+
+    @given(st.one_of(squarefree_ideals(max_n=10, max_gens=24).map(as_parsed), ideals_with_powers()))
+    @example(as_parsed(kprime_cover_ideal(KPrimeSpec((2, 4, 5), loops=(5,)))))
+    @example(polarized(3, [(1, 3), (2, 2), (2, 3)]))
+    @example(as_parsed(ideal_of(8, *K8_LESS_C4)))
+    @settings(max_examples=200)
+    def test_q_and_pd_are_those_of_the_certificate(self, parsed):
+        # the examples: two orders rescued by the search, one of them with
+        # powers, and an order search refused past the generator limit
+        ideal, _ = parsed
+        assume(all(ideal.masks))  # the unit ideal has no invariants
+        report = invariants(ideal)
+        try:
+            cert = find_linear_order(ideal)
+        except InconclusiveError:
+            cert = None
+        assert (report.route == "bounds-only") == (cert is None)
+        if cert is not None:
+            assert report.q == cert.q and report.pd == cert.q + 1
 
 
 class TestQOf:
