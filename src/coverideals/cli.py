@@ -1,15 +1,18 @@
-"""Command-line interface.
+"""coverideals: ideals of vertex covers for graphs with loops.
+
+usage: coverideals VERB (--input PATH | --json JSON) [--format text|json]
+                   [--route auto|bruteforce|intersection|closed-form]
 
 Verbs:
     cover-ideal       print the ideal of vertex covers of the input
     invariants        h, pd, depth, dim, reg, Cohen-Macaulay verdict
     linear-quotients  linear-quotient certificate plus resolution shifts
-    cm-check          Cohen-Macaulay verdict, optional loop-saturation check
+    cm-check          Cohen-Macaulay verdict; loop saturation with --base-ideal PATH [--loops LIST]
     patrol            minimum-size covers (fewest patrol posts)
-    oracle-verify     run all applicable routes and compare their results
+    oracle-verify     run all applicable routes and compare them (no --route)
 
-Input is a JSON object, from --input PATH or inline via --json: a graph
-{"n": .., "edges": [[i,j], ..], "loops": [..]}, a block spec
+--opt=VALUE is --opt VALUE, and a later value wins. The input is a JSON object:
+a graph {"n": .., "edges": [[i,j], ..], "loops": [..]}, a block spec
 {"alphas": [..], "loops": [..]}, or a monomial ideal {"n": .., "gens": [[..], ..]}.
 
 In ideal JSON a repeated index raises the exponent ([7, 7] is X7^2), and the
@@ -19,14 +22,12 @@ carries over; only copies held by a minimal generator are kept. h, pd, reg,
 the verdicts and every colon step stay; n, depth and dim are shifted back,
 and index p prints as X_i for i = p - (copies <= p).
 
-Exit codes: 0 success, 1 validation error, 2 size guard, undecided search or
-out of memory, 3 route disagreement.
+Exit codes: 0 success or -h/--help (this text), 1 validation error or malformed
+command line, 2 size guard, undecided search or out of memory, 3 route disagreement.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 from bisect import bisect_right
@@ -57,40 +58,6 @@ from .monomials import Monomial, MonomialIdeal, _indices_mask
 from .quotients import find_linear_order, resolution_shifts
 
 ROUTES = ("auto", "bruteforce", "intersection", "closed-form")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every call;
-    parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="coverideals",
-        description="Ideals of vertex covers for graphs with loops: "
-        "generators, invariants, linear quotients, and patrol optimization.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_common(p, with_route=True):
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("--input", metavar="PATH", help="path to the input JSON file")
-        source.add_argument("--json", metavar="JSON", help="inline input JSON")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        if with_route:
-            p.add_argument("--route", choices=ROUTES, default="auto")
-
-    add_common(sub.add_parser("cover-ideal", help="generators of the ideal of vertex covers"))
-    add_common(sub.add_parser("invariants", help="graded invariants of R/I"))
-    add_common(sub.add_parser("linear-quotients", help="linear-quotient certificate"))
-    cm = sub.add_parser("cm-check", help="Cohen-Macaulay verdict")
-    add_common(cm)
-    cm.add_argument("--base-ideal", metavar="PATH",
-                    help="cover ideal JSON of the loopless base graph, for the saturation check")
-    cm.add_argument("--loops", metavar="LIST",
-                    help="comma-separated loop vertices overriding the input's loop set")
-    add_common(sub.add_parser("patrol", help="minimum number of patrol posts"))
-    add_common(sub.add_parser("oracle-verify", help="cross-check all applicable routes"),
-               with_route=False)
-    return parser
 
 
 def load_payload(path: str | None, inline: str | None = None):
@@ -409,11 +376,44 @@ def render(report: dict, lines: list[str], fmt: str) -> str:
     return "\n".join(lines)
 
 
+_OPTIONS = {  # option: its attribute, the verbs that take it, its values (None: any)
+    "--input": ("input", HANDLERS.keys(), None), "--json": ("json", HANDLERS.keys(), None),
+    "--format": ("format", HANDLERS.keys(), ("text", "json")),
+    "--route": ("route", HANDLERS.keys() - {"oracle-verify"}, ROUTES),
+    "--base-ideal": ("base_ideal", {"cm-check"}, None), "--loops": ("loops", {"cm-check"}, None),
+}
+_Args = namedtuple("_Args", "format route input json base_ideal loops", defaults=(None,) * 4)
+
+
+def _parse_argv(argv) -> tuple[str, _Args]:
+    """The verb, then --opt VALUE or --opt=VALUE pairs; a later value wins."""
+    if not argv or argv[0] not in HANDLERS:
+        raise ValidationError("the first argument must be a verb: " + ", ".join(HANDLERS))
+    verb, given, tokens = argv[0], {"format": "text", "route": "auto"}, iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        attr, verbs, choices = _OPTIONS.get(name, (None, (), None))
+        if verb not in verbs:
+            raise ValidationError(f"{verb} takes no option {name!r}")
+        if not eq and ((value := next(tokens, None)) is None or value.startswith("--")):
+            raise ValidationError(f"{name} needs a value")
+        if choices and value not in choices:
+            raise ValidationError(f"{name} must be one of {', '.join(choices)}, not {value!r}")
+        given[attr] = value
+    if ("input" in given) == ("json" in given):
+        raise ValidationError("give exactly one of --input and --json")
+    return verb, _Args(**given)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(__doc__, end="")
+        return 0
     try:
+        verb, args = _parse_argv(argv)
         obj = classify_input(load_payload(args.input, args.json))
-        report, lines = HANDLERS[args.verb](obj, args)
+        report, lines = HANDLERS[verb](obj, args)
         output = render(report, lines, args.format)
     except OracleDisagreementError as exc:
         if exc.report is not None:

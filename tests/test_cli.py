@@ -257,6 +257,47 @@ class TestOracleVerify:
         assert code == 1
 
 
+class TestArgv:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate", "--json", TRIANGLE_JSON],
+        ["--json", TRIANGLE_JSON, "cover-ideal"],
+        ["cover-ideal", "--json", TRIANGLE_JSON, "--verbose", "1"],
+        ["cover-ideal", "--json", TRIANGLE_JSON, "stray"],
+        ["cover-ideal", "--fo", "json", "--json", TRIANGLE_JSON],
+        ["cover-ideal", "--json"],
+        ["cover-ideal", "--json", "--format", "json"],
+        ["cover-ideal", "--format", "json"],
+        ["cover-ideal", "--json", TRIANGLE_JSON, "--input", "g.json"],
+        ["cover-ideal", "--json", TRIANGLE_JSON, "--format", "yaml"],
+        ["cover-ideal", "--json", TRIANGLE_JSON, "--format", "yaml", "--format", "json"],
+        ["cover-ideal", "--json", TRIANGLE_JSON, "--route=fastest"],
+        ["oracle-verify", "--json", TRIANGLE_JSON, "--route", "auto"],
+        ["invariants", "--json", TRIANGLE_JSON, "--base-ideal", "base.json"],
+        ["patrol", "--json", TRIANGLE_JSON, "--loops", "1"],
+    ], ids=["empty", "unknown-verb", "verb-not-first", "unknown-option", "stray-argument",
+            "abbreviation", "no-value", "option-for-value", "no-source", "both-sources",
+            "bad-format", "bad-format-then-good", "bad-route", "route-on-oracle-verify",
+            "base-ideal-outside-cm-check", "loops-outside-cm-check"])
+    def test_malformed_argv_is_one_error_line(self, capsys, argv):
+        assert run_error(capsys, *argv)[0] == 1
+
+    def test_equals_form_and_last_value_win(self, capsys):
+        spaced = run_cli(capsys, "cover-ideal", "--json", "{}", "--format", "text",
+                         "--json", TRIANGLE_JSON, "--format", "json")
+        assert spaced == run_cli(capsys, "cover-ideal", f"--json={TRIANGLE_JSON}",
+                                 "--format=json")
+        assert spaced[0] == 0 and json.loads(spaced[1])["route"] == "intersection"
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["cm-check", "--help"],
+                                      ["frobnicate", "-h"]])
+    def test_help_prints_the_module_docstring(self, capsys, argv):
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cli.__doc__ and captured.err == ""
+        assert all(verb in captured.out for verb in cli.HANDLERS)
+
+
 # arbitrary JSON: the integers are small vertex counts and indices, or far
 # past a machine word, so that a mask of that width fails at once
 _HUGE = st.sampled_from([2**63, 10**30])
@@ -306,7 +347,8 @@ _VERBS = tuple(cli.HANDLERS)
 
 @st.composite
 def _argvs(draw, base_path):
-    """Well-formed argv for any verb; --loops and --base-ideal on cm-check."""
+    """Well-formed argv for any verb, --loops and --base-ideal on cm-check;
+    or one time in two such an argv broken."""
     verb = draw(st.sampled_from(_VERBS))
     argv = [verb, "--json=" + json.dumps(draw(_payloads())),
             "--format=" + draw(st.sampled_from(("text", "json")))]
@@ -318,6 +360,18 @@ def _argvs(draw, base_path):
         if draw(st.booleans()):
             base_path.write_text(json.dumps(draw(_payloads())), encoding="utf-8")
             argv.append(f"--base-ideal={base_path}")
+    broken = draw(st.sampled_from((None,) * 5 + ("source", "both", "unknown", "cut", "verb")))
+    if broken == "source":
+        del argv[1]
+    elif broken == "both":
+        argv.append(f"--input={base_path}")
+    elif broken == "unknown":
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(("--fo", "--verbose", "--", "-x", "stray"))))
+    elif broken == "cut":
+        argv[-1] = argv[-1].partition("=")[0]
+    elif broken == "verb":
+        argv[0] = draw(st.sampled_from(_VERBS + ("", "frobnicate", "--json")))
     return argv
 
 

@@ -103,8 +103,9 @@ def test_exported_classes_have_exactly_the_listed_members():
 
 
 def test_import_loads_no_introspection_modules():
-    """The result records are plain tuples, so starting the CLI loads neither
-    dataclasses nor the source-introspection chain behind it."""
+    """The result records are plain tuples and the CLI parses its own argv,
+    so starting the CLI loads neither dataclasses nor the source-introspection
+    chain behind it, nor argparse and the gettext it imports."""
     src = str(Path(coverideals.__file__).resolve().parents[1])
     code = ("import sys; before = set(sys.modules); import coverideals, coverideals.cli; "
             "print(*sorted(set(sys.modules) - before))")
@@ -112,7 +113,8 @@ def test_import_loads_no_introspection_modules():
                           check=True, env={**os.environ, "PYTHONPATH": src})
     added = set(proc.stdout.split())
     assert "coverideals.cli" in added
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "argparse",
+                        "gettext"}
 
 
 _IDEAL = ideal_of(3, (1, 2), (1, 3))  # canonical order linear, q = 1
