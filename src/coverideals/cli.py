@@ -1,4 +1,7 @@
-"""coverideals: ideals of vertex covers for graphs with loops.
+from __future__ import annotations
+
+# the help text, held in a constant so that it outlives -OO
+__doc__ = _HELP = """coverideals: ideals of vertex covers for graphs with loops.
 
 usage: coverideals VERB (--input PATH | --json JSON) [--format text|json]
                    [--route auto|bruteforce|intersection|closed-form]
@@ -26,8 +29,6 @@ Exit codes: 0 success or -h/--help (this text), 1 validation error or malformed
 command line, 2 size guard, undecided search or out of memory, 3 route disagreement.
 """
 
-from __future__ import annotations
-
 import json
 import sys
 from bisect import bisect_right
@@ -36,10 +37,6 @@ from itertools import chain
 
 from .covers import (
     _OUTPUT_LIMIT,
-    _guard_bruteforce,
-    _guard_intersection,
-    _spec_free_count,
-    _spec_open_edges,
     cover_ideal_by_intersection,
     kprime_cover_ideal,
     min_patrols,
@@ -52,7 +49,7 @@ from .errors import (
     SizeGuardError,
     ValidationError,
 )
-from .graphs import KPrimeSpec, LoopGraph, expand_kprime
+from .graphs import KPrimeSpec, LoopGraph
 from .invariants import InvariantReport, invariants
 from .monomials import Monomial, MonomialIdeal, _indices_mask
 from .quotients import find_linear_order, resolution_shifts
@@ -72,7 +69,7 @@ def load_payload(path: str | None, inline: str | None = None):
         raw = inline
     try:
         return json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or too many digits
         source = "input" if path is None else path
         raise ValidationError(f"{source} is not valid JSON: {exc}") from exc
 
@@ -182,18 +179,9 @@ def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int,
         if route != "auto":
             raise ValidationError("route overrides do not apply to ideal input")
         return obj.ideal, "ideal-input", obj.copies
-    if isinstance(obj, KPrimeSpec):
-        if route in ("auto", "closed-form"):
-            return kprime_cover_ideal(obj), "closed-form", ()
-        # the graph route's own refusal, before the graph is built
-        if route == "bruteforce":
-            # G - L alone has the same cover ideal, and at most 300 edges
-            _guard_bruteforce(_spec_free_count(obj))
-            obj = LoopGraph(obj.n, _spec_open_edges(obj), obj.loops)
-        else:
-            _guard_intersection(obj.n)
-            obj = expand_kprime(obj)
-    elif route == "closed-form":
+    if isinstance(obj, KPrimeSpec) and route in ("auto", "closed-form"):
+        return kprime_cover_ideal(obj), "closed-form", ()
+    if route == "closed-form":
         raise ValidationError("the closed-form route requires a block-spec input")
     if route == "bruteforce":
         return minimal_covers_bruteforce(obj), "bruteforce", ()
@@ -336,15 +324,10 @@ def run_patrol(obj, args):
 def run_oracle_verify(obj, args):
     if isinstance(obj, _IdealInput):
         raise ValidationError("oracle-verify needs a graph or block-spec input")
-    results = {}
+    routes = ("intersection", "bruteforce")
     if isinstance(obj, KPrimeSpec):
-        results["closed-form"] = kprime_cover_ideal(obj)
-        _guard_intersection(obj.n)  # the intersection route's refusal, before expanding
-        graph = expand_kprime(obj)
-    else:
-        graph = obj
-    results["intersection"] = cover_ideal_by_intersection(graph)
-    results["bruteforce"] = minimal_covers_bruteforce(graph)
+        routes = ("closed-form",) + routes
+    results = {name: compute_cover_ideal(obj, name)[0] for name in routes}
     ideals = list(results.values())
     agree = all(i == ideals[0] for i in ideals)
     report = {
@@ -408,7 +391,7 @@ def _parse_argv(argv) -> tuple[str, _Args]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if "-h" in argv or "--help" in argv:
-        print(__doc__, end="")
+        print(_HELP, end="")
         return 0
     try:
         verb, args = _parse_argv(argv)

@@ -7,9 +7,10 @@ the loop primes (X_k) give the factor x^L and each connected component of
 G - L meets one star prime (X_v, x^S) per vertex, the meet of the edge
 primes (X_v, X_s) for s in S; and a closed-form candidate construction for
 complete-core-plus-stars graphs that never enumerates subsets. Both graph
-routes read G - L off ``LoopGraph.open_edges``. Each route finds exactly the
-minimal covers, every loop vertex in each, and hands them as support masks
-to the ideal, which only sorts them.
+routes take a ``LoopGraph`` or a ``KPrimeSpec``: each applies its own guard,
+then reads G - L off ``LoopGraph.open_edges`` or off the spec, which is never
+expanded. Each route finds exactly the minimal covers, every loop vertex in
+each, and hands them as support masks to the ideal, which only sorts them.
 """
 
 from __future__ import annotations
@@ -62,14 +63,6 @@ def _guard_bruteforce(f: int) -> None:
         )
 
 
-def _guard_intersection(n: int) -> None:
-    if n > BRUTE_FORCE_LIMIT:
-        raise SizeGuardError(
-            f"prime intersection refused for n={n} > {BRUTE_FORCE_LIMIT}; "
-            "use the structured closed form"
-        )
-
-
 def _spec_free_count(spec: KPrimeSpec) -> int:
     """The free vertex count f of ``expand_kprime(spec)``, read off the spec
     in O(|L| + m log |L|) without building the graph. A leaf's one edge goes
@@ -92,8 +85,8 @@ def _spec_open_edges(spec: KPrimeSpec) -> list[tuple[int, int]]:
     """The edges of G - L for ``expand_kprime(spec)``, read off the spec:
     the core pairs of unlooped centers, and each unlooped center's edges to
     its unlooped leaves. Only the blocks of unlooped centers are walked;
-    past the brute-force guard each holds at most 25 unlooped leaves, so
-    the walk costs O(m + |L|) and the answer has at most 300 edges."""
+    past either graph route's guard each holds at most 25 unlooped leaves,
+    so the walk costs O(m + |L|) and the answer has at most 300 edges."""
     looped = set(spec.loops)
     edges = list(combinations([a for a in spec.alphas if a not in looped], 2))
     prev = 0
@@ -120,9 +113,10 @@ def _membership(k: int, f: int) -> int:
     return int.from_bytes((bytes(run) + b"\xff" * run) * (nbytes // (2 * run)), "little")
 
 
-def minimal_covers_bruteforce(g: LoopGraph) -> MonomialIdeal:
-    """The ideal of vertex covers, generated by every minimal vertex cover,
-    by deciding every subset of the free vertices at once.
+def minimal_covers_bruteforce(g: LoopGraph | KPrimeSpec) -> MonomialIdeal:
+    """The ideal of vertex covers of a graph or spec, generated by every
+    minimal vertex cover, by deciding every subset of the free vertices at
+    once. A spec's f is counted before its G - L is read off it.
 
     Loop vertices are mandatory, so only the f free vertices, those on an
     edge with no looped endpoint, are chosen. Subset s holds free vertex k
@@ -136,12 +130,17 @@ def minimal_covers_bruteforce(g: LoopGraph) -> MonomialIdeal:
     so the guard counts f, not n; the answer costs O(n) per cover, so
     ``_OUTPUT_LIMIT`` bounds their product, a popcount, before any is built.
     """
-    free = sorted({v for e in g.open_edges for v in e})
+    if isinstance(g, KPrimeSpec):
+        _guard_bruteforce(_spec_free_count(g))
+        open_edges = _spec_open_edges(g)
+    else:
+        open_edges = g.open_edges
+    free = sorted({v for e in open_edges for v in e})
     f = len(free)
     _guard_bruteforce(f)
     position = {v: k for k, v in enumerate(free)}
     neighbours: list[list[int]] = [[] for _ in free]
-    for i, j in g.open_edges:
+    for i, j in open_edges:
         neighbours[position[i]].append(position[j])
         neighbours[position[j]].append(position[i])
     covers = (1 << (1 << f)) - 1
@@ -195,14 +194,15 @@ def _star_step(gens: list[int], v: int, ends: int) -> list[int]:
     return out + hold_s
 
 
-def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
-    """The ideal of vertex covers as the intersection of one prime per edge
-    and one principal ideal per loop, on support masks.
+def cover_ideal_by_intersection(g: LoopGraph | KPrimeSpec) -> MonomialIdeal:
+    """The ideal of vertex covers of a graph or spec: the intersection of
+    one prime per edge and one principal ideal per loop, on support masks.
 
     The loop ideals intersect to the single generator x^L, which divides
     every later generator, so an edge at a loop never changes the result and
-    the edge primes run on G - L, ``g.open_edges``, only. The cover ideal of
-    a disjoint union is the product of its components' cover ideals, so each
+    the edge primes run on G - L only: ``g.open_edges``, or on a spec the
+    edges read off it once n passes the guard. The cover ideal of a disjoint
+    union is the product of its components' cover ideals, so each
     connected component of G - L is intersected on its own, from the unit
     ideal, and the answer is x^L times one generator per component: such
     products are minimal and distinct, since the components share no vertex.
@@ -229,9 +229,11 @@ def cover_ideal_by_intersection(g: LoopGraph) -> MonomialIdeal:
     The generators stay minimal and distinct after every step, so the
     answer is built without a second minimalization.
     """
-    _guard_intersection(g.n)
+    if g.n > BRUTE_FORCE_LIMIT:
+        raise SizeGuardError(f"prime intersection refused for n={g.n} > {BRUTE_FORCE_LIMIT}; "
+                             "use the structured closed form")
     adjacent = [0] * g.n
-    for i, j in g.open_edges:
+    for i, j in _spec_open_edges(g) if isinstance(g, KPrimeSpec) else g.open_edges:
         adjacent[i - 1] |= 1 << (j - 1)
         adjacent[j - 1] |= 1 << (i - 1)
     # sorted() is stable, so equal degrees keep ascending index

@@ -3,7 +3,8 @@
 A loop puts its vertex in every cover, so the ideal of vertex covers of a
 graph with loop set L is x^L times that of G - L, the edges with no looped
 end. ``LoopGraph`` builds that normal form once, as ``open_edges``, and every
-graph route reads it.
+graph route reads it. A ``KPrimeSpec`` reaches those routes unexpanded:
+they read its G - L off the blocks; ``expand_kprime`` is their reference.
 """
 
 from __future__ import annotations
@@ -14,6 +15,17 @@ from itertools import combinations
 from .errors import ValidationError
 
 __all__ = ["LoopGraph", "KPrimeSpec", "expand_kprime"]
+
+
+def _loop_set(loops: Iterable[int], n: int) -> tuple[int, ...]:
+    """The distinct loop vertices, ascending; each must lie in 1..n."""
+    ls = set()
+    for k in loops:
+        k = int(k)
+        if not 1 <= k <= n:
+            raise ValidationError(f"loop at {k} leaves the vertex range 1..{n}")
+        ls.add(k)
+    return tuple(sorted(ls))
 
 
 class LoopGraph:
@@ -46,15 +58,10 @@ class LoopGraph:
             if lo < 1 or hi > n:
                 raise ValidationError(f"edge {{{i},{j}}} leaves the vertex range 1..{n}")
             es.add((lo, hi))
-        ls = set()
-        for k in loops:
-            k = int(k)
-            if not 1 <= k <= n:
-                raise ValidationError(f"loop at {k} leaves the vertex range 1..{n}")
-            ls.add(k)
         self.n = n
         self.edges = tuple(sorted(es))
-        self.loops = tuple(sorted(ls))
+        self.loops = _loop_set(loops, n)
+        ls = set(self.loops)
         self.open_edges = self.edges if not ls else tuple(
             e for e in self.edges if e[0] not in ls and e[1] not in ls
         )
@@ -92,15 +99,8 @@ class KPrimeSpec:
             raise ValidationError("centers must be positive vertex indices")
         if any(b <= a for a, b in zip(al, al[1:])):
             raise ValidationError(f"centers must be strictly increasing, got {al}")
-        n = al[-1]
-        ls = set()
-        for k in loops:
-            k = int(k)
-            if not 1 <= k <= n:
-                raise ValidationError(f"loop at {k} leaves the vertex range 1..{n}")
-            ls.add(k)
         self.alphas = al
-        self.loops = tuple(sorted(ls))
+        self.loops = _loop_set(loops, al[-1])
 
     @property
     def n(self) -> int:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coverideals
-from coverideals import cli
+from coverideals import cli, covers, graphs
 from helpers import (
     BASE_COVER_GENS,
     CITY_GENS,
@@ -297,6 +297,14 @@ class TestArgv:
         assert captured.out == cli.__doc__ and captured.err == ""
         assert all(verb in captured.out for verb in cli.HANDLERS)
 
+    def test_help_survives_stripped_docstrings(self):
+        # python -OO drops docstrings; the help text is a string constant
+        src = str(Path(coverideals.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-OO", "-m", "coverideals.cli", "--help"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, cli.__doc__, "")
+
 
 # arbitrary JSON: the integers are small vertex counts and indices, or far
 # past a machine word, so that a mask of that width fails at once
@@ -433,20 +441,29 @@ class TestExitCodesAndDeterminism:
 
     def test_spec_guards_come_before_the_expansion(self, capsys, monkeypatch):
         # each graph route refuses a block spec with its own message, read
-        # off the spec: the graph is never built
-        def expand_kprime(spec):
+        # off the spec: neither the graph nor its G - L is ever built
+        def refuse(spec):
             raise AssertionError(f"{spec} was expanded")
 
-        monkeypatch.setattr(cli, "expand_kprime", expand_kprime)
-        tail = " > 25; use the structured closed form\n"
-        for argv, message in [
-            (["oracle-verify"], "prime intersection refused for n=1000000"),
-            (["cover-ideal", "--route", "intersection"], "prime intersection refused for n=1000000"),
-            (["cover-ideal", "--route", "bruteforce"],
-             "brute force refused for f=1000000 free vertices"),
-        ]:
-            code, err = run_error(capsys, *argv, "--json", '{"alphas":[1,1000000]}')
-            assert (code, err) == (2, f"error: {message}{tail}")
+        intersection = "prime intersection refused for n=1000000"
+        bruteforce = "brute force refused for f=1000000 free vertices"
+        tail = " > 25; use the structured closed form"
+        with monkeypatch.context() as patch:
+            patch.setattr(covers, "_spec_open_edges", refuse)
+            patch.setattr(graphs, "expand_kprime", refuse)
+            for argv, message in [
+                (["oracle-verify"], intersection),
+                (["cover-ideal", "--route", "intersection"], intersection),
+                (["cover-ideal", "--route", "bruteforce"], bruteforce),
+            ]:
+                code, err = run_error(capsys, *argv, "--json", '{"alphas":[1,1000000]}')
+                assert (code, err) == (2, f"error: {message}{tail}\n")
+            spec = coverideals.KPrimeSpec([1, 10**6])
+            for route, message in [(covers.cover_ideal_by_intersection, intersection),
+                                   (covers.minimal_covers_bruteforce, bruteforce)]:
+                with pytest.raises(coverideals.SizeGuardError) as refused:
+                    route(spec)
+                assert str(refused.value) == message + tail
         # with the far center looped no vertex is free: brute force runs on
         # the edges of G - L, read off the spec, and the graph is never built
         looped = '{"alphas":[1,1000000],"loops":[1000000]}'
@@ -538,6 +555,18 @@ class TestExitCodesAndDeterminism:
     def test_json_nested_past_the_recursion_limit_is_exit_one(self, capsys):
         deep = "[" * 100_000 + "]" * 100_000
         assert run_error(capsys, "invariants", "--json", deep)[0] == 1
+
+    def test_json_integer_past_the_digit_limit_is_exit_one(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError past CPython's 4,300-digit
+        # limit on converting a decimal string to an int
+        huge = '{"n": 1' + "0" * 5000 + ', "edges": []}'
+        path = tmp_path / "huge.json"
+        path.write_text(huge, encoding="utf-8")
+        for argv in (["cover-ideal", "--json", huge],
+                     ["cover-ideal", "--input", str(path)],
+                     ["cm-check", "--json", TRIANGLE_JSON, "--base-ideal", str(path)]):
+            code, err = run_error(capsys, *argv)
+            assert code == 1 and "is not valid JSON" in err
 
     def test_index_past_a_machine_word_is_exit_two(self, capsys):
         spec = json.dumps({"alphas": [1, 10**30]})

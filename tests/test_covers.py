@@ -149,8 +149,8 @@ class TestBruteForce:
 
     @given(block_specs(max_n=40, max_loops=40))
     def test_free_count_of_a_spec_is_that_of_its_expansion(self, spec):
-        # the CLI guards a spec's brute force on this count, then runs it on
-        # these edges of G - L, both read off the spec
+        # brute force guards a spec on this count, and both graph routes
+        # run on these edges of G - L, each read off the spec
         g = expand_kprime(spec)
         assert _spec_free_count(spec) == len({v for e in g.open_edges for v in e})
         assert LoopGraph(spec.n, _spec_open_edges(spec), spec.loops).open_edges == g.open_edges
@@ -185,7 +185,9 @@ class TestBruteForce:
     def test_legal_spec_at_the_guard_matches_the_closed_form(self):
         # n = 25 at the guard with f = 23 free vertices: 2^23 subsets to decide
         spec = KPrimeSpec([2, 16, 25], [1, 18])
+        assert _spec_free_count(spec) == 23
         assert minimal_covers_bruteforce(expand_kprime(spec)) == kprime_cover_ideal(spec)
+        assert minimal_covers_bruteforce(spec) == kprime_cover_ideal(spec)
 
     def test_star_at_the_guard_stays_small(self):
         # f = 25: each of the few live subset tables is 4 MB
@@ -392,6 +394,8 @@ class TestRouteAgreement:
             closed = kprime_cover_ideal(spec)
             assert closed == cover_ideal_by_intersection(g)
             assert closed == minimal_covers_bruteforce(g)
+            assert closed == cover_ideal_by_intersection(spec)
+            assert closed == minimal_covers_bruteforce(spec)
 
     def test_loop_variables_divide_every_generator(self):
         rng = random.Random(101)
