@@ -28,7 +28,7 @@ from .invariants import (
     h_of,
     invariants,
 )
-from .monomials import Monomial, MonomialIdeal
+from .monomials import MonomialIdeal
 from .quotients import (
     BACKTRACK_GENERATOR_LIMIT,
     QuotientCertificate,
@@ -49,7 +49,6 @@ __all__ = [
     "InvariantReport",
     "KPrimeSpec",
     "LoopGraph",
-    "Monomial",
     "MonomialIdeal",
     "OracleDisagreementError",
     "PatrolSolution",

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .graphs import KPrimeSpec, LoopGraph
 from .invariants import InvariantReport, invariants
-from .monomials import Monomial, MonomialIdeal, _indices_mask
+from .monomials import MonomialIdeal, _indices_mask, _mask_indices, _mask_text
 from .quotients import find_linear_order, resolution_shifts
 
 ROUTES = ("auto", "bruteforce", "intersection", "closed-form")
@@ -109,45 +109,44 @@ def _ideal_from_json(data, polarize: bool = False) -> _IdealInput:
         raise ValidationError('ideal JSON needs the keys "n" and "gens"')
     n, gens = data["n"], data["gens"]
     try:
-        return _IdealInput(MonomialIdeal(n, [Monomial(ix, n) for ix in gens]), ())
+        return _IdealInput(MonomialIdeal(n, gens), ())
     except ValidationError:  # a repeated index, or an error raised again below
         if not polarize:
             raise
-    for ix in gens:  # the checks of squarefree JSON, in the same order
-        Monomial(dict.fromkeys(ix), n)
-    monomials, copies = _polarize(n, gens)
-    ideal = MonomialIdeal(n + len(copies), monomials)
+    MonomialIdeal(n, [dict.fromkeys(ix) for ix in gens])  # every other check, in the same order
+    index_lists, copies = _polarize(n, gens)
+    ideal = MonomialIdeal(n + len(copies), index_lists)
     # again from the minimal generators alone: each copy left is held by one
-    monomials, copies = _polarize(n, [_indices(g, copies) for g in ideal.gens])
-    return _IdealInput(MonomialIdeal(n + len(copies), monomials), copies)
+    index_lists, copies = _polarize(n, [_indices(g, copies) for g in ideal.gens])
+    return _IdealInput(MonomialIdeal(n + len(copies), index_lists), copies)
 
 
-def _polarize(n: int, index_lists) -> tuple[list[Monomial], tuple[int, ...]]:
-    """Squarefree monomials in n + len(copies) variables for index lists in
-    1..n that may repeat an index, and the ascending copies."""
+def _polarize(n: int, index_lists) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Distinct index lists in 1..n + len(copies) for index lists in 1..n
+    that may repeat an index, and the ascending copies."""
     counts = [Counter(ix) for ix in index_lists]
     top = {i: max(c[i] for c in counts) for i in set().union(*counts)}
     first, copies = {}, []
     for i in sorted(top):
         first[i] = i + len(copies)
         copies += range(first[i] + 1, first[i] + top[i])
-    return [Monomial([first[i] + k for i, a in c.items() for k in range(a)], n + len(copies))
-            for c in counts], tuple(copies)
+    return [[first[i] + k for i, a in c.items() for k in range(a)] for c in counts], tuple(copies)
 
 
-def _indices(m: Monomial, copies) -> list[int]:
+def _indices(g: tuple[int, ...], copies) -> list[int]:
     """The index sequence in the input's ring: index p names X_{p - (copies <= p)}."""
     if not copies:
-        return list(m.support)
-    return [p - bisect_right(copies, p) for p in m.support]
+        return list(g)
+    return [p - bisect_right(copies, p) for p in g]
 
 
-def _compact(m: Monomial, copies) -> str:
-    """``m.compact()`` in the input's ring, a repeated X_i grouped as X_i^a."""
+def _compact(g: tuple[int, ...], copies) -> str:
+    """The generator as X3X5X12 in the input's ring, a repeated X_i grouped
+    as X_i^a; the unit monomial prints as 1."""
     if not copies:
-        return m.compact()
+        return "".join(f"X{i}" for i in g) or "1"
     return "".join(f"X{i}^{a}" if a > 1 else f"X{i}"
-                   for i, a in Counter(_indices(m, copies)).items())
+                   for i, a in Counter(_indices(g, copies)).items())
 
 
 def _ideal_json(ideal: MonomialIdeal, copies) -> dict:
@@ -275,18 +274,21 @@ def run_cm_check(obj, args):
         base = _ideal_from_json(load_payload(args.base_ideal)).ideal
         loops = _resolve_loops(obj, args, base.n)
         outside = ~_indices_mask(loops)
-        witness = next((Monomial._make(base.n, w) for w in base.masks if not w & outside), None)
+        # a mask, tested with "is not None": the unit witness 0 is falsy
+        witness = next((w for w in base.masks if not w & outside), None)
+        held = witness is not None
+        shown = held and _mask_text(witness, "")
         # with the input's own loops, the true base has a witness iff G - L
         # has no edge, iff J is principal; any other base is not the input's
         if (isinstance(obj, (LoopGraph, KPrimeSpec)) and set(loops) == set(obj.loops)
-                and (witness is not None) != ideal.is_principal):
-            found = f"the loops hold {witness.compact()}" if witness else "no cover is in the loops"
+                and held != ideal.is_principal):
+            found = f"the loops hold {shown}" if held else "no cover is in the loops"
             raise ValidationError("the base ideal is not the cover ideal of the input's "
                                   f"loopless graph: {found}, but G - L has "
-                                  f"{'an' if witness else 'no'} edge")
-        report["saturation"] = {"satisfied": witness is not None,
-                                "witness": list(witness.support) if witness else None}
-        lines.append(f"loop saturation: satisfied, witness {witness.compact()}" if witness
+                                  f"{'an' if held else 'no'} edge")
+        report["saturation"] = {"satisfied": held,
+                                "witness": _mask_indices(witness) if held else None}
+        lines.append(f"loop saturation: satisfied, witness {shown}" if held
                      else "loop saturation: not satisfied")
     return report, lines
 
@@ -310,6 +312,11 @@ def run_patrol(obj, args):
     ideal, route, copies = compute_cover_ideal(obj, args.route)
     if copies:  # a minimal generator holds a power
         raise ValidationError("patrol selection needs a squarefree (vertex-cover) ideal")
+    # the optimal covers are the lowest-degree masks, first in canonical order
+    best = ideal.masks[0].bit_count() if ideal.masks else 0
+    if (size := best * sum(m.bit_count() == best for m in ideal.masks)) > _OUTPUT_LIMIT:
+        raise SizeGuardError(f"the optimal covers hold {size} indices > {_OUTPUT_LIMIT}, "
+                             "too many to print")
     solution = min_patrols(ideal)
     report = {"route": route, "patrol": solution.to_json_dict()}
     lines = [

@@ -4,7 +4,7 @@ Krull dimension, regularity, and Cohen-Macaulay verdicts.
 Depth is always derived as n - pd (Auslander-Buchsbaum); dim as n - h(I).
 pd is q + 1, with q the largest step of the linear order that the decision
 behind ``find_linear_order`` returns as masks (q = 0 for a principal ideal);
-no certificate, step ideal or Monomial is built for it.
+no certificate, step ideal or index tuple is built for it.
 Without one only dim and regularity bounds are reported, and the
 Cohen-Macaulay verdict is False when h = 1 (dim n - 1 needs pd 1, i.e. a
 principal ideal) and inconclusive otherwise rather than guessed.

@@ -10,8 +10,9 @@ monomial here: it is a support bitmask (bit i-1 set iff X_i divides it).
 Divisibility, the colon reduction and the degree are ``a & ~b == 0``,
 ``a & ~b`` and ``bit_count()``, each running in C over n/64 machine words.
 ``MonomialIdeal`` holds the canonical tuple ``masks``, which every layer
-reads; ``gens`` builds ``Monomial`` views of them for output. A repeated
-index is refused: the CLI polarizes ideal JSON that repeats an index.
+reads; generators cross the API as tuples of distinct 1-based indices, in
+and out (``gens``). A repeated index is refused: the CLI polarizes ideal
+JSON that repeats an index.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections.abc import Iterable
 
 from .errors import ValidationError
 
-__all__ = ["Monomial", "MonomialIdeal"]
+__all__ = ["MonomialIdeal"]
 
 _NONZERO_BYTE = re.compile(rb"[^\x00]")
 # each byte value reversed, and the 1-based positions of its set bits, doubled
@@ -44,6 +45,20 @@ def _indices_mask(indices: Iterable[int]) -> int:
     for i in indices:
         digits[top - i] = 49  # ord("1")
     return int(digits, 2)
+
+
+def _support_mask(indices: Iterable[int], n: int) -> int:
+    """The support mask of one squarefree generator in n variables, given
+    as distinct 1-based indices; an index outside 1..n or a repeated one is
+    refused."""
+    indices = [int(i) for i in indices]
+    if indices and (min(indices) < 1 or max(indices) > n):
+        i = next(i for i in indices if not 1 <= i <= n)
+        raise ValidationError(f"variable index {i} outside 1..{n}")
+    mask = _indices_mask(indices)
+    if mask.bit_count() != len(indices):
+        raise ValidationError("a variable index repeats in a squarefree monomial")
+    return mask
 
 
 def _mask_indices(mask: int) -> list[int]:
@@ -89,94 +104,24 @@ def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
-class Monomial:
-    """A squarefree power product X_i1 * ... * X_ik in n variables, built from
-    its distinct 1-based indices and held as its support bitmask ``mask``.
-
-    The unit monomial (empty support) is a valid value; a zero monomial has
-    no representation. Instances are immutable and hashable.
-    """
-
-    __slots__ = ("n", "mask")
-
-    def __init__(self, indices: Iterable[int], n: int):
-        if n < 1:
-            raise ValidationError("monomial needs a positive ambient variable count")
-        indices = [int(i) for i in indices]
-        if indices and (min(indices) < 1 or max(indices) > n):
-            i = next(i for i in indices if not 1 <= i <= n)
-            raise ValidationError(f"variable index {i} outside 1..{n}")
-        mask = _indices_mask(indices)
-        if mask.bit_count() != len(indices):
-            raise ValidationError("a variable index repeats in a squarefree monomial")
-        self.n, self.mask = n, mask
-
-    @classmethod
-    def _make(cls, n: int, mask: int) -> Monomial:
-        """Build from a mask already known to be valid for n."""
-        m = object.__new__(cls)
-        m.n, m.mask = n, mask
-        return m
-
-    @property
-    def degree(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(_mask_indices(self.mask))
-
-    def text(self) -> str:
-        """Starred form, e.g. X3*X5*X12; the unit monomial prints as 1."""
-        return _mask_text(self.mask)
-
-    def compact(self) -> str:
-        """Compressed form without separators, e.g. X3X5X12."""
-        return _mask_text(self.mask, "")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.mask == other.mask and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
-
-    def __lt__(self, other: Monomial) -> bool:
-        """Canonical order: degree ascending, then lexicographic index sequence."""
-        a, b = self.mask, other.mask
-        da, db = a.bit_count(), b.bit_count()
-        if da != db:
-            return da < db
-        diff = a ^ b
-        return bool(diff & -diff & a)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.text()!r}, n={self.n})"
-
-
 class MonomialIdeal:
     """A monomial ideal held as its unique minimal generating set.
 
     ``masks`` is the tuple of their support masks in canonical order (degree
     ascending, then lexicographic on the index sequence); construction drops
-    duplicates and generators divisible by another. ``gens`` builds a fresh
-    ``Monomial`` view of each mask on every read. An empty generating set is
-    the zero ideal; the unit monomial generates the whole ring.
+    duplicates and generators divisible by another. ``gens`` gives each
+    generator as its ascending index tuple, the form the constructor takes.
+    An empty generating set is the zero ideal; the unit monomial, the empty
+    tuple, generates the whole ring.
     """
 
     __slots__ = ("n", "masks")
 
-    def __init__(self, n: int, gens: Iterable[Monomial] = ()):
+    def __init__(self, n: int, gens: Iterable[Iterable[int]] = ()):
         n = int(n)
         if n < 1:
             raise ValidationError("ambient variable count must be positive")
-        masks = []
-        for g in gens:
-            if g.n != n:
-                raise ValidationError(
-                    f"generator in {g.n} variables placed in a {n}-variable ring"
-                )
-            masks.append(g.mask)
-        self.n, self.masks = n, _minimal_masks(masks)
+        self.n, self.masks = n, _minimal_masks(_support_mask(g, n) for g in gens)
 
     @classmethod
     def _trusted(cls, n: int, masks: Iterable[int]) -> MonomialIdeal:
@@ -187,8 +132,8 @@ class MonomialIdeal:
         return ideal
 
     @property
-    def gens(self) -> tuple[Monomial, ...]:
-        return tuple(Monomial._make(self.n, m) for m in self.masks)
+    def gens(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(_mask_indices(m)) for m in self.masks)
 
     @property
     def is_zero(self) -> bool:

@@ -10,8 +10,9 @@ degree-nondecreasing order (Jahan–Zheng, J. Combin. Theory Ser. A 117, 2010,
 Lemma 2.1), so the search only permutes generators within a degree class.
 One private decision on the canonical masks returns the chosen positions
 and step variable masks: ``find_linear_order`` builds its certificate from
-them, only its ``order`` holding Monomial views, and ``invariants`` reads q
-off them with no ideal built. ``check_linear_quotients`` evaluates any order.
+them, and ``invariants`` reads q off them with no ideal built.
+``check_linear_quotients`` evaluates any order. An order, given or
+returned, is a sequence of generators as ascending index tuples.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import namedtuple
 from math import comb
 
 from .errors import InconclusiveError, ValidationError
-from .monomials import MonomialIdeal, _minimal_masks
+from .monomials import MonomialIdeal, _mask_indices, _minimal_masks, _support_mask
 
 __all__ = [
     "BACKTRACK_GENERATOR_LIMIT",
@@ -40,10 +41,11 @@ BACKTRACK_GENERATOR_LIMIT = 12
 
 class QuotientCertificate(namedtuple("QuotientCertificate", "order steps q linear")):
     """One generator ordering with its prefix colon ideals: ``order``, the
-    Monomials u_1, ..., u_t; ``steps``, MonomialIdeals with ``steps[j-2]`` =
-    (u_1..u_{j-1}) : (u_j); the int ``q``, the largest step generator count
-    (0 for at most one generator); and the bool ``linear``, whether every
-    step is generated by single variables."""
+    generators u_1, ..., u_t as ascending index tuples; ``steps``,
+    MonomialIdeals with ``steps[j-2]`` = (u_1..u_{j-1}) : (u_j); the int
+    ``q``, the largest step generator count (0 for at most one generator);
+    and the bool ``linear``, whether every step is generated by single
+    variables."""
 
     __slots__ = ()
 
@@ -95,9 +97,11 @@ def _variables_ideal(n: int, variables: int) -> MonomialIdeal:
     return MonomialIdeal._trusted(n, bits)
 
 
-def _is_order_of(order, ideal: MonomialIdeal) -> bool:
-    """Whether the Monomials in order are the ideal's minimal generators, each once."""
-    return sorted((u.n, u.mask) for u in order) == [(ideal.n, m) for m in sorted(ideal.masks)]
+def _order_masks(order, ideal: MonomialIdeal) -> list[int] | None:
+    """The masks of an order's index sequences, each checked as a generator
+    of the ideal's ring; None unless they are its minimal generators, each once."""
+    masks = [_support_mask(u, ideal.n) for u in order]
+    return masks if sorted(masks) == sorted(ideal.masks) else None
 
 
 def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:
@@ -106,11 +110,10 @@ def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:
     A variable-generated step is built from its variable mask; any other
     step from the minimal masks among its prefix's reductions v & ~u.
     """
-    order = tuple(order)
-    if not _is_order_of(order, ideal):
+    masks = _order_masks(order, ideal)
+    if masks is None:
         raise ValidationError("order is not a permutation of the minimal generators")
     n = ideal.n
-    masks = [u.mask for u in order]
     steps, linear = [], True
     for j, u in enumerate(masks[1:], start=1):
         variables = _linear_step(masks[:j], u)
@@ -120,6 +123,7 @@ def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:
         else:
             steps.append(_variables_ideal(n, variables))
     q = max((len(s.masks) for s in steps), default=0)
+    order = tuple(tuple(_mask_indices(u)) for u in masks)
     return QuotientCertificate(order, tuple(steps), q, linear)
 
 
@@ -191,17 +195,16 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
 
     Each step is decided once, from the generator masks, as the mask of its
     variables. The certificate is built from the masks of the order that
-    passed: only its steps become ideals, only its order Monomial views, and
-    no order is checked twice.
+    passed: only its steps become ideals, and no order is checked twice.
     """
     decided = _linear_order_steps(ideal.masks)
     if decided is None:
         return None
     chosen, step_masks = decided
-    gens = ideal.gens
+    order = tuple(tuple(_mask_indices(ideal.masks[i])) for i in chosen)
     steps = tuple(_variables_ideal(ideal.n, v) for v in step_masks)
     q = max((v.bit_count() for v in step_masks), default=0)
-    return QuotientCertificate(tuple(gens[i] for i in chosen), steps, q, True)
+    return QuotientCertificate(order, steps, q, True)
 
 
 def resolution_shifts(
@@ -213,7 +216,7 @@ def resolution_shifts(
     degree i, for 0 <= i <= r."""
     if not cert.linear:
         raise ValidationError("resolution shifts require a linear-quotient certificate")
-    if ideal is not None and not _is_order_of(cert.order, ideal):
+    if ideal is not None and _order_masks(cert.order, ideal) is None:
         raise ValidationError("certificate does not belong to this ideal")
     if not cert.order:
         return ResolutionShifts(())
@@ -221,5 +224,5 @@ def resolution_shifts(
     levels: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
     for u, r in zip(cert.order, ranks):
         for i in range(r + 1):
-            levels[i].extend([u.degree + i] * comb(r, i))
+            levels[i].extend([len(u) + i] * comb(r, i))
     return ResolutionShifts(tuple(tuple(sorted(level)) for level in levels))

@@ -15,17 +15,20 @@ from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from coverideals import KPrimeSpec, LoopGraph, Monomial, MonomialIdeal, cli
+from coverideals import KPrimeSpec, LoopGraph, MonomialIdeal, cli
+from coverideals.monomials import _mask_indices, _support_mask
 
 # ---------------------------------------------------------------------------
 # construction shorthands
 
 def mono(indices, n):
-    return Monomial(indices, n)
+    """One generator as the library takes and gives it: the ascending tuple
+    of its distinct indices, checked as a monomial in n variables."""
+    return tuple(_mask_indices(_support_mask(indices, n)))
 
 
 def ideal_of(n, *index_lists):
-    return MonomialIdeal(n, [mono(ix, n) for ix in index_lists])
+    return MonomialIdeal(n, index_lists)
 
 
 def polarized(n, index_lists):
@@ -80,28 +83,6 @@ def count_ideal_builds(monkeypatch):
 
     monkeypatch.setattr(MonomialIdeal, "__init__", recording_init)
     monkeypatch.setattr(MonomialIdeal, "_trusted", classmethod(recording_trusted))
-    return built
-
-
-def count_monomial_builds(monkeypatch):
-    """The list to which every Monomial constructed from now on, by the
-    constructor or by the private ``_make`` behind each view that
-    ``MonomialIdeal.gens`` builds, is appended, for the rest of the test.
-    Ideals hold masks, so a route or an invariant that builds a Monomial
-    shows up here; reading ``gens`` in the test itself does too."""
-    built = []
-    init, make = Monomial.__init__, Monomial._make
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    def recording_make(cls, *args, **kwargs):
-        built.append(make(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(Monomial, "__init__", recording_init)
-    monkeypatch.setattr(Monomial, "_make", classmethod(recording_make))
     return built
 
 
@@ -292,7 +273,7 @@ def exhaustive_linear_qs(ideal):
     Colon steps are recomputed as support differences, so this path shares
     nothing with the library's colon implementation.
     """
-    supports = [frozenset(g.support) for g in ideal.gens]
+    supports = [frozenset(g) for g in ideal.gens]
     qs = []
     for perm in permutations(range(len(supports))):
         q = 0
@@ -382,7 +363,7 @@ def kpoly_inclusion_exclusion(ideal):
     gens = ideal.gens
     for r in range(1, len(gens) + 1):
         for subset in combinations(gens, r):
-            deg = len(set().union(*(g.support for g in subset)))
+            deg = len(set().union(*subset))
             coeffs[deg] += (-1) ** r
     return +Counter({d: c for d, c in coeffs.items() if c})
 

@@ -71,7 +71,7 @@ def test_02_five_center_golden():
     cert = find_linear_order(closed)
     assert cert.linear and cert.q == 1
     assert cert.order == closed.gens
-    step_sets = {frozenset(g.support[0] for g in s.gens) for s in cert.steps}
+    step_sets = {frozenset(g[0] for g in s.gens) for s in cert.steps}
     assert step_sets == {frozenset({6}), frozenset({3})}
 
     rep = invariants(closed, spec)
@@ -163,8 +163,8 @@ def test_06_oracle_equivalence():
         assert cover_ideal_by_intersection(g) == brute
         loopset = set(g.loops)
         for gen in brute.gens:
-            assert is_minimal_cover(gen.support, g)
-            assert loopset <= set(gen.support)
+            assert is_minimal_cover(gen, g)
+            assert loopset <= set(gen)
 
     for _ in range(220):
         spec = random_kprime(rng, n_lo=4, n_hi=12)
@@ -173,8 +173,8 @@ def test_06_oracle_equivalence():
         graph = expand_kprime(spec)
         loopset = set(spec.loops)
         for gen in closed.gens:
-            assert is_minimal_cover(gen.support, graph)
-            assert loopset <= set(gen.support)
+            assert is_minimal_cover(gen, graph)
+            assert loopset <= set(gen)
     print("criterion 6 (route oracle equivalence, 720 random instances): PASS")
 
 
@@ -274,7 +274,7 @@ def test_09_cm_boundary(tmp_path, capsys):
         spec = random_kprime(rng, n_lo=4, n_hi=10, loop_p=0.0)
         base = kprime_cover_ideal(spec)
         if rng.random() < 0.5:
-            seed = set(rng.choice(base.gens).support)
+            seed = set(rng.choice(base.gens))
         else:
             seed = set()
         extra = {v for v in range(1, spec.n + 1) if rng.random() < 0.25}

@@ -204,6 +204,17 @@ class TestCmCheck:
             assert captured.err.startswith("error: the base ideal is not the cover ideal")
             assert captured.err.count("\n") == 1
 
+    def test_unit_base_ideal_gives_the_unit_witness(self, tmp_path, capsys):
+        # the unit cover, mask 0, lies in every loop set
+        path = tmp_path / "unit.json"
+        path.write_text('{"n":3,"gens":[[]]}', encoding="utf-8")
+        argv = ["cm-check", "--json", '{"n":3,"gens":[[1],[2]]}', "--base-ideal", str(path),
+                "--loops", "1"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out.splitlines()[-1] == "loop saturation: satisfied, witness 1"
+        code, report = run_json(capsys, *argv)
+        assert code == 0 and report["saturation"] == {"satisfied": True, "witness": []}
+
     def test_ideal_input_without_loops_fails(self, tmp_path, capsys):
         base_path = tmp_path / "base.json"
         base_path.write_text(
@@ -505,6 +516,15 @@ class TestExitCodesAndDeterminism:
         # at 1,000,000 indices in all the ideal is still printed
         assert cli.main(["cover-ideal", "--json", '{"alphas": [1, 1000000]}']) == 0
         assert capsys.readouterr().out.startswith("route: closed-form\ngenerators (2):\n")
+
+    def test_patrol_output_guard_is_exit_two(self, capsys):
+        # 1,099 bare centers: each optimal cover omits one of them, so 1,099
+        # covers of 1,099 indices, refused before any is transcribed
+        spec = json.dumps({"alphas": list(range(1, 1100)) + [2000]})
+        code, err = run_error(capsys, "patrol", "--json", spec)
+        assert code == 2
+        assert err == ("error: the optimal covers hold 1207801 indices > 1048576, "
+                       "too many to print\n")
 
     def test_powers_in_a_huge_ring_within_a_second(self, capsys):
         # polarization adds one copy of X1 and builds nothing of size n
@@ -846,6 +866,8 @@ GOLDEN_ERRORS = [
     ("base-ideal-with-a-power",
      ["cm-check", "--json", SATURATED_JSON, "--base-ideal", REPEATED_BASE_FILE], 1,
      "error: a variable index repeats in a squarefree monomial\n"),
+    ("ideal-json-without-a-positive-n", ["cover-ideal", "--json", '{"n":0,"gens":[[1]]}'], 1,
+     "error: ambient variable count must be positive\n"),
 ]
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from coverideals import (
     KPrimeSpec,
     LoopGraph,
-    Monomial,
     MonomialIdeal,
     SizeGuardError,
     ValidationError,
@@ -24,6 +23,7 @@ from coverideals import (
     minimal_covers_bruteforce,
 )
 from coverideals.covers import _spec_free_count, _spec_open_edges
+from coverideals.monomials import _mask_indices
 from helpers import (
     CITY_OPTIMUM,
     SATURATED_GEN,
@@ -34,7 +34,6 @@ from helpers import (
     brute_minimal_covers,
     city_ideal,
     count_ideal_builds,
-    count_monomial_builds,
     five_center_spec,
     ideal_of,
     is_minimal_cover,
@@ -80,10 +79,6 @@ def graphs_with_free_count(draw, f):
     return LoopGraph(n, open_edges + extra, loops)
 
 
-def supports(ideal):
-    return [u.support for u in ideal.gens]
-
-
 class TestCover:
     def test_covers_and_minimality(self):
         g = LoopGraph(3, [(1, 2)], [3])
@@ -91,28 +86,28 @@ class TestCover:
         assert not is_minimal_cover((1,), g)  # misses the loop
         assert not is_minimal_cover((1, 2, 3), g)
         assert not is_minimal_cover((3,), g)  # not even a cover
-        covers = supports(minimal_covers_bruteforce(g))
+        covers = list(minimal_covers_bruteforce(g).gens)
         assert covers == [(1, 3), (2, 3)]
         assert all(is_minimal_cover(c, g) for c in covers)
 
 
 class TestBruteForce:
     def test_triangle(self):
-        assert supports(minimal_covers_bruteforce(TRIANGLE)) == [(1, 2), (1, 3), (2, 3)]
+        assert list(minimal_covers_bruteforce(TRIANGLE).gens) == [(1, 2), (1, 3), (2, 3)]
 
     def test_star_with_all_leaves_looped(self):
         g = LoopGraph(4, [(1, 4), (2, 4), (3, 4)], [1, 2, 3])
-        assert supports(minimal_covers_bruteforce(g)) == [(1, 2, 3)]
+        assert list(minimal_covers_bruteforce(g).gens) == [(1, 2, 3)]
 
     def test_three_center_graph(self):
         g = expand_kprime(three_center_spec())
-        assert set(supports(minimal_covers_bruteforce(g))) == set(THREE_CENTER_GENS)
+        assert set(minimal_covers_bruteforce(g).gens) == set(THREE_CENTER_GENS)
 
     def test_output_is_sorted_and_minimal(self):
         rng = random.Random(11)
         for _ in range(25):
             g = random_loop_graph(rng, n_hi=8)
-            covers = supports(minimal_covers_bruteforce(g))
+            covers = list(minimal_covers_bruteforce(g).gens)
             keys = [(len(c), c) for c in covers]
             assert keys == sorted(keys)
             assert all(is_minimal_cover(c, g) for c in covers)
@@ -123,7 +118,7 @@ class TestBruteForce:
     @given(loop_graphs())
     def test_equals_the_subset_oracle(self, g):
         expected = brute_minimal_covers(g.n, g.edges, g.loops)
-        covers = supports(minimal_covers_bruteforce(g))
+        covers = list(minimal_covers_bruteforce(g).gens)
         assert covers == [tuple(sorted(s)) for s in expected]
 
     @pytest.mark.parametrize("f", [0, 2, 3])
@@ -134,18 +129,16 @@ class TestBruteForce:
         loops = set(g.loops)
         assert len({v for e in g.edges if not loops & set(e) for v in e}) == f
         expected = brute_minimal_covers(g.n, g.edges, g.loops)
-        covers = supports(minimal_covers_bruteforce(g))
+        covers = list(minimal_covers_bruteforce(g).gens)
         assert covers == [tuple(sorted(s)) for s in expected]
 
     def test_builds_only_the_returned_ideal(self, monkeypatch):
         g = LoopGraph(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (5, 6), (6, 7)], [7])
         ideals = count_ideal_builds(monkeypatch)
-        monomials = count_monomial_builds(monkeypatch)
         ideal = minimal_covers_bruteforce(g)
-        assert ideals == [ideal] and monomials == []
+        assert ideals == [ideal]
         covers = brute_minimal_covers(g.n, g.edges, g.loops)
-        assert supports(ideal) == [tuple(sorted(c)) for c in covers]
-        assert len(monomials) == len(covers)  # the views that reading gens built
+        assert ideal.gens == tuple(tuple(sorted(c)) for c in covers)
 
     @given(block_specs(max_n=40, max_loops=40))
     def test_free_count_of_a_spec_is_that_of_its_expansion(self, spec):
@@ -157,7 +150,7 @@ class TestBruteForce:
 
     def test_size_guard(self):
         # the guard counts the f free vertices, not n
-        assert supports(minimal_covers_bruteforce(LoopGraph(26, [(1, 2)]))) == [(1,), (2,)]
+        assert list(minimal_covers_bruteforce(LoopGraph(26, [(1, 2)])).gens) == [(1,), (2,)]
         matching = LoopGraph(26, [(2 * i - 1, 2 * i) for i in range(1, 14)])
         with pytest.raises(SizeGuardError, match="f=26"):
             minimal_covers_bruteforce(matching)
@@ -171,9 +164,9 @@ class TestBruteForce:
 
         ideal = minimal_covers_bruteforce(looped_triangles(159))  # 6,561 * 159 <= 2^20
         first = tuple(v for t in range(1, 25, 3) for v in (t, t + 1)) + tuple(range(25, 160))
-        assert len(ideal.gens) == 6561 and ideal.gens[0].support == first
+        assert len(ideal.gens) == 6561 and ideal.gens[0] == first
         # few covers on many vertices pass: 2 * 2^19 = 2^20
-        assert supports(minimal_covers_bruteforce(LoopGraph(1 << 19, [(1, 2)]))) == [(1,), (2,)]
+        assert list(minimal_covers_bruteforce(LoopGraph(1 << 19, [(1, 2)])).gens) == [(1,), (2,)]
         # refused before any generator is built
         monkeypatch.setattr(MonomialIdeal, "_trusted", None)
         for n in (160, 100_000):
@@ -194,7 +187,7 @@ class TestBruteForce:
         star = LoopGraph(25, [(1, v) for v in range(2, 26)])
         tracemalloc.start()
         try:
-            covers = supports(minimal_covers_bruteforce(star))
+            covers = list(minimal_covers_bruteforce(star).gens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -202,7 +195,7 @@ class TestBruteForce:
         assert peak < 64 * 2**20
 
     def test_nothing_to_cover(self):
-        assert supports(minimal_covers_bruteforce(LoopGraph(3))) == [()]
+        assert list(minimal_covers_bruteforce(LoopGraph(3)).gens) == [()]
 
 
 class TestIntersectionRoute:
@@ -221,7 +214,7 @@ class TestIntersectionRoute:
 
     def test_empty_graph_gives_unit_ideal(self):
         g = LoopGraph(2)
-        assert cover_ideal_by_intersection(g).gens == (mono((), 2),)
+        assert cover_ideal_by_intersection(g).gens == ((),)
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
@@ -230,12 +223,10 @@ class TestIntersectionRoute:
     def test_builds_only_the_returned_ideal(self, monkeypatch):
         graph = LoopGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)], [3])
         built = count_ideal_builds(monkeypatch)
-        monomials = count_monomial_builds(monkeypatch)
         ideal = cover_ideal_by_intersection(graph)
-        assert built == [ideal] and monomials == []
+        assert built == [ideal]
         covers = brute_minimal_covers(6, graph.edges, graph.loops)
-        assert [u.support for u in ideal.gens] == [tuple(sorted(c)) for c in covers]
-        assert len(monomials) == len(covers)
+        assert ideal.gens == tuple(tuple(sorted(c)) for c in covers)
 
     @settings(max_examples=200)
     @given(g=st.one_of(loop_graphs(max_n=14), graphs_led_by_the_last_vertex()),
@@ -244,9 +235,9 @@ class TestIntersectionRoute:
         # the answer is only sorted, so a non-minimal generator would show here
         ideal = cover_ideal_by_intersection(g)
         assert ideal == minimal_covers_bruteforce(g)
-        masks = data.draw(st.permutations([u.mask for u in ideal.gens]))
+        masks = data.draw(st.permutations(ideal.masks))
         trusted = MonomialIdeal._trusted(g.n, masks)
-        assert trusted == MonomialIdeal(g.n, (Monomial._make(g.n, m) for m in masks))
+        assert trusted == MonomialIdeal(g.n, map(_mask_indices, masks))
 
     def test_four_cycle_drops_a_product_holding_a_generator_with_s(self):
         # vertex 3's star step (S = {4}) turns x1x2 into x1x2x4, which
@@ -275,7 +266,7 @@ class TestIntersectionRoute:
                  for e in ((t + 1, t + 2), (t + 1, t + 3), (t + 2, t + 3))]
         ideal = cover_ideal_by_intersection(LoopGraph(24, edges))
         assert len(ideal.gens) == 3 ** 8
-        assert {u.degree for u in ideal.gens} == {16}
+        assert set(map(len, ideal.gens)) == {16}
 
 
 class TestKPrimeRoute:
@@ -293,11 +284,9 @@ class TestKPrimeRoute:
 
     def test_builds_only_the_returned_ideal(self, monkeypatch):
         built = count_ideal_builds(monkeypatch)
-        monomials = count_monomial_builds(monkeypatch)
         ideal = kprime_cover_ideal(five_center_spec())
-        assert built == [ideal] and monomials == []
-        assert [g.support for g in ideal.gens] == list(FIVE_CENTER_GENS)
-        assert len(monomials) == len(FIVE_CENTER_GENS)
+        assert built == [ideal]
+        assert ideal.gens == FIVE_CENTER_GENS
 
     def test_saturated_spec_is_principal(self):
         ideal = kprime_cover_ideal(five_center_spec(SATURATED_LOOPS))
@@ -317,7 +306,7 @@ class TestKPrimeRoute:
         spec = KPrimeSpec(alphas, loops)
         ideal = kprime_cover_ideal(spec)
         assert ideal.n == 100_000
-        assert {frozenset(g.support) for g in ideal.gens} == kprime_covers_from_intervals(
+        assert set(map(frozenset, ideal.gens)) == kprime_covers_from_intervals(
             alphas, loops
         )
         report = invariants(ideal, spec)
@@ -374,7 +363,7 @@ class TestRoutesReturnMinimalCanonicalSets:
     def test_closed_form(self, spec):
         ideal = kprime_cover_ideal(spec)
         assert MonomialIdeal(spec.n, ideal.gens) == ideal
-        assert set(map(frozenset, supports(ideal))) == kprime_covers_from_intervals(
+        assert set(map(frozenset, ideal.gens)) == kprime_covers_from_intervals(
             spec.alphas, spec.loops
         )
 
@@ -419,12 +408,12 @@ class TestMinPatrols:
         rng = random.Random(19)
         g = LoopGraph(20, [e for e in combinations(range(1, 21), 2) if rng.random() < 0.5], [7])
         ideal = cover_ideal_by_intersection(g)
-        monomials = count_monomial_builds(monkeypatch)
+        ideals = count_ideal_builds(monkeypatch)
         report = invariants(ideal, g)
         solution = min_patrols(ideal)
-        assert monomials == []
+        assert ideals == []
         assert report.route == "bounds-only" and len(ideal.masks) > 12
-        lowest = [u.support for u in ideal.gens if u.degree == solution.covering_number]
+        lowest = [u for u in ideal.gens if len(u) == solution.covering_number]
         assert list(solution.optimal_covers) == lowest
 
     def test_spec_invariants_and_patrols_build_no_ideal_or_monomial(self, monkeypatch):
@@ -433,12 +422,11 @@ class TestMinPatrols:
         spec = KPrimeSpec(five_center_spec().alphas)
         ideal = kprime_cover_ideal(spec)
         ideals = count_ideal_builds(monkeypatch)
-        monomials = count_monomial_builds(monkeypatch)
         report = invariants(ideal, spec)
         solution = min_patrols(spec)
-        assert ideals == [] and monomials == []
+        assert ideals == []
         assert report.route == "linear-quotients" and len(ideal.masks) == 5 and report.q == 1
-        lowest = [u.support for u in ideal.gens if u.degree == solution.covering_number]
+        lowest = [u for u in ideal.gens if len(u) == solution.covering_number]
         assert list(solution.optimal_covers) == lowest == [(3, 6, 8, 12)]
 
     @given(block_specs(max_n=40, max_loops=40))

@@ -38,7 +38,7 @@ TRIANGLE_IDEAL = ideal_of(3, (1, 2), (1, 3), (2, 3))
 
 
 def brute_h(ideal):
-    supports = [set(g.support) for g in ideal.gens]
+    supports = [set(g) for g in ideal.gens]
     for k in range(1, ideal.n + 1):
         for combo in combinations(range(1, ideal.n + 1), k):
             if all(set(combo) & s for s in supports):
@@ -72,17 +72,17 @@ class TestHOf:
         with pytest.raises(ValidationError):
             h_of(MonomialIdeal(3))
         with pytest.raises(ValidationError):
-            h_of(MonomialIdeal(3, [mono((), 3)]))
+            h_of(MonomialIdeal(3, [()]))
 
     def test_shared_variable_skips_the_guard(self):
         n = 40
-        gens = [mono((1, k), n) for k in range(2, 12)]
+        gens = [(1, k) for k in range(2, 12)]
         assert h_of(MonomialIdeal(n, gens)) == 1
 
     def test_guard_without_shared_variable(self):
         # 13 disjoint pairs: 26 occurring variables, one past the guard
         n = 30
-        ideal = MonomialIdeal(n, [mono((k, k + 1), n) for k in range(1, 27, 2)])
+        ideal = MonomialIdeal(n, [(k, k + 1) for k in range(1, 27, 2)])
         with pytest.raises(SizeGuardError, match="26 occurring variables > 25"):
             h_of(ideal)
 
@@ -107,8 +107,7 @@ class TestContextH:
         assert rep.route == "linear-quotients"
         assert rep.h == 2 and rep.dim == 43
         # every cover holds all centers but one, so two centers meet them all
-        pair = mono((6, 37), 45).mask
-        assert all(g.mask & pair for g in ideal.gens)
+        assert all({6, 37} & set(g) for g in ideal.gens)
 
     @settings(max_examples=200)
     @given(loop_graphs(max_n=14))
@@ -125,7 +124,7 @@ class TestContextH:
         # variable, and 27 variables occur
         edges = [(1, k) for k in range(2, 28)]
         g = LoopGraph(30, edges)
-        ideal = MonomialIdeal(30, [mono((1,), 30), mono(range(2, 28), 30)])
+        ideal = MonomialIdeal(30, [(1,), range(2, 28)])
         with pytest.raises(SizeGuardError):
             h_of(ideal)
         rep = invariants(ideal, g)
@@ -232,7 +231,7 @@ class TestLoopSaturation:
         payload = json.dumps(base.to_json_dict())
         report = cm_check_report(tmp_path, capsys, payload, base, (1, 3, 4))
         assert report["saturation"] == {"satisfied": True,
-                                        "witness": list(base.gens[0].support)}
+                                        "witness": list(base.gens[0])}
 
     def test_satisfied_implies_principal_looped_ideal(self, tmp_path, capsys):
         rng = random.Random(43)
@@ -240,7 +239,7 @@ class TestLoopSaturation:
         while hits < 12:
             spec = random_kprime(rng, n_hi=10, loop_p=0.0)
             base = kprime_cover_ideal(spec)
-            seed = set(rng.choice(base.gens).support)
+            seed = set(rng.choice(base.gens))
             extra = {v for v in range(1, spec.n + 1) if rng.random() < 0.2}
             looped = KPrimeSpec(spec.alphas, seed | extra)
             report = cm_check_report(tmp_path, capsys, spec_json(looped), base, looped.loops)

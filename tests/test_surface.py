@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "InvariantReport",
     "KPrimeSpec",
     "LoopGraph",
-    "Monomial",
     "MonomialIdeal",
     "OracleDisagreementError",
     "PatrolSolution",
@@ -57,7 +56,6 @@ PUBLIC_MEMBERS = {
     "InvariantReport": ["to_json_dict"],
     "KPrimeSpec": ["blocks", "m", "n", "sigma"],
     "LoopGraph": [],
-    "Monomial": ["compact", "degree", "support", "text"],
     "MonomialIdeal": [
         "compact", "gens", "is_principal", "is_zero", "max_degree", "text", "to_json_dict",
     ],
