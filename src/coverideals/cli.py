@@ -51,7 +51,7 @@ from .errors import (
 )
 from .graphs import KPrimeSpec, LoopGraph
 from .invariants import InvariantReport, invariants
-from .monomials import MonomialIdeal, _indices_mask, _mask_indices, _mask_text
+from .monomials import MonomialIdeal, _indices_mask, _mask_indices
 from .quotients import find_linear_order, resolution_shifts
 
 ROUTES = ("auto", "bruteforce", "intersection", "closed-form")
@@ -242,7 +242,7 @@ def run_linear_quotients(obj, args):
                   "ideal": _ideal_json(ideal, copies)}
         lines = [f"route: {route}", "linear quotients: none exist (all orders fail)"]
         return report, lines
-    shifts = resolution_shifts(cert, ideal)
+    shifts = resolution_shifts(cert)
     certificate = {"order": [_indices(u, copies) for u in cert.order], "q": cert.q, "linear": True,
                    "steps": [[i for g in s.gens for i in _indices(g, copies)] for s in cert.steps]}
     report = {"route": route, "certificate": certificate,
@@ -277,7 +277,7 @@ def run_cm_check(obj, args):
         # a mask, tested with "is not None": the unit witness 0 is falsy
         witness = next((w for w in base.masks if not w & outside), None)
         held = witness is not None
-        shown = held and _mask_text(witness, "")
+        shown = held and _compact(_mask_indices(witness), ())
         # with the input's own loops, the true base has a witness iff G - L
         # has no edge, iff J is principal; any other base is not the input's
         if (isinstance(obj, (LoopGraph, KPrimeSpec)) and set(loops) == set(obj.loops)
@@ -343,8 +343,9 @@ def run_oracle_verify(obj, args):
     }
     lines = [f"routes compared: {', '.join(results)}",
              f"agreement: {'yes' if agree else 'NO'}"]
-    for name, ideal in results.items():
-        lines.append(f"{name}: {ideal.compact()}")
+    # every route finds at least one minimal cover, so none prints the zero ideal
+    lines += [f"{name}: (" + ", ".join(_compact(g, ()) for g in ideal.gens) + ")"
+              for name, ideal in results.items()]
     if not agree:
         raise OracleDisagreementError("computation routes disagree", report=report)
     return report, lines

@@ -300,30 +300,27 @@ def kprime_cover_ideal(spec: KPrimeSpec) -> MonomialIdeal:
     return MonomialIdeal._trusted(spec.n, _kprime_candidate_masks(spec))
 
 
-def min_patrols(source) -> PatrolSolution:
+def min_patrols(source: KPrimeSpec | MonomialIdeal) -> PatrolSolution:
     """Minimum-size minimal covers: the supports of the lowest-degree
     generators of the ideal of vertex covers.
 
-    Accepts a LoopGraph, a KPrimeSpec, or a MonomialIdeal that already is an
-    ideal of vertex covers. A graph with nothing to cover yields covering
-    number 0 with the empty cover. A block spec's closed-form candidates are
-    its generators, so only those of the lowest degree are sorted; a graph's
-    or an ideal's are read off the canonical order's first degree.
+    Accepts a KPrimeSpec, or a MonomialIdeal that already is an ideal of
+    vertex covers; for a LoopGraph g, pass ``cover_ideal_by_intersection(g)``.
+    An ideal with nothing to cover, the unit ideal, yields covering number 0
+    with the empty cover. A block spec's closed-form candidates are its
+    generators, so only those of the lowest degree are sorted; an ideal's
+    are read off the canonical order's first degree.
     """
     if isinstance(source, KPrimeSpec):
         cands = _kprime_candidate_masks(source)
         best = min(map(int.bit_count, cands))
         lowest = _canonical(m for m in cands if m.bit_count() == best)
         return PatrolSolution(best, tuple(tuple(_mask_indices(m)) for m in lowest))
-    if isinstance(source, LoopGraph):
-        ideal = cover_ideal_by_intersection(source)
-    elif isinstance(source, MonomialIdeal):
-        ideal = source
-    else:
+    if not isinstance(source, MonomialIdeal):
         raise ValidationError(f"cannot compute patrols for {type(source).__name__}")
-    if ideal.is_zero:
+    if source.is_zero:
         raise ValidationError("the zero ideal covers nothing")
     # the canonical order puts the lowest degree first, ties by vertices
-    best = ideal.masks[0].bit_count()
-    lowest = takewhile(lambda m: m.bit_count() == best, ideal.masks)
+    best = source.masks[0].bit_count()
+    lowest = takewhile(lambda m: m.bit_count() == best, source.masks)
     return PatrolSolution(best, tuple(tuple(_mask_indices(m)) for m in lowest))

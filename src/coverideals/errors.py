@@ -6,7 +6,7 @@ class CoverIdealsError(Exception):
 
 
 class ValidationError(CoverIdealsError, ValueError):
-    """A value violates a structural invariant, or operands lie in different rings."""
+    """A value violates a structural invariant."""
 
 
 class SizeGuardError(CoverIdealsError):

@@ -5,6 +5,7 @@ graph with loop set L is x^L times that of G - L, the edges with no looped
 end. ``LoopGraph`` builds that normal form once, as ``open_edges``, and every
 graph route reads it. A ``KPrimeSpec`` reaches those routes unexpanded:
 they read its G - L off the blocks; ``expand_kprime`` is their reference.
+Counts and vertices must be ints: a float or a string is refused.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from collections.abc import Iterable
 from itertools import combinations
 
 from .errors import ValidationError
+from .monomials import _ints
 
 __all__ = ["LoopGraph", "KPrimeSpec", "expand_kprime"]
 
@@ -20,8 +22,7 @@ __all__ = ["LoopGraph", "KPrimeSpec", "expand_kprime"]
 def _loop_set(loops: Iterable[int], n: int) -> tuple[int, ...]:
     """The distinct loop vertices, ascending; each must lie in 1..n."""
     ls = set()
-    for k in loops:
-        k = int(k)
+    for k in _ints(loops):
         if not 1 <= k <= n:
             raise ValidationError(f"loop at {k} leaves the vertex range 1..{n}")
         ls.add(k)
@@ -40,14 +41,14 @@ class LoopGraph:
     __slots__ = ("n", "edges", "loops", "open_edges")
 
     def __init__(self, n: int, edges: Iterable = (), loops: Iterable[int] = ()):
-        n = int(n)
+        (n,) = _ints((n,))
         if n < 1:
             raise ValidationError("vertex count must be positive")
         es = set()
         for e in edges:
-            pair = tuple(map(int, e))
+            pair = _ints(e)
             if len(pair) != 2:
-                raise ValidationError(f"edge {pair} is not a pair of vertices")
+                raise ValidationError(f"edge {tuple(pair)} is not a pair of vertices")
             i, j = pair
             if i < j:
                 lo, hi = pair
@@ -92,7 +93,7 @@ class KPrimeSpec:
     __slots__ = ("alphas", "loops")
 
     def __init__(self, alphas: Iterable[int], loops: Iterable[int] = ()):
-        al = tuple(int(a) for a in alphas)
+        al = tuple(_ints(alphas))
         if len(al) < 2:
             raise ValidationError("at least two centers are required (m >= 2)")
         if al[0] < 1:
@@ -109,15 +110,6 @@ class KPrimeSpec:
     @property
     def m(self) -> int:
         return len(self.alphas)
-
-    def blocks(self) -> list[tuple[int, tuple[int, ...]]]:
-        """(center, block vertices) per block; the center is the block maximum."""
-        out = []
-        prev = 0
-        for a in self.alphas:
-            out.append((a, tuple(range(prev + 1, a + 1))))
-            prev = a
-        return out
 
     @property
     def sigma(self) -> int:
@@ -141,7 +133,7 @@ def expand_kprime(spec: KPrimeSpec) -> LoopGraph:
     """Materialize the block spec: a complete graph on the centers plus one
     star edge per non-center vertex to its block's center, loops verbatim."""
     edges = list(combinations(spec.alphas, 2))
-    for center, members in spec.blocks():
-        edges.extend((v, center) for v in members if v != center)
+    for prev, a in zip((0,) + spec.alphas, spec.alphas):
+        edges.extend((v, a) for v in range(prev + 1, a))
     return LoopGraph(spec.n, edges, spec.loops)
 

@@ -12,11 +12,13 @@ Divisibility, the colon reduction and the degree are ``a & ~b == 0``,
 ``MonomialIdeal`` holds the canonical tuple ``masks``, which every layer
 reads; generators cross the API as tuples of distinct 1-based indices, in
 and out (``gens``). A repeated index is refused: the CLI polarizes ideal
-JSON that repeats an index.
+JSON that repeats an index. Nothing here prints X-notation; the CLI
+renders generators itself.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Iterable
 
@@ -32,6 +34,15 @@ for _b in range(8):
     _REVERSED_BYTE += [r | 0x80 >> _b for r in _REVERSED_BYTE]
     _BYTE_BITS += [t + (_b + 1,) for t in _BYTE_BITS]
 _REVERSED_BYTE, _BYTE_BITS = bytes(_REVERSED_BYTE), tuple(_BYTE_BITS)
+
+
+def _ints(values: Iterable) -> list[int]:
+    """The values as ints by Python's integer protocol, so a float or a
+    string is refused, never truncated or parsed; a bool is 0 or 1."""
+    try:  # a display takes its list off the free list; list() allocates a new one
+        return [*map(operator.index, values)]
+    except TypeError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 def _indices_mask(indices: Iterable[int]) -> int:
@@ -51,7 +62,7 @@ def _support_mask(indices: Iterable[int], n: int) -> int:
     """The support mask of one squarefree generator in n variables, given
     as distinct 1-based indices; an index outside 1..n or a repeated one is
     refused."""
-    indices = [int(i) for i in indices]
+    indices = _ints(indices)
     if indices and (min(indices) < 1 or max(indices) > n):
         i = next(i for i in indices if not 1 <= i <= n)
         raise ValidationError(f"variable index {i} outside 1..{n}")
@@ -71,11 +82,6 @@ def _mask_indices(mask: int) -> list[int]:
         for b in _BYTE_BITS[data[at]]:
             out.append(base + b)
     return out
-
-
-def _mask_text(mask: int, sep: str = "*") -> str:
-    """X3*X5*X12 for sep "*"; the unit monomial prints as 1."""
-    return sep.join(f"X{i}" for i in _mask_indices(mask)) or "1"
 
 
 def _canonical(masks: Iterable[int]) -> list[int]:
@@ -110,15 +116,17 @@ class MonomialIdeal:
     ``masks`` is the tuple of their support masks in canonical order (degree
     ascending, then lexicographic on the index sequence); construction drops
     duplicates and generators divisible by another. ``gens`` gives each
-    generator as its ascending index tuple, the form the constructor takes.
-    An empty generating set is the zero ideal; the unit monomial, the empty
-    tuple, generates the whole ring.
+    generator as its ascending index tuple, the form the constructor takes,
+    and ``repr`` is the constructor call that rebuilds the ideal. n and the
+    indices are taken by Python's integer protocol: a float or a string is
+    refused, and a bool counts as 0 or 1. An empty generating set is the
+    zero ideal; the unit monomial, the empty tuple, generates the whole ring.
     """
 
     __slots__ = ("n", "masks")
 
     def __init__(self, n: int, gens: Iterable[Iterable[int]] = ()):
-        n = int(n)
+        (n,) = _ints((n,))
         if n < 1:
             raise ValidationError("ambient variable count must be positive")
         self.n, self.masks = n, _minimal_masks(_support_mask(g, n) for g in gens)
@@ -149,12 +157,6 @@ class MonomialIdeal:
             raise ValidationError("the zero ideal has no generator degrees")
         return max(m.bit_count() for m in self.masks)
 
-    def text(self) -> str:
-        return "(" + ", ".join(map(_mask_text, self.masks)) + ")" if self.masks else "(0)"
-
-    def compact(self) -> str:
-        return "(" + ", ".join(_mask_text(m, "") for m in self.masks) + ")" if self.masks else "(0)"
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "gens": [_mask_indices(m) for m in self.masks]}
 
@@ -169,4 +171,4 @@ class MonomialIdeal:
         return hash((self.n, self.masks))
 
     def __repr__(self) -> str:
-        return f"MonomialIdeal(n={self.n}, gens={self.text()})"
+        return f"MonomialIdeal(n={self.n}, gens={self.gens})"

@@ -56,13 +56,6 @@ class ResolutionShifts(namedtuple("ResolutionShifts", "levels")):
 
     __slots__ = ()
 
-    @property
-    def length(self) -> int:
-        return len(self.levels)
-
-    def betti(self, i: int) -> int:
-        return len(self.levels[i])
-
     def to_json_dict(self) -> dict:
         return {"shifts": [list(level) for level in self.levels]}
 

@@ -51,6 +51,13 @@ def edge_ideal(g):
     return polarized(g.n, [*g.edges, *((k, k) for k in g.loops)])
 
 
+def spec_blocks(spec):
+    """(center, block vertices) per block of a spec, read off its alphas:
+    block i is the interval (alpha_{i-1}, alpha_i], the center its maximum."""
+    return [(a, tuple(range(prev + 1, a + 1)))
+            for prev, a in zip((0,) + spec.alphas, spec.alphas)]
+
+
 def spec_json(spec):
     return json.dumps({"alphas": list(spec.alphas), "loops": list(spec.loops)})
 

@@ -244,7 +244,7 @@ def test_08_q_order_independence():
     for ideal in suite:
         assert len(ideal.gens) <= 7
         qs = exhaustive_linear_qs(ideal)
-        assert qs, f"no linear order found for {ideal.compact()}"
+        assert qs, f"no linear order found for {ideal.gens}"
         assert len(set(qs)) == 1
         assert set(qs) == {find_linear_order(ideal).q}
     print("criterion 8 (q order-independence, exhaustive permutations): PASS")

@@ -267,6 +267,15 @@ class TestOracleVerify:
         code, _ = run_cli(capsys, "oracle-verify", "--json", CITY_JSON)
         assert code == 1
 
+    def test_text_prints_each_route_in_x_notation(self, capsys):
+        code, out = run_cli(capsys, "oracle-verify", "--json", '{"n":4,"edges":[[1,2],[3,4]]}')
+        assert code == 0
+        assert out.splitlines()[2:] == ["intersection: (X1X3, X1X4, X2X3, X2X4)",
+                                        "bruteforce: (X1X3, X1X4, X2X3, X2X4)"]
+        # nothing to cover: every route gives the unit ideal
+        code, out = run_cli(capsys, "oracle-verify", "--json", '{"n":3,"edges":[]}')
+        assert code == 0 and out.splitlines()[2:] == ["intersection: (1)", "bruteforce: (1)"]
+
 
 class TestArgv:
     @pytest.mark.parametrize("argv", [

@@ -43,6 +43,7 @@ from helpers import (
     mono,
     random_kprime,
     random_loop_graph,
+    spec_blocks,
     three_center_spec,
 )
 
@@ -340,7 +341,7 @@ class TestLoopSaturatedBoundary:
             loopset = set(spec.loops)
             open_blocks = [
                 (center, set(members) - {center})
-                for center, members in spec.blocks()
+                for center, members in spec_blocks(spec)
                 if center not in loopset
             ]
             expect_principal = not open_blocks or (
@@ -436,7 +437,7 @@ class TestMinPatrols:
         assert min_patrols(spec) == min_patrols(kprime_cover_ideal(spec))
 
     def test_triangle(self):
-        solution = min_patrols(TRIANGLE)
+        solution = min_patrols(cover_ideal_by_intersection(TRIANGLE))
         assert solution.covering_number == 2
         assert list(solution.optimal_covers) == [(1, 2), (1, 3), (2, 3)]
 
@@ -446,7 +447,7 @@ class TestMinPatrols:
         assert list(solution.optimal_covers) == [SATURATED_GEN]
 
     def test_nothing_to_cover_signal(self):
-        solution = min_patrols(LoopGraph(3))
+        solution = min_patrols(cover_ideal_by_intersection(LoopGraph(3)))
         assert solution.covering_number == 0
         assert list(solution.optimal_covers) == [()]
 
@@ -459,6 +460,9 @@ class TestMinPatrols:
             min_patrols(ideal_of(3, (1, 1)))
         with pytest.raises(ValidationError):
             min_patrols("not a graph")
+        # a graph goes through a route first: min_patrols(cover_ideal_by_intersection(g))
+        with pytest.raises(ValidationError, match="^cannot compute patrols for LoopGraph$"):
+            min_patrols(TRIANGLE)
 
     def test_ties_are_all_reported_lexicographically(self):
         ideal = ideal_of(4, (2, 4), (1, 3), (1, 2, 4))

@@ -19,6 +19,7 @@ from helpers import (
     ideal_of,
     input_gens,
     random_kprime,
+    spec_blocks,
     three_center_spec,
 )
 
@@ -44,9 +45,12 @@ class TestLoopGraph:
         assert peak < 1 << 20
         assert g.open_edges == ()
 
-    def test_string_vertices_normalize(self):
-        assert LoopGraph(3, [("2", "1")], ["3"]) == LoopGraph(3, [(1, 2)], [3])
-        assert LoopGraph(3, [("1", "2")]).edges == ((1, 2),)
+    def test_string_vertices_are_refused(self):
+        # int() parsed these; the integer protocol refuses them
+        for build in (lambda: LoopGraph(3, [("2", "1")]), lambda: LoopGraph(3, [], ["3"]),
+                      lambda: LoopGraph("3"), lambda: KPrimeSpec(["1", "3"])):
+            with pytest.raises(ValidationError, match="'str' object cannot be interpreted"):
+                build()
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValidationError, match=r"^vertex count must be positive$"):
@@ -77,7 +81,7 @@ class TestLoopGraph:
 class TestKPrimeSpec:
     def test_blocks_and_sigma(self):
         spec = five_center_spec()
-        assert [b for _, b in spec.blocks()] == [
+        assert [b for _, b in spec_blocks(spec)] == [
             (1, 2, 3), (4, 5, 6), (7, 8), (9,), (10, 11, 12)
         ]
         assert spec.sigma == 3
@@ -128,7 +132,7 @@ class TestExpandKPrime:
             spec = random_kprime(rng)
             g = expand_kprime(spec)
             m = spec.m
-            want = m * (m - 1) // 2 + sum(len(b) - 1 for _, b in spec.blocks())
+            want = m * (m - 1) // 2 + sum(len(b) - 1 for _, b in spec_blocks(spec))
             assert len(g.edges) == want
             degree = {v: 0 for v in range(1, g.n + 1)}
             for i, j in g.edges:

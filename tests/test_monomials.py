@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverideals import MonomialIdeal, ValidationError, check_linear_quotients, cli
+from coverideals import (
+    KPrimeSpec,
+    LoopGraph,
+    MonomialIdeal,
+    ValidationError,
+    check_linear_quotients,
+    cli,
+)
 from coverideals.cli import classify_input
 from coverideals.monomials import _canonical, _mask_indices, _minimal_masks, _support_mask
 from helpers import (
@@ -138,9 +145,26 @@ class TestMonomial:
         with pytest.raises(ValidationError, match="index repeats"):
             MonomialIdeal(3, [(2,), (1, 1)])
 
-    def test_string_indices_normalize(self):
-        # as LoopGraph vertices do; the CLI admits only JSON integers
-        assert MonomialIdeal(3, [("2", "1")]) == ideal_of(3, (1, 2))
+    def test_string_indices_are_refused(self):
+        # as LoopGraph vertices are; the CLI admits only JSON integers
+        with pytest.raises(ValidationError, match="'str' object cannot be interpreted"):
+            MonomialIdeal(3, [("2", "1")])
+        with pytest.raises(ValidationError):
+            MonomialIdeal("3", [(1,)])
+
+    def test_constructors_refuse_floats_instead_of_truncating(self):
+        # int() truncated each of these: X1, n = 2, edge (1, 2), a loop at 2,
+        # centers (1, 3)
+        for build in (lambda: MonomialIdeal(3, [(1.9,)]), lambda: MonomialIdeal(2.5),
+                      lambda: LoopGraph(3, [(1.5, 2)]), lambda: LoopGraph(3, [], [2.0]),
+                      lambda: KPrimeSpec([1.5, 3])):
+            with pytest.raises(ValidationError, match="'float' object cannot be interpreted"):
+                build()
+
+    def test_bools_are_integers(self):
+        # Python's integer protocol admits them: True is index 1
+        ideal = MonomialIdeal(3, [(True, 2)])
+        assert ideal == ideal_of(3, (1, 2)) and type(ideal.gens[0][0]) is int
 
     def test_divides_basic(self):
         # a divides b iff a & ~b == 0
@@ -201,7 +225,7 @@ class TestMinimalize:
     def test_gens_stored_in_canonical_order(self):
         ideal = ideal_of(4, (1, 2, 3), (2, 4), (1, 4))
         assert ideal.gens == ((1, 4), (2, 4), (1, 2, 3))
-        assert ideal.compact() == "(X1X4, X2X4, X1X2X3)"
+        assert ideal_of(4, (2, 4), (1, 4), (1, 2, 3)).gens == ideal.gens
 
 
 class TestColon:
@@ -244,13 +268,20 @@ class TestColon:
 class TestMonomialIdeal:
     def test_zero_and_unit(self):
         zero = MonomialIdeal(3)
-        assert zero.is_zero and zero.text() == "(0)"
+        assert zero.is_zero and repr(zero) == "MonomialIdeal(n=3, gens=())"
         unit = MonomialIdeal(3, [(), [1]])
         assert unit.gens == ((),)
-        assert unit.text() == "(1)"
+        assert repr(unit) == "MonomialIdeal(n=3, gens=((),))"
 
     def test_text(self):
-        assert ideal_of(3, (1, 2), (1, 3)).text() == "(X1*X2, X1*X3)"
+        # the text form of an ideal is its repr, the constructor call
+        ideal = ideal_of(3, (1, 3), (1, 2))
+        assert repr(ideal) == "MonomialIdeal(n=3, gens=((1, 2), (1, 3)))"
+
+    @given(small_ideal())
+    def test_repr_round_trips_through_eval(self, ideal):
+        for i in (ideal, MonomialIdeal(ideal.n), MonomialIdeal(ideal.n, [()])):
+            assert eval(repr(i), {"MonomialIdeal": MonomialIdeal}) == i
 
     def test_json_round_trip_with_squares(self):
         ideal = ideal_of(4, (1, 2), (3, 4))

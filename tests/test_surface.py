@@ -54,15 +54,13 @@ PUBLIC_MEMBERS = {
     "CoverIdealsError": [],
     "InconclusiveError": [],
     "InvariantReport": ["to_json_dict"],
-    "KPrimeSpec": ["blocks", "m", "n", "sigma"],
+    "KPrimeSpec": ["m", "n", "sigma"],
     "LoopGraph": [],
-    "MonomialIdeal": [
-        "compact", "gens", "is_principal", "is_zero", "max_degree", "text", "to_json_dict",
-    ],
+    "MonomialIdeal": ["gens", "is_principal", "is_zero", "max_degree", "to_json_dict"],
     "OracleDisagreementError": [],
     "PatrolSolution": ["to_json_dict"],
     "QuotientCertificate": [],
-    "ResolutionShifts": ["betti", "length", "to_json_dict"],
+    "ResolutionShifts": ["to_json_dict"],
     "SizeGuardError": [],
     "ValidationError": [],
 }
