@@ -37,6 +37,7 @@ from itertools import chain
 
 from .covers import (
     _OUTPUT_LIMIT,
+    _spec_walk,
     cover_ideal_by_intersection,
     kprime_cover_ideal,
     min_patrols,
@@ -172,13 +173,17 @@ def classify_input(data):
     raise ValidationError("input JSON is not a graph, a block spec, or an ideal")
 
 
+def _closed_form(obj, route: str) -> bool:
+    return isinstance(obj, KPrimeSpec) and route in ("auto", "closed-form")
+
+
 def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int, ...]]:
     """Resolve the input to its ideal of vertex covers and copies, honoring the route."""
     if isinstance(obj, _IdealInput):
         if route != "auto":
             raise ValidationError("route overrides do not apply to ideal input")
         return obj.ideal, "ideal-input", obj.copies
-    if isinstance(obj, KPrimeSpec) and route in ("auto", "closed-form"):
+    if _closed_form(obj, route):
         return kprime_cover_ideal(obj), "closed-form", ()
     if route == "closed-form":
         raise ValidationError("the closed-form route requires a block-spec input")
@@ -188,8 +193,13 @@ def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int,
 
 
 def _printed_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int, ...]]:
-    ideal, route, copies = compute_cover_ideal(obj, route)
-    if route != "ideal-input" and (size := sum(m.bit_count() for m in ideal.masks)) > _OUTPUT_LIMIT:
+    # the closed form is sized off the spec's walk, before any mask is built
+    size = sum(degree for degree, _, _ in _spec_walk(obj)) if _closed_form(obj, route) else 0
+    if size <= _OUTPUT_LIMIT:
+        ideal, route, copies = compute_cover_ideal(obj, route)
+        if route in ("bruteforce", "intersection"):
+            size = sum(m.bit_count() for m in ideal.masks)
+    if size > _OUTPUT_LIMIT:
         raise SizeGuardError(f"the ideal holds {size} indices > {_OUTPUT_LIMIT}, too many to print")
     return ideal, route, copies
 
@@ -295,9 +305,12 @@ def run_cm_check(obj, args):
 
 def _resolve_loops(obj, args, n: int):
     if args.loops is not None:
-        try:
-            loops = [int(tok) for tok in args.loops.split(",") if tok.strip()]
-        except ValueError as exc:
+        tokens = [tok.strip() for tok in args.loops.split(",") if tok.strip()]
+        try:  # int() alone would also read "1_0", "+11" and non-ASCII digits
+            if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+                raise ValueError("only ASCII digits name a vertex")
+            loops = [int(tok) for tok in tokens]
+        except ValueError as exc:  # or past int()'s digit limit
             raise ValidationError(f"--loops must be a comma-separated integer list: {exc}")
         for k in loops:
             if not 1 <= k <= n:
@@ -309,15 +322,13 @@ def _resolve_loops(obj, args, n: int):
 
 
 def run_patrol(obj, args):
-    ideal, route, copies = compute_cover_ideal(obj, args.route)
-    if copies:  # a minimal generator holds a power
-        raise ValidationError("patrol selection needs a squarefree (vertex-cover) ideal")
-    # the optimal covers are the lowest-degree masks, first in canonical order
-    best = ideal.masks[0].bit_count() if ideal.masks else 0
-    if (size := best * sum(m.bit_count() == best for m in ideal.masks)) > _OUTPUT_LIMIT:
-        raise SizeGuardError(f"the optimal covers hold {size} indices > {_OUTPUT_LIMIT}, "
-                             "too many to print")
-    solution = min_patrols(ideal)
+    if _closed_form(obj, args.route):  # only the lowest-degree covers are built
+        solution, route = min_patrols(obj), "closed-form"
+    else:
+        ideal, route, copies = compute_cover_ideal(obj, args.route)
+        if copies:  # a minimal generator holds a power
+            raise ValidationError("patrol selection needs a squarefree (vertex-cover) ideal")
+        solution = min_patrols(ideal)
     report = {"route": route, "patrol": solution.to_json_dict()}
     lines = [
         f"route: {route}",

@@ -5,12 +5,14 @@ for the others: an exhaustive decision of every subset of the free vertices,
 evaluated bit-parallel on Python integers; an intersection of primes, where
 the loop primes (X_k) give the factor x^L and each connected component of
 G - L meets one star prime (X_v, x^S) per vertex, the meet of the edge
-primes (X_v, X_s) for s in S; and a closed-form candidate construction for
-complete-core-plus-stars graphs that never enumerates subsets. Both graph
-routes take a ``LoopGraph`` or a ``KPrimeSpec``: each applies its own guard,
-then reads G - L off ``LoopGraph.open_edges`` or off the spec, which is never
-expanded. Each route finds exactly the minimal covers, every loop vertex in
-each, and hands them as support masks to the ideal, which only sorts them.
+primes (X_v, X_s) for s in S; and a closed form for complete-core-plus-stars
+graphs, one ordered walk of the block spec. Both graph routes take a
+``LoopGraph`` or a ``KPrimeSpec``: each applies its own guard, then reads
+G - L off ``LoopGraph.open_edges`` or off the spec, which is never expanded.
+Each route finds exactly the minimal covers, every loop vertex in each, and
+hands them to the ideal as support masks in canonical order, neither
+minimalized nor sorted there: the graph routes sort with ``_canonical``, and
+the walk yields its covers in order, so no n-bit sort key is built.
 """
 
 from __future__ import annotations
@@ -49,10 +51,7 @@ class PatrolSolution(namedtuple("PatrolSolution", "covering_number optimal_cover
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "covering_number": self.covering_number,
-            "optimal_covers": [list(c) for c in self.optimal_covers],
-        }
+        return {**self._asdict(), "optimal_covers": [list(c) for c in self.optimal_covers]}
 
 
 def _guard_bruteforce(f: int) -> None:
@@ -162,7 +161,7 @@ def minimal_covers_bruteforce(g: LoopGraph | KPrimeSpec) -> MonomialIdeal:
     loop_mask = _indices_mask(g.loops)
     bits = [1 << (v - 1) for v in free]
     # subset s is the set bit at 1-based position s + 1 of the table
-    return MonomialIdeal._trusted(g.n, (
+    return MonomialIdeal._trusted(g.n, _canonical(
         loop_mask | sum(b for k, b in enumerate(bits) if (p - 1) >> k & 1)
         for p in _mask_indices(minimal)
     ))
@@ -258,46 +257,57 @@ def cover_ideal_by_intersection(g: LoopGraph | KPrimeSpec) -> MonomialIdeal:
                 if ends:
                     part = _star_step(part, v, ends)
         gens = [m | p for m in gens for p in part]
-    return MonomialIdeal._trusted(g.n, gens)
+    return MonomialIdeal._trusted(g.n, _canonical(gens))
 
 
-def _kprime_candidate_masks(spec: KPrimeSpec) -> list[int]:
-    """Candidate minimal covers of a complete-core-plus-stars graph, as masks.
+def _spec_walk(spec: KPrimeSpec) -> list[tuple[int, int, int | None]]:
+    """The closed form's minimal generators as (degree, tie key, prev), in
+    canonical order, read off the spec in O(m log |L|) with no n-bit integer.
 
     The core forces all centers but one into any cover, and a skipped center
-    forces its whole block in. That leaves exactly these candidates:
-
-    * all centers, plus every loop;
-    * per unlooped center a, all centers, loops and vertices of a's block,
-      less a itself.
-
-    Each block is the interval (prev, a], so an omit-one candidate is one OR
-    of n-bit masks and one XOR that clears its center's bit. An omit-one
-    candidate lacks its own center, so it divides no other; the all-centers
-    one is divisible, and left out, iff some unlooped center has every leaf
-    looped (a bare center counts), which bisection over the loops decides.
+    forces its block in. So with C the centers and L the loops, an unlooped
+    center a of block (prev, a] with u_a unlooped leaves has the omit-one
+    cover (C + L + block) - a, of degree |C + L| - 1 + u_a, and C + L is
+    minimal unless some u_a = 0. An equal-degree A precedes B iff the lowest
+    bit of A ^ B lies in A. Omit-one covers of equal degree share u: at u = 0
+    the larger center comes first (key -a), at u > 0 the lower block's first
+    leaf decides (key +a). C + L ties only u = 1 and comes last (key n + 1).
     """
     loops = spec.loops
-    centers_and_loops = _indices_mask(spec.alphas) | _indices_mask(loops)
-    cands = []
-    all_centers_minimal = True
-    prev = 0
+    size = len(set(spec.alphas).union(loops))  # |C + L|
+    walk, prev = [], 0
     for a in spec.alphas:
         # the loops in (prev, a), and whether a is one
         first, at = bisect_right(loops, prev), bisect_left(loops, a)
         if at == len(loops) or loops[at] != a:
-            all_centers_minimal &= at - first != a - prev - 1
-            block = ((1 << (a - prev)) - 1) << prev
-            cands.append((centers_and_loops | block) ^ 1 << (a - 1))
+            u = a - prev - 1 - (at - first)
+            walk.append((size - 1 + u, a if u else -a, prev))
         prev = a
-    if all_centers_minimal:
-        cands.append(centers_and_loops)
-    return cands
+    if all(degree >= size for degree, _, _ in walk):
+        walk.append((size, spec.n + 1, None))
+    walk.sort()
+    return walk
+
+
+def _walk_cover(cl: list[int], key: int, prev: int | None) -> tuple[int, ...]:
+    """A walk entry's cover as ascending indices, ``cl`` being C + L sorted:
+    an omit-one cover of center a swaps cl's part in (prev, a] for (prev, a)."""
+    if prev is None:
+        return tuple(cl)
+    a = abs(key)
+    return (*cl[:bisect_right(cl, prev)], *range(prev + 1, a), *cl[bisect_right(cl, a):])
 
 
 def kprime_cover_ideal(spec: KPrimeSpec) -> MonomialIdeal:
-    """Closed-form ideal of vertex covers for a block spec; no enumeration."""
-    return MonomialIdeal._trusted(spec.n, _kprime_candidate_masks(spec))
+    """Closed-form ideal of vertex covers for a block spec; no enumeration.
+    The walk's masks, in its canonical order: C + L, with an omit-one
+    cover's center cleared by one XOR and its leaves (prev, a) ORed in."""
+    base = _indices_mask(set(spec.alphas).union(spec.loops))
+    masks = []
+    for _, key, prev in _spec_walk(spec):
+        center = 0 if prev is None else 1 << (abs(key) - 1)
+        masks.append((base ^ center) | (center - (1 << prev)) if center else base)
+    return MonomialIdeal._trusted(spec.n, masks)
 
 
 def min_patrols(source: KPrimeSpec | MonomialIdeal) -> PatrolSolution:
@@ -307,20 +317,25 @@ def min_patrols(source: KPrimeSpec | MonomialIdeal) -> PatrolSolution:
     Accepts a KPrimeSpec, or a MonomialIdeal that already is an ideal of
     vertex covers; for a LoopGraph g, pass ``cover_ideal_by_intersection(g)``.
     An ideal with nothing to cover, the unit ideal, yields covering number 0
-    with the empty cover. A block spec's closed-form candidates are its
-    generators, so only those of the lowest degree are sorted; an ideal's
-    are read off the canonical order's first degree.
+    with the empty cover. Both read the lowest degree off the front of the
+    canonical order, an ideal's masks or a spec's walk, whose covers of that
+    degree alone are built, as index tuples, after the ``_OUTPUT_LIMIT`` guard.
     """
     if isinstance(source, KPrimeSpec):
-        cands = _kprime_candidate_masks(source)
-        best = min(map(int.bit_count, cands))
-        lowest = _canonical(m for m in cands if m.bit_count() == best)
-        return PatrolSolution(best, tuple(tuple(_mask_indices(m)) for m in lowest))
-    if not isinstance(source, MonomialIdeal):
+        walk = _spec_walk(source)
+        best = walk[0][0]
+        lowest = list(takewhile(lambda e: e[0] == best, walk))
+    elif not isinstance(source, MonomialIdeal):
         raise ValidationError(f"cannot compute patrols for {type(source).__name__}")
-    if source.is_zero:
+    elif source.is_zero:
         raise ValidationError("the zero ideal covers nothing")
-    # the canonical order puts the lowest degree first, ties by vertices
-    best = source.masks[0].bit_count()
-    lowest = takewhile(lambda m: m.bit_count() == best, source.masks)
+    else:
+        best = source.masks[0].bit_count()
+        lowest = list(takewhile(lambda m: m.bit_count() == best, source.masks))
+    if (size := best * len(lowest)) > _OUTPUT_LIMIT:
+        raise SizeGuardError(f"the optimal covers hold {size} indices > {_OUTPUT_LIMIT}, "
+                             "too many to print")
+    if isinstance(source, KPrimeSpec):
+        cl = sorted(set(source.alphas).union(source.loops))
+        return PatrolSolution(best, tuple(_walk_cover(cl, key, prev) for _, key, prev in lowest))
     return PatrolSolution(best, tuple(tuple(_mask_indices(m)) for m in lowest))

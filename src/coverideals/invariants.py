@@ -8,6 +8,12 @@ no certificate, step ideal or index tuple is built for it.
 Without one only dim and regularity bounds are reported, and the
 Cohen-Macaulay verdict is False when h = 1 (dim n - 1 needs pd 1, i.e. a
 principal ideal) and inconclusive otherwise rather than guessed.
+
+A block spec's ideal takes q off the spec's walk, with no colon step: G - L
+is split (unlooped centers a clique, unlooped leaves independent), so its
+complement is chordal, I(G - L) has a linear resolution (Fröberg, 1990) and
+R/J(G - L) is Cohen-Macaulay (Eagon–Reiner, JPAA 130, 1998). J = x^L J(G - L)
+with x^L in variables of its own, so pd = 2, or 1 when J is principal.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from functools import reduce
 from itertools import count
 from operator import and_, or_
 
+from .covers import _spec_walk
 from .errors import InconclusiveError, SizeGuardError, ValidationError
 from .graphs import KPrimeSpec, LoopGraph
 from .monomials import MonomialIdeal
@@ -44,18 +51,7 @@ class InvariantReport(namedtuple("InvariantReport", "n h dim route q pd depth re
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "h": self.h,
-            "dim": self.dim,
-            "route": self.route,
-            "q": self.q,
-            "pd": self.pd,
-            "depth": self.depth,
-            "reg": self.reg,
-            "reg_bounds": list(self.reg_bounds) if self.reg_bounds else None,
-            "cm": self.cm,
-        }
+        return {**self._asdict(), "reg_bounds": list(self.reg_bounds) if self.reg_bounds else None}
 
 
 def h_of(ideal: MonomialIdeal) -> int:
@@ -126,24 +122,31 @@ def invariants(
     with reg bounds (0, n - 1). Without an order only dim is exact, with
     regularity bounds from the block-spec context when one is supplied, and
     the ideal is not Cohen-Macaulay when h = 1. A graph or block-spec context
-    also fixes h by the loop rule, with no hitting-set search.
+    also fixes h by the loop rule, with no hitting-set search, and a block
+    spec whose walk matches the ideal (n, count, end degrees) fixes q.
     """
     if ideal.is_zero:
         raise ValidationError("invariants are undefined for the zero ideal")
     n = ideal.n
     h = _context_h(context) or h_of(ideal)
     dim = n - h
-    try:
-        decided = _linear_order_steps(ideal.masks)
-    except InconclusiveError:
-        decided = None
-    if decided is None:
-        return InvariantReport(
-            n=n, h=h, dim=dim, route="bounds-only",
-            reg_bounds=_context_reg_bounds(context), cm=False if h == 1 else None,
-        )
+    masks = ideal.masks
+    walk = _spec_walk(context) if isinstance(context, KPrimeSpec) and n == context.n else ()
+    if len(walk) == len(masks) and (walk[0][0], walk[-1][0]) == (
+            masks[0].bit_count(), masks[-1].bit_count()):
+        q = min(len(walk) - 1, 1)  # pd 2, or 1 when principal: see the module docstring
+    else:
+        try:
+            decided = _linear_order_steps(masks)
+        except InconclusiveError:
+            decided = None
+        if decided is None:
+            return InvariantReport(
+                n=n, h=h, dim=dim, route="bounds-only",
+                reg_bounds=_context_reg_bounds(context), cm=False if h == 1 else None,
+            )
+        q = max((v.bit_count() for v in decided[1]), default=0)
     principal = ideal.is_principal
-    q = max((v.bit_count() for v in decided[1]), default=0)
     pd = q + 1
     depth = n - pd
     return InvariantReport(

@@ -134,9 +134,10 @@ class MonomialIdeal:
     @classmethod
     def _trusted(cls, n: int, masks: Iterable[int]) -> MonomialIdeal:
         """Build from distinct squarefree masks in 1..n already known to be
-        a minimal generating set: they are only sorted into canonical order."""
+        a minimal generating set and already in canonical order: they are
+        neither minimalized nor sorted, so each caller orders its own."""
         ideal = object.__new__(cls)
-        ideal.n, ideal.masks = n, tuple(_canonical(masks))
+        ideal.n, ideal.masks = n, tuple(masks)
         return ideal
 
     @property
@@ -155,7 +156,7 @@ class MonomialIdeal:
     def max_degree(self) -> int:
         if self.is_zero:
             raise ValidationError("the zero ideal has no generator degrees")
-        return max(m.bit_count() for m in self.masks)
+        return self.masks[-1].bit_count()  # the canonical order ends at the largest
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "gens": [_mask_indices(m) for m in self.masks]}

@@ -181,6 +181,23 @@ class TestCmCheck:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("loops, witness", [
+        ("1_0,1_1", None),
+        ("١٠, +11", None),  # Arabic-Indic digits and a sign
+        (" 10 , 11 ,", "X10X11"),  # whitespace and an empty token are allowed
+    ])
+    def test_loops_take_only_ascii_digits(self, tmp_path, capsys, loops, witness):
+        path = tmp_path / "base.json"
+        path.write_text('{"n": 12, "gens": [[10, 11]]}', encoding="utf-8")
+        argv = ["cm-check", "--json", '{"n":12,"gens":[[10,11]]}', "--base-ideal", str(path),
+                "--loops", loops]
+        if witness is None:
+            assert run_error(capsys, *argv)[0] == 1
+        else:
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            assert out.splitlines()[-1] == f"loop saturation: satisfied, witness {witness}"
+
     def test_looped_ideal_without_linear_quotients_is_not_cm(self, capsys):
         # X1 divides both generators, so h = 1, and a non-principal ideal
         # has pd >= 2 > n - dim
@@ -599,8 +616,16 @@ class TestExitCodesAndDeterminism:
 
     def test_index_past_a_machine_word_is_exit_two(self, capsys):
         spec = json.dumps({"alphas": [1, 10**30]})
+        # the printed size is read off the spec before any mask is built
         code, err = run_error(capsys, "cover-ideal", "--json", spec)
+        assert code == 2 and err == (f"error: the ideal holds {10**30} indices > 1048576, "
+                                     "too many to print\n")
+        # cm-check builds the ideal, whose masks pass a machine word
+        code, err = run_error(capsys, "cm-check", "--json", spec)
         assert code == 2 and err == "error: out of memory; the input is too large\n"
+        # patrol builds no mask: the one lowest-degree cover is X(10^30)
+        code, report = run_json(capsys, "patrol", "--json", spec)
+        assert code == 0 and report["patrol"]["optimal_covers"] == [[10**30]]
 
     def test_byte_determinism(self, capsys):
         first = run_cli(capsys, "invariants", "--json", FIVE_CENTER_JSON,

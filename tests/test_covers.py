@@ -23,7 +23,7 @@ from coverideals import (
     minimal_covers_bruteforce,
 )
 from coverideals.covers import _spec_free_count, _spec_open_edges
-from coverideals.monomials import _mask_indices
+from coverideals.monomials import _canonical
 from helpers import (
     CITY_OPTIMUM,
     SATURATED_GEN,
@@ -230,15 +230,14 @@ class TestIntersectionRoute:
         assert ideal.gens == tuple(tuple(sorted(c)) for c in covers)
 
     @settings(max_examples=200)
-    @given(g=st.one_of(loop_graphs(max_n=14), graphs_led_by_the_last_vertex()),
-           data=st.data())
-    def test_equals_the_brute_force_route_without_a_second_minimalization(self, g, data):
-        # the answer is only sorted, so a non-minimal generator would show here
+    @given(g=st.one_of(loop_graphs(max_n=14), graphs_led_by_the_last_vertex()))
+    def test_equals_the_brute_force_route_without_a_second_minimalization(self, g):
+        # _trusted neither minimalizes nor sorts, so a non-minimal generator
+        # or one out of canonical order would show against the constructor
         ideal = cover_ideal_by_intersection(g)
         assert ideal == minimal_covers_bruteforce(g)
-        masks = data.draw(st.permutations(ideal.masks))
-        trusted = MonomialIdeal._trusted(g.n, masks)
-        assert trusted == MonomialIdeal(g.n, map(_mask_indices, masks))
+        assert ideal.masks == MonomialIdeal(g.n, ideal.gens).masks
+        assert list(ideal.masks) == _canonical(ideal.masks)
 
     def test_four_cycle_drops_a_product_holding_a_generator_with_s(self):
         # vertex 3's star step (S = {4}) turns x1x2 into x1x2x4, which
@@ -288,6 +287,23 @@ class TestKPrimeRoute:
         ideal = kprime_cover_ideal(five_center_spec())
         assert built == [ideal]
         assert ideal.gens == FIVE_CENTER_GENS
+
+    @settings(max_examples=300)
+    @given(block_specs(max_n=16, max_loops=16))
+    def test_walk_equals_brute_force(self, spec):
+        # brute force sorts its own masks, so this also holds the walk's order
+        assert kprime_cover_ideal(spec) == minimal_covers_bruteforce(spec)
+
+    @pytest.mark.parametrize("alphas, loops", [
+        ((1, 2, 3, 7), ()),  # u = 0 ties: three bare centers
+        ((2, 4, 6, 8), ()),  # u = 1 ties, then the all-centers cover last
+        ((1, 3, 4, 7, 9, 12, 13), (5, 10, 11)),  # u = 0, 1 and 2 ties at once
+        ((3, 6, 9, 12), (1, 4, 7, 10)),  # u = 1 ties after looped leaves
+        ((2, 4, 7, 9), (4, 9)),  # looped centers give no omit-one cover
+    ])
+    def test_walk_masks_are_in_canonical_order(self, alphas, loops):
+        masks = list(kprime_cover_ideal(KPrimeSpec(alphas, loops)).masks)
+        assert len(masks) > 2 and masks == _canonical(masks)
 
     def test_saturated_spec_is_principal(self):
         ideal = kprime_cover_ideal(five_center_spec(SATURATED_LOOPS))

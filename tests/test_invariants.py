@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -14,11 +15,14 @@ from coverideals import (
     SizeGuardError,
     ValidationError,
     cli,
+    check_linear_quotients,
     cover_ideal_by_intersection,
     h_of,
     invariants,
     kprime_cover_ideal,
+    quotients,
 )
+from coverideals.monomials import _indices_mask, _mask_indices
 from helpers import (
     BASE_COVER_GENS,
     SATURATED_LOOPS,
@@ -296,3 +300,52 @@ class TestRegBounds:
             rep = invariants(ideal, spec)
             lo, hi = rep.reg_bounds
             assert lo <= rep.reg <= hi
+
+
+class TestBlockSpecClosedForm:
+    """invariants(ideal, spec) reads q, pd and reg off the spec's walk: G - L
+    is split, so R/J is Cohen-Macaulay with pd 2, or pd 1 when principal."""
+
+    @settings(max_examples=300)
+    @given(block_specs(max_n=16, max_loops=16))
+    def test_matches_the_order_search_and_an_explicit_linear_order(self, spec):
+        ideal = kprime_cover_ideal(spec)
+        rep = invariants(ideal, spec)
+        assert rep.pd == (1 if ideal.is_principal else 2) and rep.cm == (rep.pd == rep.h)
+        # without a context the order search runs, and it agrees wherever it decides
+        searched = invariants(ideal)
+        if searched.route != "bounds-only":
+            assert rep._replace(reg_bounds=None) == searched._replace(reg_bounds=None)
+        # the generators inside C + L first, then the rest in canonical order:
+        # each later omit-one step is (X_a), a its omitted center
+        inside = _indices_mask(spec.alphas) | _indices_mask(spec.loops)
+        order = sorted(ideal.masks, key=lambda m: bool(m & ~inside))
+        cert = check_linear_quotients(ideal, [_mask_indices(m) for m in order])
+        assert cert.linear and cert.q == rep.q
+
+    def test_reaches_no_colon_step(self, monkeypatch):
+        steps = []
+
+        def counting_step(prefix, u):
+            steps.append(u)
+            return linear_step(prefix, u)
+
+        linear_step = quotients._linear_step
+        monkeypatch.setattr(quotients, "_linear_step", counting_step)
+        specs = [five_center_spec(), three_center_spec(), KPrimeSpec(range(2, 27, 2)),
+                 KPrimeSpec((2, 4, 5), (5,))]
+        reports = [block_spec_report(spec) for spec in specs]
+        assert steps == [] and {rep.route for rep in reports} == {"linear-quotients"}
+        invariants(kprime_cover_ideal(specs[0]))  # the general path still steps
+        assert steps
+
+    @pytest.mark.parametrize("m", [2, 13, 10**4])
+    def test_one_leaf_blocks_are_cohen_macaulay(self, m):
+        # the canonical order is not linear here, and past 12 generators the
+        # search is refused, yet the walk answers at once
+        spec = KPrimeSpec(range(2, 2 * m + 1, 2))
+        start = time.perf_counter()
+        rep = block_spec_report(spec)
+        assert time.perf_counter() - start < 1.0
+        assert (rep.route, rep.q, rep.pd, rep.h, rep.cm) == ("linear-quotients", 1, 2, 2, True)
+        assert rep.reg == m - 1 and rep.depth == 2 * m - 2
