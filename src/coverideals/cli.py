@@ -37,7 +37,6 @@ from itertools import chain
 
 from .covers import (
     _OUTPUT_LIMIT,
-    _spec_walk,
     cover_ideal_by_intersection,
     kprime_cover_ideal,
     min_patrols,
@@ -53,7 +52,7 @@ from .errors import (
 from .graphs import KPrimeSpec, LoopGraph
 from .invariants import InvariantReport, invariants
 from .monomials import MonomialIdeal, _indices_mask, _mask_indices
-from .quotients import find_linear_order, resolution_shifts
+from .quotients import _linear_certificate, find_linear_order, resolution_shifts
 
 ROUTES = ("auto", "bruteforce", "intersection", "closed-form")
 
@@ -194,7 +193,7 @@ def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int,
 
 def _printed_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int, ...]]:
     # the closed form is sized off the spec's walk, before any mask is built
-    size = sum(degree for degree, _, _ in _spec_walk(obj)) if _closed_form(obj, route) else 0
+    size = sum(degree for degree, _, _ in obj._walk) if _closed_form(obj, route) else 0
     if size <= _OUTPUT_LIMIT:
         ideal, route, copies = compute_cover_ideal(obj, route)
         if route in ("bruteforce", "intersection"):
@@ -244,9 +243,25 @@ def _fmt(value) -> str:
     return "-" if value is None else str(value)
 
 
+def _walk_certificate(spec: KPrimeSpec, ideal: MonomialIdeal):
+    """A linear order of a spec's cover ideal, whose masks every route gives
+    in walk order: the walk's order, with C + L (prev None) moved up to
+    second place. Each later omit-one cover's step is (X_a), a its center;
+    C + L's is the one unlooped leaf of the first cover, which then has u = 1."""
+    walk, masks = spec._walk, ideal.masks
+    chosen = list(range(len(walk)))
+    top = next((i for i, (_, _, prev) in enumerate(walk) if prev is None), 0)
+    if top > 1:
+        chosen.insert(1, chosen.pop(top))
+    steps = [masks[0] & ~masks[i] if walk[i][2] is None else 1 << (abs(walk[i][1]) - 1)
+             for i in chosen[1:]]
+    return _linear_certificate(ideal, chosen, steps)
+
+
 def run_linear_quotients(obj, args):
     ideal, route, copies = _printed_cover_ideal(obj, args.route)
-    cert = find_linear_order(ideal)
+    spec = isinstance(obj, KPrimeSpec)
+    cert = _walk_certificate(obj, ideal) if spec else find_linear_order(ideal)
     if cert is None:
         report = {"route": route, "linear": False, "verdict": "absence",
                   "ideal": _ideal_json(ideal, copies)}

@@ -6,9 +6,9 @@ evaluated bit-parallel on Python integers; an intersection of primes, where
 the loop primes (X_k) give the factor x^L and each connected component of
 G - L meets one star prime (X_v, x^S) per vertex, the meet of the edge
 primes (X_v, X_s) for s in S; and a closed form for complete-core-plus-stars
-graphs, one ordered walk of the block spec. Both graph routes take a
-``LoopGraph`` or a ``KPrimeSpec``: each applies its own guard, then reads
-G - L off ``LoopGraph.open_edges`` or off the spec, which is never expanded.
+graphs, read off the walk that a ``KPrimeSpec`` builds once. Both graph
+routes take a ``LoopGraph`` or a ``KPrimeSpec``: each applies its own guard,
+then reads G - L off ``LoopGraph.open_edges`` or off the spec, never expanded.
 Each route finds exactly the minimal covers, every loop vertex in each, and
 hands them to the ideal as support masks in canonical order, neither
 minimalized nor sorted there: the graph routes sort with ``_canonical``, and
@@ -17,7 +17,7 @@ the walk yields its covers in order, so no n-bit sort key is built.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import combinations, takewhile
 
@@ -42,6 +42,8 @@ BRUTE_FORCE_LIMIT = 25
 # a graph with n <= 25 has at most 8,748 minimal covers (Moon-Moser), so fits.
 # The CLI refuses to print a computed cover ideal holding more indices.
 _OUTPUT_LIMIT = 1 << 20
+# The closed form refuses generators * n past this many mask bits (512 MiB).
+_MASK_BITS_LIMIT = 1 << 32
 
 
 class PatrolSolution(namedtuple("PatrolSolution", "covering_number optimal_covers")):
@@ -63,21 +65,14 @@ def _guard_bruteforce(f: int) -> None:
 
 
 def _spec_free_count(spec: KPrimeSpec) -> int:
-    """The free vertex count f of ``expand_kprime(spec)``, read off the spec
-    in O(|L| + m log |L|) without building the graph. A leaf's one edge goes
-    to its center, so it is free iff both are unlooped; an unlooped center is
-    free iff another center or a leaf of its own block is unlooped."""
-    loops = spec.loops
-    looped = set(loops)
-    open_centers = sum(a not in looped for a in spec.alphas)
-    f = prev = 0
-    for a in spec.alphas:
-        if a not in looped:
-            # the leaves of block (prev, a] less the loops among them
-            leaves = a - prev - 1 - (bisect_left(loops, a) - bisect_right(loops, prev))
-            f += leaves + (leaves > 0 or open_centers > 1)
-        prev = a
-    return f
+    """The free vertex count f of ``expand_kprime(spec)``, read off the
+    walk's omit-one covers, one per unlooped center, of degree |C + L| - 1 + u
+    with u its unlooped leaves. A leaf's one edge goes to its center, so it
+    is free iff both are unlooped; an unlooped center is free iff another
+    center or a leaf of its own block is unlooped."""
+    size = len(spec._cl)
+    leaves = [degree - size + 1 for degree, _, prev in spec._walk if prev is not None]
+    return sum(u + (u > 0 or len(leaves) > 1) for u in leaves)
 
 
 def _spec_open_edges(spec: KPrimeSpec) -> list[tuple[int, int]]:
@@ -260,40 +255,11 @@ def cover_ideal_by_intersection(g: LoopGraph | KPrimeSpec) -> MonomialIdeal:
     return MonomialIdeal._trusted(g.n, _canonical(gens))
 
 
-def _spec_walk(spec: KPrimeSpec) -> list[tuple[int, int, int | None]]:
-    """The closed form's minimal generators as (degree, tie key, prev), in
-    canonical order, read off the spec in O(m log |L|) with no n-bit integer.
-
-    The core forces all centers but one into any cover, and a skipped center
-    forces its block in. So with C the centers and L the loops, an unlooped
-    center a of block (prev, a] with u_a unlooped leaves has the omit-one
-    cover (C + L + block) - a, of degree |C + L| - 1 + u_a, and C + L is
-    minimal unless some u_a = 0. An equal-degree A precedes B iff the lowest
-    bit of A ^ B lies in A. Omit-one covers of equal degree share u: at u = 0
-    the larger center comes first (key -a), at u > 0 the lower block's first
-    leaf decides (key +a). C + L ties only u = 1 and comes last (key n + 1).
-    """
-    loops = spec.loops
-    size = len(set(spec.alphas).union(loops))  # |C + L|
-    walk, prev = [], 0
-    for a in spec.alphas:
-        # the loops in (prev, a), and whether a is one
-        first, at = bisect_right(loops, prev), bisect_left(loops, a)
-        if at == len(loops) or loops[at] != a:
-            u = a - prev - 1 - (at - first)
-            walk.append((size - 1 + u, a if u else -a, prev))
-        prev = a
-    if all(degree >= size for degree, _, _ in walk):
-        walk.append((size, spec.n + 1, None))
-    walk.sort()
-    return walk
-
-
-def _walk_cover(cl: list[int], key: int, prev: int | None) -> tuple[int, ...]:
+def _walk_cover(cl: tuple[int, ...], key: int, prev: int | None) -> tuple[int, ...]:
     """A walk entry's cover as ascending indices, ``cl`` being C + L sorted:
     an omit-one cover of center a swaps cl's part in (prev, a] for (prev, a)."""
     if prev is None:
-        return tuple(cl)
+        return cl
     a = abs(key)
     return (*cl[:bisect_right(cl, prev)], *range(prev + 1, a), *cl[bisect_right(cl, a):])
 
@@ -301,10 +267,15 @@ def _walk_cover(cl: list[int], key: int, prev: int | None) -> tuple[int, ...]:
 def kprime_cover_ideal(spec: KPrimeSpec) -> MonomialIdeal:
     """Closed-form ideal of vertex covers for a block spec; no enumeration.
     The walk's masks, in its canonical order: C + L, with an omit-one
-    cover's center cleared by one XOR and its leaves (prev, a) ORed in."""
-    base = _indices_mask(set(spec.alphas).union(spec.loops))
+    cover's center cleared by one XOR and its leaves (prev, a) ORed in.
+    Their t * n bits are bounded by ``_MASK_BITS_LIMIT`` before any exists."""
+    t = len(spec._walk)
+    if t * spec.n > _MASK_BITS_LIMIT:
+        raise SizeGuardError(f"closed form refused for {t} generators x n={spec.n} > "
+                             f"{_MASK_BITS_LIMIT} mask bits")
+    base = _indices_mask(spec._cl)
     masks = []
-    for _, key, prev in _spec_walk(spec):
+    for _, key, prev in spec._walk:
         center = 0 if prev is None else 1 << (abs(key) - 1)
         masks.append((base ^ center) | (center - (1 << prev)) if center else base)
     return MonomialIdeal._trusted(spec.n, masks)
@@ -322,9 +293,8 @@ def min_patrols(source: KPrimeSpec | MonomialIdeal) -> PatrolSolution:
     degree alone are built, as index tuples, after the ``_OUTPUT_LIMIT`` guard.
     """
     if isinstance(source, KPrimeSpec):
-        walk = _spec_walk(source)
-        best = walk[0][0]
-        lowest = list(takewhile(lambda e: e[0] == best, walk))
+        best = source._walk[0][0]
+        lowest = list(takewhile(lambda e: e[0] == best, source._walk))
     elif not isinstance(source, MonomialIdeal):
         raise ValidationError(f"cannot compute patrols for {type(source).__name__}")
     elif source.is_zero:
@@ -336,6 +306,6 @@ def min_patrols(source: KPrimeSpec | MonomialIdeal) -> PatrolSolution:
         raise SizeGuardError(f"the optimal covers hold {size} indices > {_OUTPUT_LIMIT}, "
                              "too many to print")
     if isinstance(source, KPrimeSpec):
-        cl = sorted(set(source.alphas).union(source.loops))
-        return PatrolSolution(best, tuple(_walk_cover(cl, key, prev) for _, key, prev in lowest))
+        return PatrolSolution(best, tuple(_walk_cover(source._cl, key, prev)
+                                          for _, key, prev in lowest))
     return PatrolSolution(best, tuple(tuple(_mask_indices(m)) for m in lowest))

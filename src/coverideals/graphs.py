@@ -3,13 +3,15 @@
 A loop puts its vertex in every cover, so the ideal of vertex covers of a
 graph with loop set L is x^L times that of G - L, the edges with no looped
 end. ``LoopGraph`` builds that normal form once, as ``open_edges``, and every
-graph route reads it. A ``KPrimeSpec`` reaches those routes unexpanded:
-they read its G - L off the blocks; ``expand_kprime`` is their reference.
+graph route reads it; a ``KPrimeSpec`` builds its walk once, which every
+spec answer reads. A spec reaches the graph routes unexpanded: they read
+its G - L off the blocks; ``expand_kprime`` is their reference.
 Counts and vertices must be ints: a float or a string is refused.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
 from itertools import combinations
 
@@ -88,9 +90,22 @@ class KPrimeSpec:
     (alpha_{i-1}, alpha_i], so every non-center vertex is a leaf of the star
     whose center is its block's alpha; a block of size one is a bare center.
     Loops may sit on any vertex.
+
+    Construction also builds, once, the private ``_cl``, C + L (the centers
+    and loops) ascending, and ``_walk``, the minimal covers of the closed
+    form as (degree, tie key, prev) in canonical order, with one bisect per
+    center and no n-bit integer. The core forces all centers but one into any
+    cover, and a skipped center forces its block in. So an unlooped center
+    a of block (prev, a] with u_a unlooped leaves has the omit-one cover
+    (C + L + block) - a, of degree |C + L| - 1 + u_a, and C + L is minimal
+    unless some u_a = 0. An equal-degree A precedes B iff the lowest bit of
+    A ^ B lies in A. Omit-one covers of equal degree share u: at u = 0 the
+    larger center comes first (key -a), at u > 0 the lower block's first
+    leaf decides (key +a). C + L ties only u = 1 and comes last (key n + 1,
+    prev None).
     """
 
-    __slots__ = ("alphas", "loops")
+    __slots__ = ("alphas", "loops", "_cl", "_walk")
 
     def __init__(self, alphas: Iterable[int], loops: Iterable[int] = ()):
         al = tuple(_ints(alphas))
@@ -102,6 +117,18 @@ class KPrimeSpec:
             raise ValidationError(f"centers must be strictly increasing, got {al}")
         self.alphas = al
         self.loops = _loop_set(loops, al[-1])
+        looped = set(self.loops)
+        self._cl = cl = tuple(sorted(looped.union(al)))
+        walk, prev, before = [], 0, 0
+        for a in al:
+            leaves = a - bisect_right(cl, a)  # the vertices up to a outside C + L
+            if a not in looped:
+                u = leaves - before
+                walk.append((len(cl) - 1 + u, a if u else -a, prev))
+            prev, before = a, leaves
+        if all(degree >= len(cl) for degree, _, _ in walk):
+            walk.append((len(cl), al[-1] + 1, None))
+        self._walk = tuple(sorted(walk))
 
     @property
     def n(self) -> int:

@@ -9,7 +9,8 @@ Without one only dim and regularity bounds are reported, and the
 Cohen-Macaulay verdict is False when h = 1 (dim n - 1 needs pd 1, i.e. a
 principal ideal) and inconclusive otherwise rather than guessed.
 
-A block spec's ideal takes q off the spec's walk, with no colon step: G - L
+A block spec's ideal takes q off the walk that the spec built at
+construction (see ``KPrimeSpec``), with no colon step: G - L
 is split (unlooped centers a clique, unlooped leaves independent), so its
 complement is chordal, I(G - L) has a linear resolution (Fröberg, 1990) and
 R/J(G - L) is Cohen-Macaulay (Eagon–Reiner, JPAA 130, 1998). J = x^L J(G - L)
@@ -23,7 +24,6 @@ from functools import reduce
 from itertools import count
 from operator import and_, or_
 
-from .covers import _spec_walk
 from .errors import InconclusiveError, SizeGuardError, ValidationError
 from .graphs import KPrimeSpec, LoopGraph
 from .monomials import MonomialIdeal
@@ -131,7 +131,7 @@ def invariants(
     h = _context_h(context) or h_of(ideal)
     dim = n - h
     masks = ideal.masks
-    walk = _spec_walk(context) if isinstance(context, KPrimeSpec) and n == context.n else ()
+    walk = context._walk if isinstance(context, KPrimeSpec) and n == context.n else ()
     if len(walk) == len(masks) and (walk[0][0], walk[-1][0]) == (
             masks[0].bit_count(), masks[-1].bit_count()):
         q = min(len(walk) - 1, 1)  # pd 2, or 1 when principal: see the module docstring

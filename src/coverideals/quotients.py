@@ -10,7 +10,8 @@ degree-nondecreasing order (Jahan–Zheng, J. Combin. Theory Ser. A 117, 2010,
 Lemma 2.1), so the search only permutes generators within a degree class.
 One private decision on the canonical masks returns the chosen positions
 and step variable masks: ``find_linear_order`` builds its certificate from
-them, and ``invariants`` reads q off them with no ideal built.
+them, and ``invariants`` reads q off them with no ideal built. The CLI
+hands a block spec's order, read off its walk, to the same builder.
 ``check_linear_quotients`` evaluates any order. An order, given or
 returned, is a sequence of generators as ascending index tuples.
 """
@@ -191,9 +192,13 @@ def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
     passed: only its steps become ideals, and no order is checked twice.
     """
     decided = _linear_order_steps(ideal.masks)
-    if decided is None:
-        return None
-    chosen, step_masks = decided
+    return None if decided is None else _linear_certificate(ideal, *decided)
+
+
+def _linear_certificate(ideal: MonomialIdeal, chosen, step_masks) -> QuotientCertificate:
+    """The certificate of a linear order already decided: the positions of
+    its generators in ``ideal.masks``, and the variable mask of each step
+    after the first. Only the steps become ideals, one variable per bit."""
     order = tuple(tuple(_mask_indices(ideal.masks[i])) for i in chosen)
     steps = tuple(_variables_ideal(ideal.n, v) for v in step_masks)
     q = max((v.bit_count() for v in step_masks), default=0)

@@ -93,6 +93,21 @@ def count_ideal_builds(monkeypatch):
     return built
 
 
+def count_spec_walks(monkeypatch):
+    """The list to which every KPrimeSpec constructed from now on is
+    appended, for the rest of the test: construction is the one place
+    where a spec's walk is built."""
+    built = []
+    init = KPrimeSpec.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(KPrimeSpec, "__init__", recording_init)
+    return built
+
+
 # ---------------------------------------------------------------------------
 # golden inputs (block specs and generator lists used across the suite)
 

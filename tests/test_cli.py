@@ -23,6 +23,7 @@ from helpers import (
     FIVE_CENTER_ALPHAS,
     FIVE_CENTER_LOOPS,
     SATURATED_LOOPS,
+    count_spec_walks,
     ideal_of,
 )
 
@@ -116,6 +117,16 @@ class TestLinearQuotients:
         assert cert["linear"] is True and cert["q"] == 1
         assert cert["steps"] == [[6], [3]]
         assert report["resolution"]["shifts"] == [[5, 6, 7], [7, 8]]
+
+    def test_one_leaf_spec_past_the_search_limit(self, capsys):
+        # 14 generators, canonical order not linear: the order is read off
+        # the walk, so the 12-generator search cap never applies
+        spec = json.dumps({"alphas": list(range(2, 27, 2))})
+        code, out = run_cli(capsys, "linear-quotients", "--json", spec)
+        lines = out.splitlines()
+        assert code == 0 and lines[1:3] == ["linear quotients: yes", "q: 1"]
+        assert lines[4:6] == ["  X1X4X6X8X10X12X14X16X18X20X22X24X26",
+                              "  X2X4X6X8X10X12X14X16X18X20X22X24X26"]
 
     def test_absence_verdict(self, capsys):
         ideal_json = json.dumps({"n": 4, "gens": [[1, 2], [3, 4]]})
@@ -543,6 +554,24 @@ class TestExitCodesAndDeterminism:
         assert cli.main(["cover-ideal", "--json", '{"alphas": [1, 1000000]}']) == 0
         assert capsys.readouterr().out.startswith("route: closed-form\ngenerators (2):\n")
 
+    def test_closed_form_mask_budget_is_exit_two(self, capsys):
+        # 1,000 generators of 1,000 indices pass the print guard, but their
+        # masks at n = 10^8 would take 12.5 GB
+        spec = json.dumps({"alphas": list(range(1, 1001)) + [10**8], "loops": [10**8]})
+        start = time.perf_counter()
+        for verb in ("cover-ideal", "cm-check", "oracle-verify"):
+            code, err = run_error(capsys, verb, "--json", spec)
+            assert code == 2 and err == ("error: closed form refused for 1000 generators x "
+                                         "n=100000000 > 4294967296 mask bits\n")
+        assert time.perf_counter() - start < 1.0
+
+    def test_each_spec_is_walked_once(self, capsys, monkeypatch):
+        # the print guard, the closed form and invariants read one walk
+        built = count_spec_walks(monkeypatch)
+        assert cli.main(["invariants", "--json", FIVE_CENTER_JSON]) == 0
+        assert capsys.readouterr().out.startswith("route: closed-form / linear-quotients\n")
+        assert len(built) == 1
+
     def test_patrol_output_guard_is_exit_two(self, capsys):
         # 1,099 bare centers: each optimal cover omits one of them, so 1,099
         # covers of 1,099 indices, refused before any is transcribed
@@ -620,9 +649,10 @@ class TestExitCodesAndDeterminism:
         code, err = run_error(capsys, "cover-ideal", "--json", spec)
         assert code == 2 and err == (f"error: the ideal holds {10**30} indices > 1048576, "
                                      "too many to print\n")
-        # cm-check builds the ideal, whose masks pass a machine word
+        # cm-check would build the ideal, whose masks pass the mask budget
         code, err = run_error(capsys, "cm-check", "--json", spec)
-        assert code == 2 and err == "error: out of memory; the input is too large\n"
+        assert code == 2 and err == (f"error: closed form refused for 2 generators x n={10**30} "
+                                     "> 4294967296 mask bits\n")
         # patrol builds no mask: the one lowest-degree cover is X(10^30)
         code, report = run_json(capsys, "patrol", "--json", spec)
         assert code == 0 and report["patrol"]["optimal_covers"] == [[10**30]]

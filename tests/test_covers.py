@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coverideals
 from coverideals import (
     KPrimeSpec,
     LoopGraph,
@@ -22,7 +23,7 @@ from coverideals import (
     min_patrols,
     minimal_covers_bruteforce,
 )
-from coverideals.covers import _spec_free_count, _spec_open_edges
+from coverideals.covers import _MASK_BITS_LIMIT, _spec_free_count, _spec_open_edges
 from coverideals.monomials import _canonical
 from helpers import (
     CITY_OPTIMUM,
@@ -34,6 +35,7 @@ from helpers import (
     brute_minimal_covers,
     city_ideal,
     count_ideal_builds,
+    count_spec_walks,
     five_center_spec,
     ideal_of,
     is_minimal_cover,
@@ -304,6 +306,32 @@ class TestKPrimeRoute:
     def test_walk_masks_are_in_canonical_order(self, alphas, loops):
         masks = list(kprime_cover_ideal(KPrimeSpec(alphas, loops)).masks)
         assert len(masks) > 2 and masks == _canonical(masks)
+
+    def test_each_spec_is_walked_once(self, monkeypatch):
+        # the constructor builds the walk, and every spec reader takes the
+        # stored one: the closed form, invariants, patrols and the f guard
+        built = count_spec_walks(monkeypatch)
+        spec = five_center_spec()
+        ideal = kprime_cover_ideal(spec)
+        assert invariants(ideal, spec).route == "linear-quotients"
+        assert min_patrols(spec) == min_patrols(ideal)
+        assert minimal_covers_bruteforce(spec) == ideal
+        assert built == [spec] and len(spec._walk) == len(ideal.masks)
+        assert not any(hasattr(module, "_spec_walk") for module in vars(coverideals).values())
+
+    def test_mask_budget(self):
+        # 1,000 bare centers and a looped far center: 1,000 generators of
+        # 1,000 indices each pass the CLI's print guard, but at n = 10^8
+        # their masks would take 10^11 bits, refused before any is built
+        alphas = list(range(1, 1001))
+        spec = KPrimeSpec(alphas + [10**8], [10**8])
+        with pytest.raises(SizeGuardError) as refused:
+            kprime_cover_ideal(spec)
+        assert str(refused.value) == (f"closed form refused for 1000 generators x "
+                                      f"n=100000000 > {_MASK_BITS_LIMIT} mask bits")
+        # at n = 10^6 the same 1,000 masks take 10^9 bits and are built
+        twin = kprime_cover_ideal(KPrimeSpec(alphas + [10**6], [10**6]))
+        assert len(twin.masks) == 1000 and twin.masks[0].bit_count() == 1000
 
     def test_saturated_spec_is_principal(self):
         ideal = kprime_cover_ideal(five_center_spec(SATURATED_LOOPS))

@@ -17,6 +17,7 @@ from coverideals import (
     cli,
     check_linear_quotients,
     cover_ideal_by_intersection,
+    find_linear_order,
     h_of,
     invariants,
     kprime_cover_ideal,
@@ -322,6 +323,12 @@ class TestBlockSpecClosedForm:
         order = sorted(ideal.masks, key=lambda m: bool(m & ~inside))
         cert = check_linear_quotients(ideal, [_mask_indices(m) for m in order])
         assert cert.linear and cert.q == rep.q
+        # the CLI's certificate, read off the walk, is linear, and it is the
+        # order search's own (at most 10 generators here, so the search answers)
+        walked = cli._walk_certificate(spec, ideal)
+        checked = check_linear_quotients(ideal, walked.order)
+        assert checked.linear and checked.steps == walked.steps and walked.q == rep.q
+        assert walked == find_linear_order(ideal)
 
     def test_reaches_no_colon_step(self, monkeypatch):
         steps = []
