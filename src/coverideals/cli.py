@@ -17,6 +17,7 @@ Verbs:
 --opt=VALUE is --opt VALUE, and a later value wins. The input is a JSON object:
 a graph {"n": .., "edges": [[i,j], ..], "loops": [..]}, a block spec
 {"alphas": [..], "loops": [..]}, or a monomial ideal {"n": .., "gens": [[..], ..]}.
+Each call builds one report: --format json prints it, --format text a view of it.
 
 In ideal JSON a repeated index raises the exponent ([7, 7] is X7^2), and the
 squarefree library gets its polarization: X_i^a is X_i times a - 1 copies of
@@ -33,7 +34,8 @@ import json
 import sys
 from bisect import bisect_right
 from collections import Counter, namedtuple
-from itertools import chain
+from itertools import chain, groupby
+from json.encoder import encode_basestring_ascii
 
 from .covers import (
     _OUTPUT_LIMIT,
@@ -50,7 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import KPrimeSpec, LoopGraph
-from .invariants import InvariantReport, invariants
+from .invariants import InvariantReport, _spec_invariants, invariants
 from .monomials import MonomialIdeal, _indices_mask, _mask_indices
 from .quotients import _linear_certificate, find_linear_order, resolution_shifts
 
@@ -140,13 +142,12 @@ def _indices(g: tuple[int, ...], copies) -> list[int]:
     return [p - bisect_right(copies, p) for p in g]
 
 
-def _compact(g: tuple[int, ...], copies) -> str:
-    """The generator as X3X5X12 in the input's ring, a repeated X_i grouped
-    as X_i^a; the unit monomial prints as 1."""
-    if not copies:
-        return "".join(f"X{i}" for i in g) or "1"
-    return "".join(f"X{i}^{a}" if a > 1 else f"X{i}"
-                   for i, a in Counter(_indices(g, copies)).items())
+def _compact(ix: list[int]) -> str:
+    """A report's index list as X3X5X12; a repeated X_i, whose copies map
+    back next to each other, is grouped as X_i^a; the unit monomial is 1."""
+    if len(set(ix)) == len(ix):
+        return "".join(map("X{}".format, ix)) or "1"
+    return "".join(f"X{i}^{a}" if (a := len([*run])) > 1 else f"X{i}" for i, run in groupby(ix))
 
 
 def _ideal_json(ideal: MonomialIdeal, copies) -> dict:
@@ -215,28 +216,27 @@ def _invariants(obj, ideal: MonomialIdeal, copies) -> InvariantReport:
 
 def run_cover_ideal(obj, args):
     ideal, route, copies = _printed_cover_ideal(obj, args.route)
-    report = {"route": route, "ideal": _ideal_json(ideal, copies)}
-    lines = [f"route: {route}", f"generators ({len(ideal.masks)}):"]
-    lines += [f"  {_compact(g, copies)}" for g in ideal.gens] or ["  (zero ideal)"]
-    return report, lines
+    return {"route": route, "ideal": _ideal_json(ideal, copies)}
+
+
+def _cover_ideal_text(report):
+    gens = report["ideal"]["gens"]
+    return [f"route: {report['route']}", f"generators ({len(gens)}):",
+            *([f"  {_compact(g)}" for g in gens] or ["  (zero ideal)"])]
 
 
 def run_invariants(obj, args):
     ideal, route, copies = _printed_cover_ideal(obj, args.route)
-    rep = _invariants(obj, ideal, copies)
-    report = {"route": route, "invariants": rep.to_json_dict(),
-              "ideal": _ideal_json(ideal, copies)}
-    cm_text = "inconclusive" if rep.cm is None else str(rep.cm).lower()
-    lines = [
-        f"route: {route} / {rep.route}",
-        f"n: {rep.n}  h: {rep.h}  q: {_fmt(rep.q)}",
-        f"pd: {_fmt(rep.pd)}  depth: {_fmt(rep.depth)}  dim: {rep.dim}",
-        f"reg: {_fmt(rep.reg)}" + (
-            f"  (bounds {rep.reg_bounds[0]}..{rep.reg_bounds[1]})" if rep.reg_bounds else ""
-        ),
-        f"cohen_macaulay: {cm_text}",
-    ]
-    return report, lines
+    return {"route": route, "invariants": _invariants(obj, ideal, copies).to_json_dict(),
+            "ideal": _ideal_json(ideal, copies)}
+
+
+def _invariants_text(report):
+    rep, (route, cm) = report["invariants"], _cm_check_text(report)
+    bounds = rep["reg_bounds"] and "  (bounds {}..{})".format(*rep["reg_bounds"])
+    return [route, f"n: {rep['n']}  h: {rep['h']}  q: {_fmt(rep['q'])}",
+            f"pd: {_fmt(rep['pd'])}  depth: {_fmt(rep['depth'])}  dim: {rep['dim']}",
+            f"reg: {_fmt(rep['reg'])}{bounds or ''}", cm]
 
 
 def _fmt(value) -> str:
@@ -262,36 +262,38 @@ def run_linear_quotients(obj, args):
     ideal, route, copies = _printed_cover_ideal(obj, args.route)
     spec = isinstance(obj, KPrimeSpec)
     cert = _walk_certificate(obj, ideal) if spec else find_linear_order(ideal)
+    report = {"route": route, "ideal": _ideal_json(ideal, copies)}
     if cert is None:
-        report = {"route": route, "linear": False, "verdict": "absence",
-                  "ideal": _ideal_json(ideal, copies)}
-        lines = [f"route: {route}", "linear quotients: none exist (all orders fail)"]
-        return report, lines
-    shifts = resolution_shifts(cert)
-    certificate = {"order": [_indices(u, copies) for u in cert.order], "q": cert.q, "linear": True,
-                   "steps": [[i for g in s.gens for i in _indices(g, copies)] for s in cert.steps]}
-    report = {"route": route, "certificate": certificate,
-              "resolution": shifts.to_json_dict(), "ideal": _ideal_json(ideal, copies)}
-    lines = [f"route: {route}", "linear quotients: yes", f"q: {cert.q}", "order:"]
-    lines += [f"  {_compact(u, copies)}" for u in cert.order]
-    lines.append("steps:")
-    lines += ["  (" + ", ".join(_compact(g, copies) for g in s.gens) + ")" for s in cert.steps]
-    lines.append("resolution shifts:")
-    lines += [
-        f"  i={i}: " + " ".join(str(-s) for s in level)
-        for i, level in enumerate(shifts.levels)
-    ]
-    return report, lines
+        return {**report, "linear": False, "verdict": "absence"}
+    # each step is generated by variables, one index apiece
+    report["certificate"] = {
+        "order": [_indices(u, copies) for u in cert.order], "q": cert.q, "linear": True,
+        "steps": [[i for g in s.gens for i in _indices(g, copies)] for s in cert.steps]}
+    report["resolution"] = resolution_shifts(cert).to_json_dict()
+    return report
+
+
+def _linear_quotients_text(report):
+    cert, route = report.get("certificate"), f"route: {report['route']}"
+    if cert is None:
+        return [route, "linear quotients: none exist (all orders fail)"]
+    return [route, "linear quotients: yes", f"q: {cert['q']}", "order:",
+            *(f"  {_compact(u)}" for u in cert["order"]), "steps:",
+            *("  (" + ", ".join(map("X{}".format, s)) + ")" for s in cert["steps"]),
+            "resolution shifts:",
+            *(f"  i={i}: " + " ".join(str(-s) for s in level)
+              for i, level in enumerate(report["resolution"]["shifts"]))]
 
 
 def run_cm_check(obj, args):
     if args.loops is not None and args.base_ideal is None:
         raise ValidationError("--loops applies only to the saturation check; pass --base-ideal")
-    ideal, route, copies = compute_cover_ideal(obj, args.route)
-    rep = _invariants(obj, ideal, copies)
+    if _closed_form(obj, args.route):  # read off the spec's walk: no mask is built
+        rep, route = _spec_invariants(obj), "closed-form"
+    else:
+        ideal, route, copies = compute_cover_ideal(obj, args.route)
+        rep = _invariants(obj, ideal, copies)
     report = {"route": route, "invariants": rep.to_json_dict()}
-    cm_text = "inconclusive" if rep.cm is None else str(rep.cm).lower()
-    lines = [f"route: {route} / {rep.route}", f"cohen_macaulay: {cm_text}"]
     if args.base_ideal is not None:
         # once the loops hold a minimal cover w of the loopless base graph, the
         # loop set is the one minimal cover left: J is principal, hence CM;
@@ -302,20 +304,29 @@ def run_cm_check(obj, args):
         # a mask, tested with "is not None": the unit witness 0 is falsy
         witness = next((w for w in base.masks if not w & outside), None)
         held = witness is not None
-        shown = held and _compact(_mask_indices(witness), ())
+        shown = _mask_indices(witness) if held else None
         # with the input's own loops, the true base has a witness iff G - L
         # has no edge, iff J is principal; any other base is not the input's
         if (isinstance(obj, (LoopGraph, KPrimeSpec)) and set(loops) == set(obj.loops)
-                and held != ideal.is_principal):
-            found = f"the loops hold {shown}" if held else "no cover is in the loops"
+                and held != (rep.route == "principal")):
+            found = f"the loops hold {_compact(shown)}" if held else "no cover is in the loops"
             raise ValidationError("the base ideal is not the cover ideal of the input's "
                                   f"loopless graph: {found}, but G - L has "
                                   f"{'an' if held else 'no'} edge")
-        report["saturation"] = {"satisfied": held,
-                                "witness": _mask_indices(witness) if held else None}
-        lines.append(f"loop saturation: satisfied, witness {shown}" if held
-                     else "loop saturation: not satisfied")
-    return report, lines
+        report["saturation"] = {"satisfied": held, "witness": shown}
+    return report
+
+
+def _cm_check_text(report):
+    """The route and Cohen-Macaulay lines, then the saturation verdict if any."""
+    rep, saturation = report["invariants"], report.get("saturation")
+    cm = "inconclusive" if rep["cm"] is None else str(rep["cm"]).lower()
+    lines = [f"route: {report['route']} / {rep['route']}", f"cohen_macaulay: {cm}"]
+    if saturation:
+        witness = saturation["witness"]
+        lines.append("loop saturation: not satisfied" if witness is None
+                     else f"loop saturation: satisfied, witness {_compact(witness)}")
+    return lines
 
 
 def _resolve_loops(obj, args, n: int):
@@ -344,14 +355,14 @@ def run_patrol(obj, args):
         if copies:  # a minimal generator holds a power
             raise ValidationError("patrol selection needs a squarefree (vertex-cover) ideal")
         solution = min_patrols(ideal)
-    report = {"route": route, "patrol": solution.to_json_dict()}
-    lines = [
-        f"route: {route}",
-        f"covering number: {solution.covering_number}",
-        f"optimal covers ({len(solution.optimal_covers)}):",
-    ]
-    lines += ["  {" + ", ".join(map(str, c)) + "}" for c in solution.optimal_covers]
-    return report, lines
+    return {"route": route, "patrol": solution.to_json_dict()}
+
+
+def _patrol_text(report):
+    patrol = report["patrol"]
+    return [f"route: {report['route']}", f"covering number: {patrol['covering_number']}",
+            f"optimal covers ({len(patrol['optimal_covers'])}):",
+            *("  {" + ", ".join(map(str, c)) + "}" for c in patrol["optimal_covers"])]
 
 
 def run_oracle_verify(obj, args):
@@ -363,18 +374,20 @@ def run_oracle_verify(obj, args):
     results = {name: compute_cover_ideal(obj, name)[0] for name in routes}
     ideals = list(results.values())
     agree = all(i == ideals[0] for i in ideals)
-    report = {
-        "agree": agree,
-        "routes": {name: ideal.to_json_dict() for name, ideal in results.items()},
-    }
-    lines = [f"routes compared: {', '.join(results)}",
-             f"agreement: {'yes' if agree else 'NO'}"]
-    # every route finds at least one minimal cover, so none prints the zero ideal
-    lines += [f"{name}: (" + ", ".join(_compact(g, ()) for g in ideal.gens) + ")"
-              for name, ideal in results.items()]
+    report = {"agree": agree,
+              "routes": {name: ideal.to_json_dict() for name, ideal in results.items()}}
     if not agree:
         raise OracleDisagreementError("computation routes disagree", report=report)
-    return report, lines
+    return report
+
+
+def _oracle_verify_text(report):
+    routes = report["routes"]
+    # every route finds at least one minimal cover, so none prints the zero ideal
+    return [f"routes compared: {', '.join(routes)}",
+            f"agreement: {'yes' if report['agree'] else 'NO'}",
+            *(f"{name}: (" + ", ".join(map(_compact, ideal["gens"])) + ")"
+              for name, ideal in routes.items())]
 
 
 HANDLERS = {
@@ -385,12 +398,39 @@ HANDLERS = {
     "patrol": run_patrol,
     "oracle-verify": run_oracle_verify,
 }
+# verb: the lines of its text format, read off the report alone
+_TEXT = dict(zip(HANDLERS, (_cover_ideal_text, _invariants_text, _linear_quotients_text,
+                            _cm_check_text, _patrol_text, _oracle_verify_text)))
 
 
-def render(report: dict, lines: list[str], fmt: str) -> str:
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for dicts with str keys,
+    lists, tuples, strs, ints, bools and None. The stdlib's indented encoder
+    runs in pure Python; here a list of ints is one join and a str is escaped
+    in C."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind not in (dict, list, tuple):
+        return {None: "null", True: "true", False: "false"}[value]
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    if kind is dict:
+        items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    items = map(int.__repr__, value) if set(map(type, value)) == {int} else [
+        _json(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def render(verb: str, report: dict, fmt: str) -> str:
+    """The verb's report as JSON, or as the lines of its text format."""
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True)
-    return "\n".join(lines)
+        return _json(report)
+    return "\n".join(_TEXT[verb](report))
 
 
 _OPTIONS = {  # option: its attribute, the verbs that take it, its values (None: any)
@@ -430,11 +470,10 @@ def main(argv=None) -> int:
     try:
         verb, args = _parse_argv(argv)
         obj = classify_input(load_payload(args.input, args.json))
-        report, lines = HANDLERS[verb](obj, args)
-        output = render(report, lines, args.format)
+        output = render(verb, HANDLERS[verb](obj, args), args.format)
     except OracleDisagreementError as exc:
         if exc.report is not None:
-            print(render(exc.report, [], "json"))
+            print(render(verb, exc.report, "json"))
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (SizeGuardError, InconclusiveError) as exc:

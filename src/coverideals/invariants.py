@@ -9,8 +9,8 @@ Without one only dim and regularity bounds are reported, and the
 Cohen-Macaulay verdict is False when h = 1 (dim n - 1 needs pd 1, i.e. a
 principal ideal) and inconclusive otherwise rather than guessed.
 
-A block spec's ideal takes q off the walk that the spec built at
-construction (see ``KPrimeSpec``), with no colon step: G - L
+A block spec's report is read off the walk that the spec built at
+construction (see ``KPrimeSpec``), with no colon step and no mask: G - L
 is split (unlooped centers a clique, unlooped leaves independent), so its
 complement is chordal, I(G - L) has a linear resolution (Fröberg, 1990) and
 R/J(G - L) is Cohen-Macaulay (Eagon–Reiner, JPAA 130, 1998). J = x^L J(G - L)
@@ -123,35 +123,42 @@ def invariants(
     regularity bounds from the block-spec context when one is supplied, and
     the ideal is not Cohen-Macaulay when h = 1. A graph or block-spec context
     also fixes h by the loop rule, with no hitting-set search, and a block
-    spec whose walk matches the ideal (n, count, end degrees) fixes q.
+    spec whose walk matches the ideal (n, count, end degrees) fixes the rest.
     """
     if ideal.is_zero:
         raise ValidationError("invariants are undefined for the zero ideal")
-    n = ideal.n
-    h = _context_h(context) or h_of(ideal)
-    dim = n - h
-    masks = ideal.masks
+    n, masks = ideal.n, ideal.masks
     walk = context._walk if isinstance(context, KPrimeSpec) and n == context.n else ()
     if len(walk) == len(masks) and (walk[0][0], walk[-1][0]) == (
             masks[0].bit_count(), masks[-1].bit_count()):
-        q = min(len(walk) - 1, 1)  # pd 2, or 1 when principal: see the module docstring
-    else:
-        try:
-            decided = _linear_order_steps(masks)
-        except InconclusiveError:
-            decided = None
-        if decided is None:
-            return InvariantReport(
-                n=n, h=h, dim=dim, route="bounds-only",
-                reg_bounds=_context_reg_bounds(context), cm=False if h == 1 else None,
-            )
-        q = max((v.bit_count() for v in decided[1]), default=0)
-    principal = ideal.is_principal
+        return _spec_invariants(context)
+    h = _context_h(context) or h_of(ideal)
+    try:
+        decided = _linear_order_steps(masks)
+    except InconclusiveError:
+        decided = None
+    if decided is None:
+        return InvariantReport(
+            n=n, h=h, dim=n - h, route="bounds-only",
+            reg_bounds=_context_reg_bounds(context), cm=False if h == 1 else None,
+        )
+    q = max((v.bit_count() for v in decided[1]), default=0)
+    return _exact_report(n, h, q, ideal.max_degree - 1, context)
+
+
+def _spec_invariants(spec: KPrimeSpec) -> InvariantReport:
+    """The report on a block spec's cover ideal, read off the spec's walk
+    with no mask built: h by the loop rule, q = 0 for one generator and
+    else 1 (see the module docstring), reg from the last, largest degree."""
+    walk = spec._walk
+    return _exact_report(spec.n, _context_h(spec), min(len(walk) - 1, 1), walk[-1][0] - 1, spec)
+
+
+def _exact_report(n: int, h: int, q: int, reg: int, context) -> InvariantReport:
+    """The report of a linear order with largest step q: principal iff q = 0."""
     pd = q + 1
-    depth = n - pd
     return InvariantReport(
-        n=n, h=h, dim=dim, route="principal" if principal else "linear-quotients",
-        q=q, pd=pd, depth=depth, reg=ideal.max_degree - 1,
-        reg_bounds=(0, n - 1) if principal else _context_reg_bounds(context),
-        cm=depth == dim,
+        n=n, h=h, dim=n - h, route="linear-quotients" if q else "principal",
+        q=q, pd=pd, depth=n - pd, reg=reg,
+        reg_bounds=_context_reg_bounds(context) if q else (0, n - 1), cm=pd == h,
     )

@@ -4,9 +4,11 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,7 @@ CITY_JSON = json.dumps({"n": CITY_N, "gens": [list(g) for g in CITY_GENS]})
 SATURATED_JSON = json.dumps({"alphas": list(FIVE_CENTER_ALPHAS), "loops": list(SATURATED_LOOPS)})
 SEARCHED_SPEC_JSON = '{"alphas":[2,4,5],"loops":[5]}'  # the canonical order fails
 POWERS_JSON = '{"n":4,"gens":[[1,1],[1,2],[1,3],[1,4]]}'
+DISJOINT_PAIRS_JSON = '{"n":4,"gens":[[1,2],[3,4]]}'  # no linear order
 BASE_IDEAL_JSON = json.dumps(ideal_of(12, *BASE_COVER_GENS).to_json_dict())
 
 
@@ -473,6 +476,59 @@ class TestRegBoundsOnIdealJson:
                 assert lo <= inv["reg"] <= hi
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestOneReportPerCall:
+    @settings(max_examples=300)
+    @given(_JSON_VALUES)
+    @example({"kéy \"q\"\n\x00": [True, False, None, 2**64 + 1, -(2**70)], "": {}, "a": ()})
+    @example([[], {}, [[1, 2], []], ("x \U0001f600",)])
+    def test_writer_equals_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_json_format_transcribes_each_generator_once(self, capsys, monkeypatch):
+        # each of the 5-path's 4 minimal covers becomes indices once, for the
+        # report, and no X-notation is built for JSON
+        calls = []
+
+        def counted(mask, original=cli._mask_indices):
+            calls.append(mask)
+            return original(mask)
+
+        for module in (cli, covers, coverideals.monomials, coverideals.quotients):
+            monkeypatch.setattr(module, "_mask_indices", counted)
+        monkeypatch.setattr(cli, "_compact", lambda ix: pytest.fail("X-notation built"))
+        path = '{"n":5,"edges":[[1,2],[2,3],[3,4],[4,5]]}'
+        code, report = run_json(capsys, "cover-ideal", "--json", path)
+        assert code == 0 and len(report["ideal"]["gens"]) == 4 and len(calls) == 4
+
+    def test_text_format_never_reaches_the_writer(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_json", lambda *a: pytest.fail("JSON written for text"))
+        code, out = run_cli(capsys, "linear-quotients", "--json", FIVE_CENTER_JSON)
+        assert code == 0 and out.startswith("route: closed-form\nlinear quotients: yes\n")
+
+    def test_cm_check_on_a_spec_builds_no_mask(self, capsys):
+        # m = 3,000 centers over n = 10^6 (23 KB): the closed form's masks
+        # would take 375 MB; the answer is read off the spec's walk
+        rng = random.Random(24)
+        spec = json.dumps({"alphas": sorted(rng.sample(range(1, 10**6), 2999)) + [10**6]})
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, "cm-check", "--json", spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out == ("route: closed-form / linear-quotients\n"
+                                     "cohen_macaulay: true\n")
+        assert peak < 20 * 2**20
+
+
 class TestExitCodesAndDeterminism:
     def test_validation_error_is_exit_one(self, capsys):
         assert cli.main(["invariants", "--json", '{"bogus": 1}']) == 1
@@ -559,10 +615,13 @@ class TestExitCodesAndDeterminism:
         # masks at n = 10^8 would take 12.5 GB
         spec = json.dumps({"alphas": list(range(1, 1001)) + [10**8], "loops": [10**8]})
         start = time.perf_counter()
-        for verb in ("cover-ideal", "cm-check", "oracle-verify"):
+        for verb in ("cover-ideal", "oracle-verify"):
             code, err = run_error(capsys, verb, "--json", spec)
             assert code == 2 and err == ("error: closed form refused for 1000 generators x "
                                          "n=100000000 > 4294967296 mask bits\n")
+        # cm-check reads its answer off the spec's walk and builds no mask
+        code, out = run_cli(capsys, "cm-check", "--json", spec)
+        assert code == 0 and out.endswith("\ncohen_macaulay: false\n")
         assert time.perf_counter() - start < 1.0
 
     def test_each_spec_is_walked_once(self, capsys, monkeypatch):
@@ -649,10 +708,9 @@ class TestExitCodesAndDeterminism:
         code, err = run_error(capsys, "cover-ideal", "--json", spec)
         assert code == 2 and err == (f"error: the ideal holds {10**30} indices > 1048576, "
                                      "too many to print\n")
-        # cm-check would build the ideal, whose masks pass the mask budget
-        code, err = run_error(capsys, "cm-check", "--json", spec)
-        assert code == 2 and err == (f"error: closed form refused for 2 generators x n={10**30} "
-                                     "> 4294967296 mask bits\n")
+        # cm-check reads its answer off the spec's walk and builds no mask
+        code, report = run_json(capsys, "cm-check", "--json", spec)
+        assert code == 0 and report["invariants"]["cm"] is True
         # patrol builds no mask: the one lowest-degree cover is X(10^30)
         code, report = run_json(capsys, "patrol", "--json", spec)
         assert code == 0 and report["patrol"]["optimal_covers"] == [[10**30]]
@@ -905,6 +963,145 @@ GOLDEN_STDOUT = [
          "route": "closed-form",
          "saturation": {"satisfied": False, "witness": None}},
         "--base-ideal", BASE_IDEAL_FILE,
+    ),
+    (
+        "triangle",
+        TRIANGLE_JSON,
+        "cm-check",
+        "route: intersection / linear-quotients\n"
+        "cohen_macaulay: true\n",
+        {"invariants": {"cm": True,
+                        "depth": 1,
+                        "dim": 1,
+                        "h": 2,
+                        "n": 3,
+                        "pd": 2,
+                        "q": 1,
+                        "reg": 1,
+                        "reg_bounds": None,
+                        "route": "linear-quotients"},
+         "route": "intersection"},
+    ),
+    (
+        "zero-ideal",
+        '{"n":3,"gens":[]}',
+        "cover-ideal",
+        "route: ideal-input\n"
+        "generators (0):\n"
+        "  (zero ideal)\n",
+        {"ideal": {"gens": [], "n": 3}, "route": "ideal-input"},
+    ),
+    (
+        "powers",
+        POWERS_JSON,
+        "cover-ideal",
+        "route: ideal-input\n"
+        "generators (4):\n"
+        "  X1^2\n"
+        "  X1X2\n"
+        "  X1X3\n"
+        "  X1X4\n",
+        {"ideal": {"gens": [[1, 1], [1, 2], [1, 3], [1, 4]], "n": 4}, "route": "ideal-input"},
+    ),
+    (
+        "five-center",
+        FIVE_CENTER_JSON,
+        "cover-ideal",
+        "route: closed-form\n"
+        "generators (3):\n"
+        "  X3X5X6X8X12\n"
+        "  X3X4X5X8X9X12\n"
+        "  X1X2X5X6X8X9X12\n",
+        {"ideal": {"gens": [[3, 5, 6, 8, 12], [3, 4, 5, 8, 9, 12], [1, 2, 5, 6, 8, 9, 12]],
+                   "n": 12},
+         "route": "closed-form"},
+    ),
+    (
+        # (X1X2) : X3X4 = (X1X2) is not generated by variables, nor the reverse
+        "disjoint-pairs",
+        DISJOINT_PAIRS_JSON,
+        "linear-quotients",
+        "route: ideal-input\n"
+        "linear quotients: none exist (all orders fail)\n",
+        {"ideal": {"gens": [[1, 2], [3, 4]], "n": 4},
+         "linear": False,
+         "route": "ideal-input",
+         "verdict": "absence"},
+    ),
+    (
+        "disjoint-pairs",
+        DISJOINT_PAIRS_JSON,
+        "invariants",
+        "route: ideal-input / bounds-only\n"
+        "n: 4  h: 2  q: -\n"
+        "pd: -  depth: -  dim: 2\n"
+        "reg: -\n"
+        "cohen_macaulay: inconclusive\n",
+        {"ideal": {"gens": [[1, 2], [3, 4]], "n": 4},
+         "invariants": {"cm": None,
+                        "depth": None,
+                        "dim": 2,
+                        "h": 2,
+                        "n": 4,
+                        "pd": None,
+                        "q": None,
+                        "reg": None,
+                        "reg_bounds": None,
+                        "route": "bounds-only"},
+         "route": "ideal-input"},
+    ),
+    (
+        "triangle",
+        TRIANGLE_JSON,
+        "patrol",
+        "route: intersection\n"
+        "covering number: 2\n"
+        "optimal covers (3):\n"
+        "  {1, 2}\n"
+        "  {1, 3}\n"
+        "  {2, 3}\n",
+        {"patrol": {"covering_number": 2, "optimal_covers": [[1, 2], [1, 3], [2, 3]]},
+         "route": "intersection"},
+    ),
+    (
+        "five-center",
+        FIVE_CENTER_JSON,
+        "patrol",
+        "route: closed-form\n"
+        "covering number: 5\n"
+        "optimal covers (1):\n"
+        "  {3, 5, 6, 8, 12}\n",
+        {"patrol": {"covering_number": 5, "optimal_covers": [[3, 5, 6, 8, 12]]},
+         "route": "closed-form"},
+    ),
+    (
+        "five-center",
+        FIVE_CENTER_JSON,
+        "oracle-verify",
+        "routes compared: closed-form, intersection, bruteforce\n"
+        "agreement: yes\n"
+        "closed-form: (X3X5X6X8X12, X3X4X5X8X9X12, X1X2X5X6X8X9X12)\n"
+        "intersection: (X3X5X6X8X12, X3X4X5X8X9X12, X1X2X5X6X8X9X12)\n"
+        "bruteforce: (X3X5X6X8X12, X3X4X5X8X9X12, X1X2X5X6X8X9X12)\n",
+        {"agree": True,
+         "routes": {name: {"gens": [[3, 5, 6, 8, 12],
+                                    [3, 4, 5, 8, 9, 12],
+                                    [1, 2, 5, 6, 8, 9, 12]],
+                           "n": 12}
+                    for name in ("bruteforce", "closed-form", "intersection")}},
+    ),
+    (
+        # nothing to cover: the unit ideal, whose one generator is empty
+        "edgeless",
+        '{"n":3,"edges":[]}',
+        "oracle-verify",
+        "routes compared: intersection, bruteforce\n"
+        "agreement: yes\n"
+        "intersection: (1)\n"
+        "bruteforce: (1)\n",
+        {"agree": True,
+         "routes": {"bruteforce": {"gens": [[]], "n": 3},
+                    "intersection": {"gens": [[]], "n": 3}}},
     ),
 ]
 

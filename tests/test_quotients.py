@@ -69,7 +69,7 @@ class TestCanonicalOrder:
         # polarized, X1^2 is X1 times its copy, the new X2, ahead of X1X3
         ideal, copies = polarized(2, [(1, 2), (1, 1)])
         assert ideal.gens[0] == (1, 2)
-        assert [cli._compact(u, copies) for u in ideal.gens] == ["X1^2", "X1X2"]
+        assert [cli._compact(cli._indices(u, copies)) for u in ideal.gens] == ["X1^2", "X1X2"]
 
 
 class TestCheckLinearQuotients:
