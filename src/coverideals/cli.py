@@ -34,8 +34,10 @@ import json
 import sys
 from bisect import bisect_right
 from collections import Counter, namedtuple
+from functools import reduce
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
+from operator import or_
 
 from .covers import (
     _OUTPUT_LIMIT,
@@ -53,7 +55,7 @@ from .errors import (
 )
 from .graphs import KPrimeSpec, LoopGraph
 from .invariants import InvariantReport, _spec_invariants, invariants
-from .monomials import MonomialIdeal, _indices_mask, _mask_indices
+from .monomials import MonomialIdeal, _indices_mask, _mask_indices, _support_mask
 from .quotients import _linear_certificate, find_linear_order, resolution_shifts
 
 ROUTES = ("auto", "bruteforce", "intersection", "closed-form")
@@ -112,26 +114,33 @@ def _ideal_from_json(data, polarize: bool = False) -> _IdealInput:
     n, gens = data["n"], data["gens"]
     try:
         return _IdealInput(MonomialIdeal(n, gens), ())
-    except ValidationError:  # a repeated index, or an error raised again below
-        if not polarize:
+    except ValidationError:  # a repeated index, n < 1, or an error raised again below
+        if not polarize or n < 1:
             raise
-    MonomialIdeal(n, [dict.fromkeys(ix) for ix in gens])  # every other check, in the same order
+    for ix in gens:  # every other check, in the same order
+        _support_mask(dict.fromkeys(ix), n)
     index_lists, copies = _polarize(n, gens)
     ideal = MonomialIdeal(n + len(copies), index_lists)
-    # again from the minimal generators alone: each copy left is held by one
-    index_lists, copies = _polarize(n, [_indices(g, copies) for g in ideal.gens])
-    return _IdealInput(MonomialIdeal(n + len(copies), index_lists), copies)
+    # drop each copy that no minimal generator holds: the positions above it
+    # move down one, which keeps the generators minimal and in canonical order
+    held, copy_mask = reduce(or_, ideal.masks), _indices_mask(copies)
+    if dropped := _mask_indices(copy_mask & ~held):
+        copies = tuple(_indices(_mask_indices(copy_mask & held), dropped))
+        ideal = MonomialIdeal._trusted(n + len(copies), [
+            _indices_mask(_indices(_mask_indices(m), dropped)) for m in ideal.masks])
+    return _IdealInput(ideal, copies)
 
 
 def _polarize(n: int, index_lists) -> tuple[list[list[int]], tuple[int, ...]]:
     """Distinct index lists in 1..n + len(copies) for index lists in 1..n
     that may repeat an index, and the ascending copies."""
     counts = [Counter(ix) for ix in index_lists]
-    top = {i: max(c[i] for c in counts) for i in set().union(*counts)}
+    # each variable's largest count: the last of its pairs in ascending order
+    top = dict(sorted(chain.from_iterable(c.items() for c in counts)))
     first, copies = {}, []
-    for i in sorted(top):
+    for i, a in top.items():
         first[i] = i + len(copies)
-        copies += range(first[i] + 1, first[i] + top[i])
+        copies += range(first[i] + 1, first[i] + a)
     return [[first[i] + k for i, a in c.items() for k in range(a)] for c in counts], tuple(copies)
 
 
@@ -205,8 +214,8 @@ def _printed_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int
 
 
 def _invariants(obj, ideal: MonomialIdeal, copies) -> InvariantReport:
-    """The invariants in the input's ring; a graph or spec fixes h."""
-    rep = invariants(ideal, None if isinstance(obj, _IdealInput) else obj)
+    """The invariants in the input's ring; a block spec's are read off its walk."""
+    rep = invariants(ideal, obj if isinstance(obj, KPrimeSpec) else None)
     if not copies:
         return rep
     c = len(copies)

@@ -1,13 +1,14 @@
 """Graded invariants of R/I for cover ideals: h, projective dimension, depth,
 Krull dimension, regularity, and Cohen-Macaulay verdicts.
 
+Each report is read off the ideal alone, or off a block spec's walk.
 Depth is always derived as n - pd (Auslander-Buchsbaum); dim as n - h(I).
 pd is q + 1, with q the largest step of the linear order that the decision
 behind ``find_linear_order`` returns as masks (q = 0 for a principal ideal);
 no certificate, step ideal or index tuple is built for it.
-Without one only dim and regularity bounds are reported, and the
-Cohen-Macaulay verdict is False when h = 1 (dim n - 1 needs pd 1, i.e. a
-principal ideal) and inconclusive otherwise rather than guessed.
+Without one only dim is reported, and the Cohen-Macaulay verdict is False
+when h = 1 (dim n - 1 needs pd 1, i.e. a principal ideal) and inconclusive
+otherwise rather than guessed.
 
 A block spec's report is read off the walk that the spec built at
 construction (see ``KPrimeSpec``), with no colon step and no mask: G - L
@@ -25,7 +26,7 @@ from itertools import count
 from operator import and_, or_
 
 from .errors import InconclusiveError, SizeGuardError, ValidationError
-from .graphs import KPrimeSpec, LoopGraph
+from .graphs import KPrimeSpec
 from .monomials import MonomialIdeal
 from .quotients import _linear_order_steps
 
@@ -93,72 +94,58 @@ def _hit_within(masks: list[int], k: int) -> bool:
     return False
 
 
-def _context_h(context: KPrimeSpec | LoopGraph | None) -> int | None:
-    """h of a graph's or block spec's cover ideal, read off the input: a loop
-    vertex lies in every cover, so h = 1 with loops. Without loops an edge
-    (a spec has its core) bounds h by 2, and h > 1 since every vertex v is
-    missed by the minimal cover that is the complement of a maximal
-    independent set containing v. None without a context, edge or loop."""
-    if context is None:
-        return None
-    if context.loops:
-        return 1
-    return 2 if isinstance(context, KPrimeSpec) or context.edges else None
-
-
-def _context_reg_bounds(context: KPrimeSpec | LoopGraph | None) -> tuple[int, int] | None:
-    if not isinstance(context, KPrimeSpec):
-        return None
-    return ((context.m - 1) + (context.sigma - 2), context.n - 2)
-
-
-def invariants(
-    ideal: MonomialIdeal, context: KPrimeSpec | LoopGraph | None = None
-) -> InvariantReport:
+def invariants(ideal: MonomialIdeal, spec: KPrimeSpec | None = None) -> InvariantReport:
     """Full invariant report for R/I, routed by the ideal's structure.
 
-    A linear-quotient order gives pd = q + 1 and reg exact; a principal
-    ideal is the order with q = 0, reported under the route "principal"
-    with reg bounds (0, n - 1). Without an order only dim is exact, with
-    regularity bounds from the block-spec context when one is supplied, and
-    the ideal is not Cohen-Macaulay when h = 1. A graph or block-spec context
-    also fixes h by the loop rule, with no hitting-set search, and a block
-    spec whose walk matches the ideal (n, count, end degrees) fixes the rest.
+    h comes from the hitting-set search. A linear-quotient order gives
+    pd = q + 1 and reg exact; a principal ideal is the order with q = 0,
+    reported under the route "principal" with reg bounds (0, n - 1).
+    Without an order only dim is exact, and R/I is not Cohen-Macaulay when
+    h = 1. Given ``spec``, the block spec whose cover ideal I must be, the
+    report is read off its walk; an I that differs from the walk in n,
+    generator count or end degree is refused, and a full check is left out
+    since it would build the closed form's masks.
     """
     if ideal.is_zero:
         raise ValidationError("invariants are undefined for the zero ideal")
     n, masks = ideal.n, ideal.masks
-    walk = context._walk if isinstance(context, KPrimeSpec) and n == context.n else ()
-    if len(walk) == len(masks) and (walk[0][0], walk[-1][0]) == (
-            masks[0].bit_count(), masks[-1].bit_count()):
-        return _spec_invariants(context)
-    h = _context_h(context) or h_of(ideal)
+    if spec is not None:
+        if not isinstance(spec, KPrimeSpec):
+            raise ValidationError(f"invariants take a KPrimeSpec, not {type(spec).__name__}")
+        walk = spec._walk
+        if (n, len(masks), masks[0].bit_count(), masks[-1].bit_count()) != (
+                spec.n, len(walk), walk[0][0], walk[-1][0]):
+            raise ValidationError("the ideal is not the cover ideal of this block spec")
+        return _spec_invariants(spec)
+    h = h_of(ideal)
     try:
         decided = _linear_order_steps(masks)
     except InconclusiveError:
         decided = None
     if decided is None:
-        return InvariantReport(
-            n=n, h=h, dim=n - h, route="bounds-only",
-            reg_bounds=_context_reg_bounds(context), cm=False if h == 1 else None,
-        )
+        return InvariantReport(n=n, h=h, dim=n - h, route="bounds-only",
+                               cm=False if h == 1 else None)
     q = max((v.bit_count() for v in decided[1]), default=0)
-    return _exact_report(n, h, q, ideal.max_degree - 1, context)
+    return _exact_report(n, h, q, ideal.max_degree - 1)
 
 
 def _spec_invariants(spec: KPrimeSpec) -> InvariantReport:
-    """The report on a block spec's cover ideal, read off the spec's walk
-    with no mask built: h by the loop rule, q = 0 for one generator and
-    else 1 (see the module docstring), reg from the last, largest degree."""
+    """The report on a block spec's cover ideal, read off its walk with no
+    mask built: q = 0 for one generator, else 1 (see the module docstring),
+    reg from the last, largest degree, bounds ((m - 1) + (sigma - 2), n - 2).
+    h = 1 with loops, as a loop vertex lies in every cover; else h = 2: two
+    centers meet every cover, and each vertex v is missed by the complement
+    of a maximal independent set holding v."""
     walk = spec._walk
-    return _exact_report(spec.n, _context_h(spec), min(len(walk) - 1, 1), walk[-1][0] - 1, spec)
+    return _exact_report(spec.n, 1 if spec.loops else 2, min(len(walk) - 1, 1), walk[-1][0] - 1,
+                         ((spec.m - 1) + (spec.sigma - 2), spec.n - 2))
 
 
-def _exact_report(n: int, h: int, q: int, reg: int, context) -> InvariantReport:
+def _exact_report(n: int, h: int, q: int, reg: int, reg_bounds=None) -> InvariantReport:
     """The report of a linear order with largest step q: principal iff q = 0."""
     pd = q + 1
     return InvariantReport(
         n=n, h=h, dim=n - h, route="linear-quotients" if q else "principal",
         q=q, pd=pd, depth=n - pd, reg=reg,
-        reg_bounds=_context_reg_bounds(context) if q else (0, n - 1), cm=pd == h,
+        reg_bounds=reg_bounds if q else (0, n - 1), cm=pd == h,
     )

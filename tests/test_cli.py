@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coverideals
-from coverideals import cli, covers, graphs
+from coverideals import cli, covers, graphs, monomials
 from helpers import (
     BASE_COVER_GENS,
     CITY_GENS,
@@ -106,7 +106,7 @@ class TestInvariants:
         assert code == 0
         direct = run_json(capsys, "invariants", "--json", FIVE_CENTER_JSON)[1]
         inv_direct = dict(direct["invariants"], reg_bounds=None)
-        assert again["invariants"] == inv_direct  # block-spec context only adds bounds
+        assert again["invariants"] == inv_direct  # the block spec only adds bounds
         patrol_direct = run_json(capsys, "patrol", "--json", FIVE_CENTER_JSON)[1]
         patrol_again = run_json(capsys, "patrol", "--json", ideal_json)[1]
         assert patrol_again["patrol"] == patrol_direct["patrol"]
@@ -575,7 +575,8 @@ class TestExitCodesAndDeterminism:
         assert capsys.readouterr().out == "route: bruteforce\ngenerators (1):\n  X1000000\n"
 
     def test_graph_past_the_hitting_set_guard_gets_h_from_the_loop_rule(self, capsys):
-        # brute force accepts f = 2 at n = 30, and h needs no search
+        # brute force accepts f = 2 at n = 30, and the hitting-set search sees
+        # only those 2 occurring variables, so h agrees with the loop rule
         graph = json.dumps({"n": 30, "edges": [[1, 2]]})
         code, report = run_json(capsys, "invariants", "--route", "bruteforce", "--json", graph)
         assert code == 0 and report["invariants"]["h"] == 2
@@ -653,6 +654,21 @@ class TestExitCodesAndDeterminism:
             "reg: 1\n"
             "cohen_macaulay: false\n"
         )
+
+    def test_polarized_input_is_minimalized_once(self, capsys, monkeypatch):
+        # X1^2X2 is not minimal, so the copy of X1 that it alone holds is
+        # dropped from the minimal generators, with no second minimalization
+        runs, minimal = [], monomials._minimal_masks
+
+        def counting(masks):
+            runs.append(minimal(masks))
+            return runs[-1]
+
+        monkeypatch.setattr(monomials, "_minimal_masks", counting)
+        payload = '{"n":3,"gens":[[1],[1,1,2],[2,2,3],[3,3]]}'
+        code, out = run_cli(capsys, "cover-ideal", "--json", payload)
+        assert code == 0 and out == "route: ideal-input\ngenerators (3):\n  X1\n  X3^2\n  X2^2X3\n"
+        assert len(runs) == 1
 
     def test_disjoint_pairs_h_within_a_second(self, capsys):
         pairs = json.dumps({"n": 24, "gens": [[i, i + 1] for i in range(1, 25, 2)]})

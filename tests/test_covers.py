@@ -454,7 +454,7 @@ class TestMinPatrols:
         g = LoopGraph(20, [e for e in combinations(range(1, 21), 2) if rng.random() < 0.5], [7])
         ideal = cover_ideal_by_intersection(g)
         ideals = count_ideal_builds(monkeypatch)
-        report = invariants(ideal, g)
+        report = invariants(ideal)
         solution = min_patrols(ideal)
         assert ideals == []
         assert report.route == "bounds-only" and len(ideal.masks) > 12

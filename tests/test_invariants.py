@@ -6,7 +6,8 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coverideals import (
     KPrimeSpec,
@@ -17,10 +18,12 @@ from coverideals import (
     cli,
     check_linear_quotients,
     cover_ideal_by_intersection,
+    expand_kprime,
     find_linear_order,
     h_of,
     invariants,
     kprime_cover_ideal,
+    minimal_covers_bruteforce,
     quotients,
 )
 from coverideals.monomials import _indices_mask, _mask_indices
@@ -115,26 +118,39 @@ class TestContextH:
         assert all({6, 37} & set(g) for g in ideal.gens)
 
     @settings(max_examples=200)
-    @given(loop_graphs(max_n=14))
-    def test_graph_matches_hitting_set_search(self, g):
-        ideal = cover_ideal_by_intersection(g)
+    @given(loop_graphs(max_n=14),
+           st.sampled_from((cover_ideal_by_intersection, minimal_covers_bruteforce)))
+    @example(LoopGraph(40, [(1, 2), (2, 3)]), minimal_covers_bruteforce)
+    @example(LoopGraph(40, [(1, 2), (2, 3)], [40]), minimal_covers_bruteforce)
+    def test_graph_matches_hitting_set_search(self, g, route):
+        # the search answers every ideal that a graph route returns with the
+        # loop rule's h: 1 with a loop, else 2 with an edge
+        ideal = route(g)
         if not g.edges and not g.loops:  # the unit ideal: nothing to cover
             with pytest.raises(ValidationError):
-                invariants(ideal, g)
+                invariants(ideal)
         else:
-            assert invariants(ideal, g).h == h_of(ideal)
+            assert invariants(ideal).h == h_of(ideal) == (1 if g.loops else 2)
 
-    def test_loopless_graph_past_the_search_guard(self):
-        # the star from 1 to 2..27: its covers X1 and X2...X27 share no
-        # variable, and 27 variables occur
-        edges = [(1, k) for k in range(2, 28)]
-        g = LoopGraph(30, edges)
-        ideal = MonomialIdeal(30, [(1,), range(2, 28)])
-        with pytest.raises(SizeGuardError):
-            h_of(ideal)
-        rep = invariants(ideal, g)
-        assert rep.h == 2 and rep.dim == 28
-        assert invariants(ideal, LoopGraph(30, edges, [1])).h == 1
+    @pytest.mark.parametrize("ideal", [
+        ideal_of(5, (1, 4), (2, 3), (2, 4)),  # n
+        ideal_of(4, (1, 4), (2, 3)),  # generator count
+        ideal_of(4, (1,), (2, 3), (2, 4)),  # first degree
+        ideal_of(4, (1, 4), (2, 4), (1, 2, 3)),  # last degree
+    ])
+    def test_refuses_an_ideal_off_the_spec_walk(self, ideal):
+        # the walk of KPrimeSpec([2, 4]) holds three covers of degree 2 in n = 4
+        assert kprime_cover_ideal(KPrimeSpec([2, 4])).gens == ((1, 4), (2, 3), (2, 4))
+        with pytest.raises(ValidationError,
+                           match="^the ideal is not the cover ideal of this block spec$"):
+            invariants(ideal, KPrimeSpec([2, 4]))
+
+    def test_refuses_anything_but_a_spec(self):
+        spec = five_center_spec()
+        ideal = kprime_cover_ideal(spec)
+        for other in (expand_kprime(spec), spec.alphas):
+            with pytest.raises(ValidationError, match="KPrimeSpec"):
+                invariants(ideal, other)
 
 
 class TestInvariants:
@@ -207,7 +223,6 @@ class TestCohenMacaulay:
         # h = 1 gives dim = n - 1, and depth = n - 1 needs pd = 1: a principal ideal
         ideal = cover_ideal_by_intersection(g)
         if g.loops and not ideal.is_principal:
-            assert invariants(ideal, g).cm is False
             assert invariants(ideal).cm is False
 
     def test_inconclusive_on_bounds_only(self):
@@ -313,7 +328,7 @@ class TestBlockSpecClosedForm:
         ideal = kprime_cover_ideal(spec)
         rep = invariants(ideal, spec)
         assert rep.pd == (1 if ideal.is_principal else 2) and rep.cm == (rep.pd == rep.h)
-        # without a context the order search runs, and it agrees wherever it decides
+        # without the spec the order search runs, and it agrees wherever it decides
         searched = invariants(ideal)
         if searched.route != "bounds-only":
             assert rep._replace(reg_bounds=None) == searched._replace(reg_bounds=None)
