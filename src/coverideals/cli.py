@@ -26,11 +26,13 @@ carries over; only copies held by a minimal generator are kept. h, pd, reg,
 the verdicts and every colon step stay; n, depth and dim are shifted back,
 and index p prints as X_i for i = p - (copies <= p).
 
-Exit codes: 0 success or -h/--help (this text), 1 validation error or malformed
-command line, 2 size guard, undecided search or out of memory, 3 route disagreement.
+Exit codes: 0 success or -h/--help (this text), 1 validation error, malformed
+command line or stdout closed by its reader, 2 size guard, undecided search or
+out of memory, 3 route disagreement.
 """
 
 import json
+import os
 import sys
 from bisect import bisect_right
 from collections import Counter, namedtuple
@@ -472,7 +474,16 @@ def _parse_argv(argv) -> tuple[str, _Args]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout: send the flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv: list[str]) -> int:
     if "-h" in argv or "--help" in argv:
         print(_HELP, end="")
         return 0

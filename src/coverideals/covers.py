@@ -1,25 +1,33 @@
 """Minimal vertex covers and the ideal of vertex covers, by three routes.
 
-The routes are deliberately independent so that each can serve as an oracle
-for the others: an exhaustive decision of every subset of the free vertices,
-evaluated bit-parallel on Python integers; an intersection of primes, where
-the loop primes (X_k) give the factor x^L and each connected component of
-G - L meets one star prime (X_v, x^S) per vertex, the meet of the edge
-primes (X_v, X_s) for s in S; and a closed form for complete-core-plus-stars
-graphs, read off the walk that a ``KPrimeSpec`` builds once. Both graph
-routes take a ``LoopGraph`` or a ``KPrimeSpec``: each applies its own guard,
-then reads G - L off ``LoopGraph.open_edges`` or off the spec, never expanded.
-Each route finds exactly the minimal covers, every loop vertex in each, and
-hands them to the ideal as support masks in canonical order, neither
-minimalized nor sorted there: the graph routes sort with ``_canonical``, and
-the walk yields its covers in order, so no n-bit sort key is built.
+A loop puts its vertex in every cover, so J(G, L) = x^L * J(G - L), and only
+the f free vertices, those on an edge of G - L, are chosen. Both graph
+routes take a ``LoopGraph`` or a ``KPrimeSpec`` and read G - L through
+``_free_graph``, never expanding a spec: it refuses f > ``BRUTE_FORCE_LIMIT``
+(a spec's f counted off its walk before any edge is read), then gives each
+free vertex's closed neighbourhood as a mask of free-vertex positions.
+Beyond that the routes are deliberately independent, so that each can serve
+as an oracle for the others: brute force decides every subset of the free
+vertices at once, bit-parallel on Python integers; the intersection route
+lists each connected component's minimal covers, the complements of its
+maximal independent sets. Both hand one list of position masks per part to
+``_cover_ideal``, which guards the output, multiplies the parts, lifts
+positions to vertex indices and adds x^L, then sorts with ``_canonical``.
+The closed form for complete-core-plus-stars graphs reads the walk that a
+``KPrimeSpec`` builds once, which yields its covers in canonical order, so
+no n-bit sort key is built. Each route finds exactly the minimal covers,
+every loop vertex in each, and hands them to the ideal as support masks in
+canonical order, neither minimalized nor sorted there.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import combinations, takewhile
+from functools import reduce
+from itertools import chain, combinations, takewhile
+from math import prod
+from operator import and_
 
 from .errors import SizeGuardError, ValidationError
 from .graphs import KPrimeSpec, LoopGraph
@@ -34,13 +42,14 @@ __all__ = [
     "min_patrols",
 ]
 
-# Brute force is refused past this many free vertices (a few 2^f-bit tables,
-# 4 MB each at f = 25), the intersection route past this many vertices; larger
-# block specs go through the closed form.
+# Both graph routes refuse past this many free vertices, brute force keeping a
+# few 2^f-bit tables live (4 MB each at f = 25); larger block specs go through
+# the closed form.
 BRUTE_FORCE_LIMIT = 25
-# Brute force also refuses covers * n past this, before building any generator;
-# a graph with n <= 25 has at most 8,748 minimal covers (Moon-Moser), so fits.
-# The CLI refuses to print a computed cover ideal holding more indices.
+# Both graph routes also refuse covers * n past this, before building any
+# generator. At f <= 25 there are at most 8,748 minimal covers (Moon-Moser),
+# so only a large n is refused. The CLI refuses to print a computed cover
+# ideal holding more indices.
 _OUTPUT_LIMIT = 1 << 20
 # The closed form refuses generators * n past this many mask bits (512 MiB).
 _MASK_BITS_LIMIT = 1 << 32
@@ -54,14 +63,6 @@ class PatrolSolution(namedtuple("PatrolSolution", "covering_number optimal_cover
 
     def to_json_dict(self) -> dict:
         return {**self._asdict(), "optimal_covers": [list(c) for c in self.optimal_covers]}
-
-
-def _guard_bruteforce(f: int) -> None:
-    if f > BRUTE_FORCE_LIMIT:
-        raise SizeGuardError(
-            f"brute force refused for f={f} free vertices > {BRUTE_FORCE_LIMIT}; "
-            "use the structured closed form"
-        )
 
 
 def _spec_free_count(spec: KPrimeSpec) -> int:
@@ -79,8 +80,8 @@ def _spec_open_edges(spec: KPrimeSpec) -> list[tuple[int, int]]:
     """The edges of G - L for ``expand_kprime(spec)``, read off the spec:
     the core pairs of unlooped centers, and each unlooped center's edges to
     its unlooped leaves. Only the blocks of unlooped centers are walked;
-    past either graph route's guard each holds at most 25 unlooped leaves,
-    so the walk costs O(m + |L|) and the answer has at most 300 edges."""
+    past the f guard each holds at most 25 unlooped leaves, so the walk
+    costs O(m + |L|) and the answer has at most 300 edges."""
     looped = set(spec.loops)
     edges = list(combinations([a for a in spec.alphas if a not in looped], 2))
     prev = 0
@@ -89,6 +90,51 @@ def _spec_open_edges(spec: KPrimeSpec) -> list[tuple[int, int]]:
             edges += [(v, a) for v in range(prev + 1, a) if v not in looped]
         prev = a
     return edges
+
+
+def _free_graph(g: LoopGraph | KPrimeSpec, route: str) -> tuple[list[int], dict[int, int]]:
+    """G - L on its free vertices, read once f passes the guard: each free
+    vertex's closed neighbourhood as a mask of positions, position k being
+    the k-th smallest free vertex, and the runs that lift a position mask to
+    vertex indices. A run of consecutive free vertices shares one shift, so
+    ``runs`` maps each shift to the mask of its positions, and a lift costs
+    one AND and one shift per run, never O(n)."""
+    spec = isinstance(g, KPrimeSpec)
+    f = _spec_free_count(g) if spec else 0  # a spec's f is counted before any edge is read
+    if f <= BRUTE_FORCE_LIMIT:
+        open_edges = _spec_open_edges(g) if spec else g.open_edges
+        f = len(free := sorted(set(chain.from_iterable(open_edges))))
+    if f > BRUTE_FORCE_LIMIT:
+        raise SizeGuardError(f"{route} refused for f={f} free vertices > {BRUTE_FORCE_LIMIT}; "
+                             "use the structured closed form")
+    bit, runs = {}, {}
+    for k, v in enumerate(free):
+        bit[v] = 1 << k
+        runs[v - 1 - k] = runs.get(v - 1 - k, 0) | 1 << k
+    closed = dict(bit)  # in ascending order of free vertices, so of positions
+    for i, j in open_edges:
+        closed[i] |= bit[j]
+        closed[j] |= bit[i]
+    return list(closed.values()), runs
+
+
+def _cover_ideal(g: LoopGraph | KPrimeSpec, route: str, runs: dict[int, int],
+                 parts: list[list[int]]) -> MonomialIdeal:
+    """x^L times one minimal cover of each part, given as position masks,
+    lifted to vertex indices. The parts share no free vertex, so these
+    products are minimal and distinct; their count times n is bounded by
+    ``_OUTPUT_LIMIT`` before any generator is built."""
+    count = prod(map(len, parts))
+    if count * g.n > _OUTPUT_LIMIT:
+        raise SizeGuardError(
+            f"{route} refused for {count} minimal covers x n={g.n} > "
+            f"{_OUTPUT_LIMIT} output slots; use the structured closed form"
+        )
+    covers = reduce(lambda left, part: [c | p for c in left for p in part], parts or [[0]])
+    lifted = [_indices_mask(g.loops)] * count
+    for shift, mask in runs.items():
+        lifted = [m | (c & mask) << shift for m, c in zip(lifted, covers)]
+    return MonomialIdeal._trusted(g.n, _canonical(lifted))
 
 
 _LOW_PATTERNS = (0xAA, 0xCC, 0xF0)
@@ -110,149 +156,92 @@ def _membership(k: int, f: int) -> int:
 def minimal_covers_bruteforce(g: LoopGraph | KPrimeSpec) -> MonomialIdeal:
     """The ideal of vertex covers of a graph or spec, generated by every
     minimal vertex cover, by deciding every subset of the free vertices at
-    once. A spec's f is counted before its G - L is read off it.
+    once.
 
-    Loop vertices are mandatory, so only the f free vertices, those on an
-    edge with no looped endpoint, are chosen. Subset s holds free vertex k
-    iff bit k of s is set, and a 2^f-bit integer holds one bit per subset:
+    Subset s holds free vertex k iff bit k of s is set, so s is a position
+    mask, and a 2^f-bit integer holds one bit per subset:
     ``_membership(k, f)`` has bit s set iff s holds k, and ``nb`` ANDs those
     of k's neighbours. s is a cover iff it holds k or all of k's neighbours,
     for every k; a cover is redundant at k iff it holds k and all of k's
     neighbours, since dropping k leaves a cover. The minimal covers are the
     covers redundant at no vertex. That costs O(|E| * 2^f / 64) machine
-    words, with a few 2^f-bit integers live at a time (4 MB each at f = 25),
-    so the guard counts f, not n; the answer costs O(n) per cover, so
-    ``_OUTPUT_LIMIT`` bounds their product, a popcount, before any is built.
+    words, with a few 2^f-bit integers live at a time (4 MB each at f = 25).
     """
-    if isinstance(g, KPrimeSpec):
-        _guard_bruteforce(_spec_free_count(g))
-        open_edges = _spec_open_edges(g)
-    else:
-        open_edges = g.open_edges
-    free = sorted({v for e in open_edges for v in e})
-    f = len(free)
-    _guard_bruteforce(f)
-    position = {v: k for k, v in enumerate(free)}
-    neighbours: list[list[int]] = [[] for _ in free]
-    for i, j in open_edges:
-        neighbours[position[i]].append(position[j])
-        neighbours[position[j]].append(position[i])
+    closed, runs = _free_graph(g, "brute force")
+    f = len(closed)
     covers = (1 << (1 << f)) - 1
     redundant = 0
-    for k, adjacent in enumerate(neighbours):
+    for k, near in enumerate(closed):
         has = _membership(k, f)
-        nb = _membership(adjacent[0], f)
-        for u in adjacent[1:]:
-            nb &= _membership(u, f)
+        nb = reduce(and_, (_membership(u, f) for u in range(f) if u != k and near >> u & 1))
         covers &= has | nb
         redundant |= has & nb
-    minimal = covers & ~redundant
-    count = minimal.bit_count()
-    if count * g.n > _OUTPUT_LIMIT:
-        raise SizeGuardError(
-            f"brute force refused for {count} minimal covers x n={g.n} > "
-            f"{_OUTPUT_LIMIT} output slots; use the structured closed form"
-        )
-    loop_mask = _indices_mask(g.loops)
-    bits = [1 << (v - 1) for v in free]
     # subset s is the set bit at 1-based position s + 1 of the table
-    return MonomialIdeal._trusted(g.n, _canonical(
-        loop_mask | sum(b for k, b in enumerate(bits) if (p - 1) >> k & 1)
-        for p in _mask_indices(minimal)
-    ))
+    return _cover_ideal(g, "brute force", runs,
+                        [[p - 1 for p in _mask_indices(covers & ~redundant)]])
 
 
-def _star_step(gens: list[int], v: int, ends: int) -> list[int]:
-    """The minimal generators of (gens) intersected with (X_v, x^S), where
-    S = ``ends`` is v's unvisited neighbours and ``gens`` lists the minimal
-    covers of the edges already intersected; see cover_ideal_by_intersection."""
-    bv = 1 << v
-    rests = []
-    hold_s = []
-    miss = []
-    for m in gens:
-        if m & bv:
-            rests.append(m ^ bv)
-        elif ends & ~m:
-            miss.append(m)
-        else:
-            hold_s.append(m)
-    # m | v is new iff every rest r has a bit outside m: all(r & ~m)
-    out = [m | bv for m in miss if all(map((~m).__and__, rests))]
-    out += [r | bv for r in rests]  # the generators holding v
-    # by ascending degree, so only a smaller product can lie inside p;
-    # hold_s grows by each product kept
-    for p in sorted([m | ends for m in miss], key=int.bit_count):
-        if all(map((~p).__and__, hold_s)):
-            hold_s.append(p)
-    return out + hold_s
+def _component_covers(closed: list[int], component: int) -> list[int]:
+    """The minimal covers of one connected component of G - L as position
+    masks: the complements of its maximal independent sets, listed by
+    Bron-Kerbosch on a stack. ``chosen`` is independent, ``cand`` holds the
+    vertices that may still join it, and ``done`` those that may join but
+    were branched on already, so ``chosen`` is maximal, and new, once both
+    are empty. Every maximal extension holds a candidate in the closed
+    neighbourhood of any vertex of ``cand | done``, so only those are
+    branched on, for a pivot that leaves the fewest (Tomita, Tanaka and
+    Takahashi, TCS 363, 2006), or the first that leaves at most one: then
+    each branch still drops at least as many candidates as there are
+    branches, so the bound O(3^(f/3)) of their proof, the Moon-Moser count,
+    holds."""
+    covers, stack = [], [(0, component, 0)]
+    while stack:
+        chosen, cand, done = stack.pop()
+        if not cand:
+            if not done:
+                covers.append(component ^ chosen)
+            continue
+        fewest, pool = cand.bit_count() + 1, cand | done
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            near = cand & closed[low.bit_length() - 1]
+            if (size := near.bit_count()) < fewest:
+                branches, fewest = near, size
+                if size < 2:
+                    break
+        while branches:
+            low = branches & -branches
+            near = closed[low.bit_length() - 1]
+            stack.append((chosen | low, cand & ~near, done & ~near))
+            cand, done, branches = cand ^ low, done | low, branches ^ low
+    return covers
 
 
 def cover_ideal_by_intersection(g: LoopGraph | KPrimeSpec) -> MonomialIdeal:
     """The ideal of vertex covers of a graph or spec: the intersection of
-    one prime per edge and one principal ideal per loop, on support masks.
+    one prime per edge and one principal ideal per loop.
 
-    The loop ideals intersect to the single generator x^L, which divides
-    every later generator, so an edge at a loop never changes the result and
-    the edge primes run on G - L only: ``g.open_edges``, or on a spec the
-    edges read off it once n passes the guard. The cover ideal of a disjoint
-    union is the product of its components' cover ideals, so each
-    connected component of G - L is intersected on its own, from the unit
-    ideal, and the answer is x^L times one generator per component: such
-    products are minimal and distinct, since the components share no vertex.
-
-    Within a component the edge primes run star by star: vertices by
-    descending degree in G - L, ties by index. The primes (X_v, X_s) for
-    the vertices s of S, v's neighbours not yet visited, meet in the one
-    star prime (X_v, x^S), so each vertex takes one step. A step keeps
-    every generator that holds v or all of S, and replaces each other
-    generator m by m*X_v and m*x^S:
-
-    * m*X_v is kept unless a kept h that holds v has h - v inside m;
-    * m*x^S is kept unless a kept generator that holds S, or a smaller
-      kept product m'*x^S, lies inside it. Products are taken by
-      ascending degree, since products of equal degree never divide each
-      other;
-    * nothing else can divide a product, nor a product a kept generator.
-
-    No two products m*x^S coincide: were m*x^S = m'*x^S with m != m', the
-    two would differ only inside S, so some u in S would lie in m but not
-    m'. m is a minimal cover of the edges already intersected, so one of
-    them joins u to a w outside m, and m' must hold w; then u and w both lie
-    in S, unvisited, yet every edge already intersected has a visited end.
-    The generators stay minimal and distinct after every step, so the
-    answer is built without a second minimalization.
+    The loop ideals intersect to x^L, which divides every later generator,
+    so only the edge primes of G - L count. They intersect to the ideal of
+    the minimal covers of G - L, and the cover ideal of a disjoint union is
+    the product of its components' cover ideals. So each connected component
+    of G - L lists its minimal covers on its own, and the answer is x^L
+    times one cover per component.
     """
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise SizeGuardError(f"prime intersection refused for n={g.n} > {BRUTE_FORCE_LIMIT}; "
-                             "use the structured closed form")
-    adjacent = [0] * g.n
-    for i, j in _spec_open_edges(g) if isinstance(g, KPrimeSpec) else g.open_edges:
-        adjacent[i - 1] |= 1 << (j - 1)
-        adjacent[j - 1] |= 1 << (i - 1)
-    # sorted() is stable, so equal degrees keep ascending index
-    order = sorted(range(g.n), key=lambda v: -adjacent[v].bit_count())
-    gens = [_indices_mask(g.loops)]
-    visited = 0
-    for root in order:
-        if visited >> root & 1 or not adjacent[root]:
-            continue
-        component = frontier = 1 << root
+    closed, runs = _free_graph(g, "prime intersection")
+    parts, rest = [], (1 << len(closed)) - 1
+    while rest:
+        component = frontier = rest & -rest
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            reached = adjacent[low.bit_length() - 1] & ~component
+            reached = closed[low.bit_length() - 1] & ~component
             component |= reached
             frontier |= reached
-        part = [0]
-        for v in order:
-            if component >> v & 1:
-                visited |= 1 << v
-                ends = adjacent[v] & ~visited
-                if ends:
-                    part = _star_step(part, v, ends)
-        gens = [m | p for m in gens for p in part]
-    return MonomialIdeal._trusted(g.n, _canonical(gens))
+        rest ^= component
+        parts.append(_component_covers(closed, component))
+    return _cover_ideal(g, "prime intersection", runs, parts)
 
 
 def _walk_cover(cl: tuple[int, ...], key: int, prev: int | None) -> tuple[int, ...]:

@@ -535,13 +535,35 @@ class TestExitCodesAndDeterminism:
         assert cli.main(["invariants", "--json", "not json"]) == 1
 
     def test_size_guard_is_exit_two(self, capsys):
-        big = json.dumps({"n": 30, "edges": [[1, 2]], "loops": []})
-        assert cli.main(["cover-ideal", "--json", big]) == 2
-        capsys.readouterr()
-        # the guard comes before any table of n entries
+        # the guard counts the f = 26 free vertices of a matching, not n
+        matching = json.dumps({"n": 26, "edges": [[2 * i - 1, 2 * i] for i in range(1, 14)]})
+        code, err = run_error(capsys, "cover-ideal", "--json", matching)
+        assert (code, err) == (2, "error: prime intersection refused for f=26 free vertices > 25; "
+                                  "use the structured closed form\n")
+        # x^L alone on n = 10^9 passes the f guard and is refused for its
+        # output slots, before any table of n entries or mask of n bits
         huge = json.dumps({"n": 10**9, "edges": [[1, 10**9]], "loops": [10**9]})
         code, err = run_error(capsys, "cover-ideal", "--json", huge)
-        assert code == 2 and err.startswith("error: prime intersection refused")
+        assert (code, err) == (2, "error: prime intersection refused for 1 minimal covers "
+                                  "x n=1000000000 > 1048576 output slots; "
+                                  "use the structured closed form\n")
+
+    def test_closed_stdout_is_exit_one_without_a_traceback(self):
+        # 6,561 covers print far more than a pipe holds, so the write after
+        # the reader closes the pipe must fail, and so would the flush at exit
+        edges = [[t + a, t + b] for t in range(0, 24, 3) for a, b in ((1, 2), (1, 3), (2, 3))]
+        src = str(Path(coverideals.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coverideals.cli", "cover-ideal", "--json",
+             json.dumps({"n": 24, "edges": edges})],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline() == "route: intersection\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, "")
 
     def test_spec_guards_come_before_the_expansion(self, capsys, monkeypatch):
         # each graph route refuses a block spec with its own message, read
@@ -549,7 +571,7 @@ class TestExitCodesAndDeterminism:
         def refuse(spec):
             raise AssertionError(f"{spec} was expanded")
 
-        intersection = "prime intersection refused for n=1000000"
+        intersection = "prime intersection refused for f=1000000 free vertices"
         bruteforce = "brute force refused for f=1000000 free vertices"
         tail = " > 25; use the structured closed form"
         with monkeypatch.context() as patch:

@@ -55,7 +55,7 @@ TRIANGLE = LoopGraph(3, [(1, 2), (1, 3), (2, 3)])
 @st.composite
 def graphs_led_by_the_last_vertex(draw):
     """Graphs with loops in which vertex n has the highest degree in G - L,
-    so the star order of the intersection route differs from index order."""
+    so the pivot the intersection route picks first is its last position."""
     g = draw(loop_graphs(max_n=14))
     loops = set(g.loops)
     degree = Counter(v for e in g.edges if not loops & set(e) for v in e)
@@ -63,6 +63,24 @@ def graphs_led_by_the_last_vertex(draw):
     swap = {top: g.n, g.n: top}
     edges = [(swap.get(i, i), swap.get(j, j)) for i, j in g.edges]
     return LoopGraph(g.n, edges, [swap.get(k, k) for k in g.loops])
+
+
+@st.composite
+def spread_graphs(draw):
+    """A graph with loops on at most 12 vertices, its vertices sent in
+    increasing order into 1..n for n <= 60, and up to three more loops on
+    vertices it misses, so free vertices sit in several runs with gaps and
+    isolated vertices at high indices; returned with its covers, mapped."""
+    core = draw(loop_graphs(max_n=12))
+    n = draw(st.integers(core.n, 60))
+    label = dict(zip(range(1, core.n + 1),
+                     sorted(draw(st.sets(st.integers(1, n), min_size=core.n, max_size=core.n)))))
+    rest = sorted(set(range(1, n + 1)) - set(label.values()))
+    extra = draw(st.lists(st.sampled_from(rest), unique=True, max_size=3)) if rest else []
+    g = LoopGraph(n, [(label[i], label[j]) for i, j in core.edges],
+                  [label[k] for k in core.loops] + extra)
+    covers = brute_minimal_covers(core.n, core.edges, core.loops)
+    return g, [tuple(sorted({label[v] for v in c} | set(extra))) for c in covers]
 
 
 @st.composite
@@ -220,8 +238,11 @@ class TestIntersectionRoute:
         assert cover_ideal_by_intersection(g).gens == ((),)
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            cover_ideal_by_intersection(LoopGraph(30, [(1, 2)]))
+        # the guard counts the f free vertices, not n
+        assert list(cover_ideal_by_intersection(LoopGraph(30, [(1, 2)])).gens) == [(1,), (2,)]
+        matching = LoopGraph(26, [(2 * i - 1, 2 * i) for i in range(1, 14)])
+        with pytest.raises(SizeGuardError, match="^prime intersection refused for f=26"):
+            cover_ideal_by_intersection(matching)
 
     def test_builds_only_the_returned_ideal(self, monkeypatch):
         graph = LoopGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (2, 5)], [3])
@@ -242,14 +263,16 @@ class TestIntersectionRoute:
         assert list(ideal.masks) == _canonical(ideal.masks)
 
     def test_four_cycle_drops_a_product_holding_a_generator_with_s(self):
-        # vertex 3's star step (S = {4}) turns x1x2 into x1x2x4, which
-        # contains x1x4, a generator already holding S
+        # the maximal independent sets {1, 4} and {2, 3} of the 4-cycle
+        # leave the covers x2x3 and x1x4; the cover x1x2x4 of the independent
+        # set {3}, not maximal, holds x1x4 and must not be listed
         g = LoopGraph(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
         assert cover_ideal_by_intersection(g) == minimal_covers_bruteforce(g)
 
     def test_five_cycle_drops_a_product_holding_a_smaller_product(self):
-        # vertex 3's star step (S = {4, 5}) turns x1x2 into x1x2x4x5, which
-        # contains the smaller products x2x4x5 and x1x4x5
+        # the maximal independent sets of the 5-cycle are its five
+        # non-adjacent pairs; the cover x1x2x4x5 of the independent set {3},
+        # not maximal, holds the covers x2x4x5 and x1x4x5 of {1, 3} and {2, 3}
         g = LoopGraph(5, [(1, 2), (1, 5), (2, 4), (3, 4), (3, 5)])
         assert cover_ideal_by_intersection(g) == minimal_covers_bruteforce(g)
 
@@ -269,6 +292,35 @@ class TestIntersectionRoute:
         ideal = cover_ideal_by_intersection(LoopGraph(24, edges))
         assert len(ideal.gens) == 3 ** 8
         assert set(map(len, ideal.gens)) == {16}
+        # the Moon-Moser extremum at the guard: 7 triangles and a K4 (f = 25)
+        # have 3^7 * 4 = 8,748 minimal covers, the most any graph on 25 has
+        moon_moser = LoopGraph(25, edges[:21] + list(combinations(range(22, 26), 2)))
+        ideal = cover_ideal_by_intersection(moon_moser)
+        assert len(ideal.gens) == 8748
+        assert set(map(len, ideal.gens)) == {17}
+        assert ideal == minimal_covers_bruteforce(moon_moser)
+
+    @settings(max_examples=150)
+    @given(spread_graphs())
+    def test_spread_graphs_equal_brute_force_and_the_subset_oracle(self, drawn):
+        # positions and indices differ across several runs of free vertices
+        g, covers = drawn
+        ideal = cover_ideal_by_intersection(g)
+        assert ideal == minimal_covers_bruteforce(g)
+        assert ideal.gens == tuple(covers)
+
+    def test_output_guard_builds_no_vertex_table(self):
+        # f = 0, so x^L on n = 10^9 is refused for its output slots before
+        # its 10^9-bit mask, or any table of n entries, is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match="^prime intersection refused for 1 minimal "
+                                                     "covers x n=1000000000 > 1048576"):
+                cover_ideal_by_intersection(LoopGraph(10**9, [(1, 10**9)], [10**9]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestKPrimeRoute:
