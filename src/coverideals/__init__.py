@@ -21,7 +21,7 @@ from .errors import (
     SizeGuardError,
     ValidationError,
 )
-from .graphs import KPrimeSpec, LoopGraph, expand_kprime
+from .graphs import KPrimeSpec, LoopGraph
 from .invariants import (
     HITTING_SET_LIMIT,
     InvariantReport,
@@ -58,7 +58,6 @@ __all__ = [
     "ValidationError",
     "check_linear_quotients",
     "cover_ideal_by_intersection",
-    "expand_kprime",
     "find_linear_order",
     "h_of",
     "invariants",

@@ -42,7 +42,7 @@ from json.encoder import encode_basestring_ascii
 from operator import or_
 
 from .covers import (
-    _OUTPUT_LIMIT,
+    _walk_index_guard,
     cover_ideal_by_intersection,
     kprime_cover_ideal,
     min_patrols,
@@ -56,9 +56,9 @@ from .errors import (
     ValidationError,
 )
 from .graphs import KPrimeSpec, LoopGraph
-from .invariants import InvariantReport, _spec_invariants, invariants
+from .invariants import InvariantReport, invariants
 from .monomials import MonomialIdeal, _indices_mask, _mask_indices, _support_mask
-from .quotients import _linear_certificate, find_linear_order, resolution_shifts
+from .quotients import find_linear_order, resolution_shifts
 
 ROUTES = ("auto", "bruteforce", "intersection", "closed-form")
 
@@ -204,20 +204,14 @@ def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int,
 
 
 def _printed_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int, ...]]:
-    # the closed form is sized off the spec's walk, before any mask is built
-    size = sum(degree for degree, _, _ in obj._walk) if _closed_form(obj, route) else 0
-    if size <= _OUTPUT_LIMIT:
-        ideal, route, copies = compute_cover_ideal(obj, route)
-        if route in ("bruteforce", "intersection"):
-            size = sum(m.bit_count() for m in ideal.masks)
-    if size > _OUTPUT_LIMIT:
-        raise SizeGuardError(f"the ideal holds {size} indices > {_OUTPUT_LIMIT}, too many to print")
-    return ideal, route, copies
+    if _closed_form(obj, route):  # sized off the walk; the graph routes guard themselves
+        _walk_index_guard(obj)
+    return compute_cover_ideal(obj, route)
 
 
 def _invariants(obj, ideal: MonomialIdeal, copies) -> InvariantReport:
     """The invariants in the input's ring; a block spec's are read off its walk."""
-    rep = invariants(ideal, obj if isinstance(obj, KPrimeSpec) else None)
+    rep = invariants(obj if isinstance(obj, KPrimeSpec) else ideal)
     if not copies:
         return rep
     c = len(copies)
@@ -254,25 +248,9 @@ def _fmt(value) -> str:
     return "-" if value is None else str(value)
 
 
-def _walk_certificate(spec: KPrimeSpec, ideal: MonomialIdeal):
-    """A linear order of a spec's cover ideal, whose masks every route gives
-    in walk order: the walk's order, with C + L (prev None) moved up to
-    second place. Each later omit-one cover's step is (X_a), a its center;
-    C + L's is the one unlooped leaf of the first cover, which then has u = 1."""
-    walk, masks = spec._walk, ideal.masks
-    chosen = list(range(len(walk)))
-    top = next((i for i, (_, _, prev) in enumerate(walk) if prev is None), 0)
-    if top > 1:
-        chosen.insert(1, chosen.pop(top))
-    steps = [masks[0] & ~masks[i] if walk[i][2] is None else 1 << (abs(walk[i][1]) - 1)
-             for i in chosen[1:]]
-    return _linear_certificate(ideal, chosen, steps)
-
-
 def run_linear_quotients(obj, args):
     ideal, route, copies = _printed_cover_ideal(obj, args.route)
-    spec = isinstance(obj, KPrimeSpec)
-    cert = _walk_certificate(obj, ideal) if spec else find_linear_order(ideal)
+    cert = find_linear_order(obj if isinstance(obj, KPrimeSpec) else ideal)
     report = {"route": route, "ideal": _ideal_json(ideal, copies)}
     if cert is None:
         return {**report, "linear": False, "verdict": "absence"}
@@ -300,7 +278,7 @@ def run_cm_check(obj, args):
     if args.loops is not None and args.base_ideal is None:
         raise ValidationError("--loops applies only to the saturation check; pass --base-ideal")
     if _closed_form(obj, args.route):  # read off the spec's walk: no mask is built
-        rep, route = _spec_invariants(obj), "closed-form"
+        rep, route = invariants(obj), "closed-form"
     else:
         ideal, route, copies = compute_cover_ideal(obj, args.route)
         rep = _invariants(obj, ideal, copies)

@@ -46,10 +46,9 @@ __all__ = [
 # few 2^f-bit tables live (4 MB each at f = 25); larger block specs go through
 # the closed form.
 BRUTE_FORCE_LIMIT = 25
-# Both graph routes also refuse covers * n past this, before building any
-# generator. At f <= 25 there are at most 8,748 minimal covers (Moon-Moser),
-# so only a large n is refused. The CLI refuses to print a computed cover
-# ideal holding more indices.
+# Both graph routes refuse covers * n past this before building a generator;
+# at f <= 25 there are at most 8,748 minimal covers (Moon-Moser), so only a
+# large n is refused. ``_walk_index_guard`` refuses a spec's covers past it.
 _OUTPUT_LIMIT = 1 << 20
 # The closed form refuses generators * n past this many mask bits (512 MiB).
 _MASK_BITS_LIMIT = 1 << 32
@@ -66,7 +65,7 @@ class PatrolSolution(namedtuple("PatrolSolution", "covering_number optimal_cover
 
 
 def _spec_free_count(spec: KPrimeSpec) -> int:
-    """The free vertex count f of ``expand_kprime(spec)``, read off the
+    """The free vertex count f of the spec's graph, read off the
     walk's omit-one covers, one per unlooped center, of degree |C + L| - 1 + u
     with u its unlooped leaves. A leaf's one edge goes to its center, so it
     is free iff both are unlooped; an unlooped center is free iff another
@@ -77,7 +76,7 @@ def _spec_free_count(spec: KPrimeSpec) -> int:
 
 
 def _spec_open_edges(spec: KPrimeSpec) -> list[tuple[int, int]]:
-    """The edges of G - L for ``expand_kprime(spec)``, read off the spec:
+    """The edges of G - L for the spec's graph, read off the spec:
     the core pairs of unlooped centers, and each unlooped center's edges to
     its unlooped leaves. Only the blocks of unlooped centers are walked;
     past the f guard each holds at most 25 unlooped leaves, so the walk
@@ -253,15 +252,44 @@ def _walk_cover(cl: tuple[int, ...], key: int, prev: int | None) -> tuple[int, .
     return (*cl[:bisect_right(cl, prev)], *range(prev + 1, a), *cl[bisect_right(cl, a):])
 
 
+def _walk_index_guard(spec: KPrimeSpec) -> None:
+    """Refuse covers of more than ``_OUTPUT_LIMIT`` indices, summed off the walk."""
+    if (size := sum(degree for degree, _, _ in spec._walk)) > _OUTPUT_LIMIT:
+        raise SizeGuardError(f"the ideal holds {size} indices > {_OUTPUT_LIMIT}, too many to print")
+
+
+def _mask_bits_guard(spec: KPrimeSpec) -> None:
+    """Refuse t covers of n bits past ``_MASK_BITS_LIMIT``, before any mask exists."""
+    if (t := len(spec._walk)) * spec.n > _MASK_BITS_LIMIT:
+        raise SizeGuardError(f"closed form refused for {t} generators x n={spec.n} > "
+                             f"{_MASK_BITS_LIMIT} mask bits")
+
+
+def _walk_linear_order(spec: KPrimeSpec) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The walk's covers as index tuples, C + L moved up to second place, and
+    each later step's one variable as a mask: X_a for the omit-one cover of
+    center a; for C + L, the first cover's one unlooped leaf (its u is 1)."""
+    _walk_index_guard(spec)
+    _mask_bits_guard(spec)
+    walk, cl = list(spec._walk), spec._cl
+    top = next((i for i, (_, _, prev) in enumerate(walk) if prev is None), 0)
+    if top > 1:
+        walk.insert(1, walk.pop(top))
+    order = [_walk_cover(cl, key, prev) for _, key, prev in walk]
+    steps = [1 << (abs(key) - 1) for _, key, prev in walk[1:] if prev is not None]
+    if top:
+        steps.insert(0, _indices_mask(set(order[0]).difference(cl)))
+    return order, steps
+
+
 def kprime_cover_ideal(spec: KPrimeSpec) -> MonomialIdeal:
     """Closed-form ideal of vertex covers for a block spec; no enumeration.
     The walk's masks, in its canonical order: C + L, with an omit-one
     cover's center cleared by one XOR and its leaves (prev, a) ORed in.
     Their t * n bits are bounded by ``_MASK_BITS_LIMIT`` before any exists."""
-    t = len(spec._walk)
-    if t * spec.n > _MASK_BITS_LIMIT:
-        raise SizeGuardError(f"closed form refused for {t} generators x n={spec.n} > "
-                             f"{_MASK_BITS_LIMIT} mask bits")
+    if not isinstance(spec, KPrimeSpec):
+        raise ValidationError(f"the closed form takes a KPrimeSpec, not {type(spec).__name__}")
+    _mask_bits_guard(spec)
     base = _indices_mask(spec._cl)
     masks = []
     for _, key, prev in spec._walk:

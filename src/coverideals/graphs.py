@@ -4,8 +4,8 @@ A loop puts its vertex in every cover, so the ideal of vertex covers of a
 graph with loop set L is x^L times that of G - L, the edges with no looped
 end. ``LoopGraph`` builds that normal form once, as ``open_edges``, and every
 graph route reads it; a ``KPrimeSpec`` builds its walk once, which every
-spec answer reads. A spec reaches the graph routes unexpanded: they read
-its G - L off the blocks; ``expand_kprime`` is their reference.
+spec answer reads: its cover ideal, a linear order and its invariants. A
+spec reaches the graph routes unexpanded: they read its G - L off the blocks.
 Counts and vertices must be ints: a float or a string is refused.
 """
 
@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
-from itertools import combinations
 
 from .errors import ValidationError
 from .monomials import _ints
 
-__all__ = ["LoopGraph", "KPrimeSpec", "expand_kprime"]
+__all__ = ["LoopGraph", "KPrimeSpec"]
 
 
 def _loop_set(loops: Iterable[int], n: int) -> tuple[int, ...]:
@@ -154,13 +153,3 @@ class KPrimeSpec:
 
     def __repr__(self) -> str:
         return f"KPrimeSpec(alphas={list(self.alphas)}, loops={list(self.loops)})"
-
-
-def expand_kprime(spec: KPrimeSpec) -> LoopGraph:
-    """Materialize the block spec: a complete graph on the centers plus one
-    star edge per non-center vertex to its block's center, loops verbatim."""
-    edges = list(combinations(spec.alphas, 2))
-    for prev, a in zip((0,) + spec.alphas, spec.alphas):
-        edges.extend((v, a) for v in range(prev + 1, a))
-    return LoopGraph(spec.n, edges, spec.loops)
-

@@ -1,7 +1,7 @@
 """Graded invariants of R/I for cover ideals: h, projective dimension, depth,
 Krull dimension, regularity, and Cohen-Macaulay verdicts.
 
-Each report is read off the ideal alone, or off a block spec's walk.
+Each report is read off an ideal alone, or off a block spec's walk.
 Depth is always derived as n - pd (Auslander-Buchsbaum); dim as n - h(I).
 pd is q + 1, with q the largest step of the linear order that the decision
 behind ``find_linear_order`` returns as masks (q = 0 for a principal ideal);
@@ -10,9 +10,9 @@ Without one only dim is reported, and the Cohen-Macaulay verdict is False
 when h = 1 (dim n - 1 needs pd 1, i.e. a principal ideal) and inconclusive
 otherwise rather than guessed.
 
-A block spec's report is read off the walk that the spec built at
-construction (see ``KPrimeSpec``), with no colon step and no mask: G - L
-is split (unlooped centers a clique, unlooped leaves independent), so its
+``invariants(spec)`` reads a block spec's report off the walk that it built at
+construction (see ``KPrimeSpec``), with no colon step and no mask: G - L is
+split (unlooped centers a clique, unlooped leaves independent), so its
 complement is chordal, I(G - L) has a linear resolution (Fröberg, 1990) and
 R/J(G - L) is Cohen-Macaulay (Eagon–Reiner, JPAA 130, 1998). J = x^L J(G - L)
 with x^L in variables of its own, so pd = 2, or 1 when J is principal.
@@ -58,6 +58,8 @@ class InvariantReport(namedtuple("InvariantReport", "n h dim route q pd depth re
 def h_of(ideal: MonomialIdeal) -> int:
     """Minimum size of a variable set meeting every minimal generator; without
     a shared variable, refused past ``HITTING_SET_LIMIT`` occurring ones."""
+    if not isinstance(ideal, MonomialIdeal):
+        raise ValidationError(f"h_of takes a MonomialIdeal, not {type(ideal).__name__}")
     if ideal.is_zero:
         raise ValidationError("the zero ideal has no vertex covers")
     masks = ideal.masks
@@ -94,21 +96,32 @@ def _hit_within(masks: list[int], k: int) -> bool:
     return False
 
 
-def invariants(ideal: MonomialIdeal, spec: KPrimeSpec | None = None) -> InvariantReport:
-    """Full invariant report for R/I, routed by the ideal's structure.
+def invariants(source: KPrimeSpec | MonomialIdeal, spec: KPrimeSpec | None = None
+               ) -> InvariantReport:
+    """Full invariant report for R/I, I an ideal or a block spec's cover ideal.
 
-    h comes from the hitting-set search. A linear-quotient order gives
-    pd = q + 1 and reg exact; a principal ideal is the order with q = 0,
-    reported under the route "principal" with reg bounds (0, n - 1).
-    Without an order only dim is exact, and R/I is not Cohen-Macaulay when
-    h = 1. Given ``spec``, the block spec whose cover ideal I must be, the
-    report is read off its walk; an I that differs from the walk in n,
-    generator count or end degree is refused, and a full check is left out
-    since it would build the closed form's masks.
+    A spec's report is read off its walk (see the module docstring): q = 0 for
+    one generator, else 1; reg from the last, largest degree; bounds
+    ((m - 1) + (sigma - 2), n - 2); h = 1 with loops, as a loop vertex lies in
+    every cover, else 2: two centers meet every cover, and each vertex v is
+    missed by the complement of a maximal independent set holding v.
+
+    An ideal's h comes from the hitting-set search. A linear-quotient order
+    gives pd = q + 1 and reg exact; a principal ideal is the order with q = 0,
+    reported under the route "principal" with reg bounds (0, n - 1). Without an
+    order only dim is exact, and R/I is not Cohen-Macaulay when h = 1.
+    ``invariants(ideal, spec)`` is ``invariants(spec)`` for an ideal of the
+    walk's n, generator count and end degrees, refused otherwise.
     """
-    if ideal.is_zero:
+    if isinstance(source, KPrimeSpec) and spec is None:
+        walk, n = source._walk, source.n
+        return _exact_report(n, 1 if source.loops else 2, min(len(walk) - 1, 1), walk[-1][0] - 1,
+                             ((source.m - 1) + (source.sigma - 2), n - 2))
+    if not isinstance(source, MonomialIdeal):
+        raise ValidationError(f"cannot compute invariants for {type(source).__name__}")
+    if source.is_zero:
         raise ValidationError("invariants are undefined for the zero ideal")
-    n, masks = ideal.n, ideal.masks
+    n, masks = source.n, source.masks
     if spec is not None:
         if not isinstance(spec, KPrimeSpec):
             raise ValidationError(f"invariants take a KPrimeSpec, not {type(spec).__name__}")
@@ -116,8 +129,8 @@ def invariants(ideal: MonomialIdeal, spec: KPrimeSpec | None = None) -> Invarian
         if (n, len(masks), masks[0].bit_count(), masks[-1].bit_count()) != (
                 spec.n, len(walk), walk[0][0], walk[-1][0]):
             raise ValidationError("the ideal is not the cover ideal of this block spec")
-        return _spec_invariants(spec)
-    h = h_of(ideal)
+        return invariants(spec)
+    h = h_of(source)
     try:
         decided = _linear_order_steps(masks)
     except InconclusiveError:
@@ -126,19 +139,7 @@ def invariants(ideal: MonomialIdeal, spec: KPrimeSpec | None = None) -> Invarian
         return InvariantReport(n=n, h=h, dim=n - h, route="bounds-only",
                                cm=False if h == 1 else None)
     q = max((v.bit_count() for v in decided[1]), default=0)
-    return _exact_report(n, h, q, ideal.max_degree - 1)
-
-
-def _spec_invariants(spec: KPrimeSpec) -> InvariantReport:
-    """The report on a block spec's cover ideal, read off its walk with no
-    mask built: q = 0 for one generator, else 1 (see the module docstring),
-    reg from the last, largest degree, bounds ((m - 1) + (sigma - 2), n - 2).
-    h = 1 with loops, as a loop vertex lies in every cover; else h = 2: two
-    centers meet every cover, and each vertex v is missed by the complement
-    of a maximal independent set holding v."""
-    walk = spec._walk
-    return _exact_report(spec.n, 1 if spec.loops else 2, min(len(walk) - 1, 1), walk[-1][0] - 1,
-                         ((spec.m - 1) + (spec.sigma - 2), spec.n - 2))
+    return _exact_report(n, h, q, source.max_degree - 1)
 
 
 def _exact_report(n: int, h: int, q: int, reg: int, reg_bounds=None) -> InvariantReport:

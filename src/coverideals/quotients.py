@@ -10,8 +10,8 @@ degree-nondecreasing order (Jahan–Zheng, J. Combin. Theory Ser. A 117, 2010,
 Lemma 2.1), so the search only permutes generators within a degree class.
 One private decision on the canonical masks returns the chosen positions
 and step variable masks: ``find_linear_order`` builds its certificate from
-them, and ``invariants`` reads q off them with no ideal built. The CLI
-hands a block spec's order, read off its walk, to the same builder.
+them, and ``invariants`` reads q off them with no ideal built. A block
+spec's order is read off its walk instead, with no search.
 ``check_linear_quotients`` evaluates any order. An order, given or
 returned, is a sequence of generators as ascending index tuples.
 """
@@ -22,7 +22,9 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from math import comb
 
+from .covers import _walk_linear_order
 from .errors import InconclusiveError, ValidationError
+from .graphs import KPrimeSpec
 from .monomials import MonomialIdeal, _mask_indices, _minimal_masks, _support_mask
 
 __all__ = [
@@ -173,36 +175,39 @@ def _linear_order_steps(masks) -> tuple[list[int], list[int]] | None:
     return (chosen, step_masks[1:]) if search(0) else None
 
 
-def find_linear_order(ideal: MonomialIdeal) -> QuotientCertificate | None:
+def find_linear_order(source: KPrimeSpec | MonomialIdeal) -> QuotientCertificate | None:
     """A linear-quotient certificate, or None when provably none exists.
 
-    The canonical order is tried first. When it fails, degree-nondecreasing
-    orders are searched with backtracking: the c-th pick comes from the
-    degree class of canonical position c, which loses no ideal with linear
-    quotients (Jahan–Zheng, JCTA 117, 2010, Lemma 2.1). A prefix whose next
-    colon step is not variable-generated is pruned; feasibility from a prefix
-    depends only on the prefix as a set, so exhausted sets are memoized.
-    Candidates are taken in canonical rank, so the returned order is the
-    first linear one of the searched orders in that rank. Beyond
+    A KPrimeSpec's order is read off its walk with no search, each later step
+    one variable; past the closed form's guards it is a SizeGuardError.
+
+    For a MonomialIdeal the canonical order is tried first. When it fails,
+    degree-nondecreasing orders are searched with backtracking: the c-th pick
+    comes from the degree class of canonical position c, which loses no ideal
+    with linear quotients (Jahan–Zheng, JCTA 117, 2010, Lemma 2.1). A prefix
+    whose next colon step is not variable-generated is pruned; feasibility from
+    a prefix depends only on the prefix as a set, so exhausted sets are
+    memoized. Candidates are taken in canonical rank, so the returned order is
+    the first linear one of the searched orders in that rank. Beyond
     ``BACKTRACK_GENERATOR_LIMIT`` generators the search is refused with
     InconclusiveError, which is distinct from a definitive absence.
 
-    Each step is decided once, from the generator masks, as the mask of its
-    variables. The certificate is built from the masks of the order that
-    passed: only its steps become ideals, and no order is checked twice.
+    Each step is decided once, as the mask of its variables. The certificate is
+    built from the order that passed: only its steps become ideals, one
+    variable per bit, and no order is checked twice.
     """
-    decided = _linear_order_steps(ideal.masks)
-    return None if decided is None else _linear_certificate(ideal, *decided)
-
-
-def _linear_certificate(ideal: MonomialIdeal, chosen, step_masks) -> QuotientCertificate:
-    """The certificate of a linear order already decided: the positions of
-    its generators in ``ideal.masks``, and the variable mask of each step
-    after the first. Only the steps become ideals, one variable per bit."""
-    order = tuple(tuple(_mask_indices(ideal.masks[i])) for i in chosen)
-    steps = tuple(_variables_ideal(ideal.n, v) for v in step_masks)
+    if isinstance(source, KPrimeSpec):
+        order, step_masks = _walk_linear_order(source)
+    elif not isinstance(source, MonomialIdeal):
+        raise ValidationError(f"cannot find a linear order for {type(source).__name__}")
+    elif (decided := _linear_order_steps(source.masks)) is None:
+        return None
+    else:
+        chosen, step_masks = decided
+        order = [tuple(_mask_indices(source.masks[i])) for i in chosen]
+    steps = tuple(_variables_ideal(source.n, v) for v in step_masks)
     q = max((v.bit_count() for v in step_masks), default=0)
-    return QuotientCertificate(order, steps, q, True)
+    return QuotientCertificate(tuple(order), steps, q, True)
 
 
 def resolution_shifts(

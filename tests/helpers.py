@@ -51,6 +51,16 @@ def edge_ideal(g):
     return polarized(g.n, [*g.edges, *((k, k) for k in g.loops)])
 
 
+def expand_kprime(spec):
+    """The graph of a block spec, the reference that the library never
+    builds: a complete graph on the centers plus one star edge per
+    non-center vertex to its block's center, loops verbatim."""
+    edges = list(combinations(spec.alphas, 2))
+    for prev, a in zip((0,) + spec.alphas, spec.alphas):
+        edges.extend((v, a) for v in range(prev + 1, a))
+    return LoopGraph(spec.n, edges, spec.loops)
+
+
 def spec_blocks(spec):
     """(center, block vertices) per block of a spec, read off its alphas:
     block i is the interval (alpha_{i-1}, alpha_i], the center its maximum."""

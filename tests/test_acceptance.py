@@ -12,7 +12,6 @@ from coverideals import (
     KPrimeSpec,
     LoopGraph,
     cover_ideal_by_intersection,
-    expand_kprime,
     find_linear_order,
     invariants,
     kprime_cover_ideal,
@@ -31,6 +30,7 @@ from helpers import (
     city_ideal,
     cm_check_report,
     exhaustive_linear_qs,
+    expand_kprime,
     five_center_spec,
     ideal_of,
     is_minimal_cover,

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coverideals
-from coverideals import cli, covers, graphs, monomials
+from coverideals import cli, covers, monomials
 from helpers import (
     BASE_COVER_GENS,
     CITY_GENS,
@@ -130,6 +130,24 @@ class TestLinearQuotients:
         assert code == 0 and lines[1:3] == ["linear quotients: yes", "q: 1"]
         assert lines[4:6] == ["  X1X4X6X8X10X12X14X16X18X20X22X24X26",
                               "  X2X4X6X8X10X12X14X16X18X20X22X24X26"]
+
+    @pytest.mark.parametrize("route, builds", [
+        ("auto", 1), ("closed-form", 1), ("bruteforce", 0), ("intersection", 0)])
+    def test_a_spec_builds_the_closed_form_at_most_once(self, capsys, monkeypatch, route,
+                                                        builds):
+        # the printed ideal comes from the route; the order, from the walk
+        calls = []
+
+        def counted(spec, original=covers.kprime_cover_ideal):
+            calls.append(spec)
+            return original(spec)
+
+        for module in (cli, covers):
+            monkeypatch.setattr(module, "kprime_cover_ideal", counted)
+        code, out = run_cli(capsys, "linear-quotients", "--route", route,
+                            "--json", FIVE_CENTER_JSON)
+        assert code == 0 and out.splitlines()[1:3] == ["linear quotients: yes", "q: 1"]
+        assert len(calls) == builds
 
     def test_absence_verdict(self, capsys):
         ideal_json = json.dumps({"n": 4, "gens": [[1, 2], [3, 4]]})
@@ -576,7 +594,6 @@ class TestExitCodesAndDeterminism:
         tail = " > 25; use the structured closed form"
         with monkeypatch.context() as patch:
             patch.setattr(covers, "_spec_open_edges", refuse)
-            patch.setattr(graphs, "expand_kprime", refuse)
             for argv, message in [
                 (["oracle-verify"], intersection),
                 (["cover-ideal", "--route", "intersection"], intersection),

@@ -17,7 +17,6 @@ from coverideals import (
     SizeGuardError,
     ValidationError,
     cover_ideal_by_intersection,
-    expand_kprime,
     invariants,
     kprime_cover_ideal,
     min_patrols,
@@ -36,6 +35,7 @@ from helpers import (
     city_ideal,
     count_ideal_builds,
     count_spec_walks,
+    expand_kprime,
     five_center_spec,
     ideal_of,
     is_minimal_cover,

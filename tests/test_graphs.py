@@ -11,10 +11,10 @@ from coverideals import (
     ValidationError,
 )
 from coverideals.cli import classify_input
-from coverideals.graphs import expand_kprime
 from helpers import (
     FIVE_CENTER_LOOPS,
     edge_ideal,
+    expand_kprime,
     five_center_spec,
     ideal_of,
     input_gens,

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverideals import (
+    InconclusiveError,
     KPrimeSpec,
     LoopGraph,
     MonomialIdeal,
@@ -18,7 +19,7 @@ from coverideals import (
     cli,
     check_linear_quotients,
     cover_ideal_by_intersection,
-    expand_kprime,
+    covers,
     find_linear_order,
     h_of,
     invariants,
@@ -33,6 +34,7 @@ from helpers import (
     SATURATION_WITNESS,
     block_specs,
     cm_check_report,
+    expand_kprime,
     five_center_spec,
     ideal_of,
     loop_graphs,
@@ -273,7 +275,7 @@ class TestLoopSaturation:
 
 
 def block_spec_report(spec):
-    return invariants(kprime_cover_ideal(spec), spec)
+    return invariants(spec)
 
 
 class TestRegBounds:
@@ -319,14 +321,15 @@ class TestRegBounds:
 
 
 class TestBlockSpecClosedForm:
-    """invariants(ideal, spec) reads q, pd and reg off the spec's walk: G - L
-    is split, so R/J is Cohen-Macaulay with pd 2, or pd 1 when principal."""
+    """invariants(spec) and find_linear_order(spec) read q, pd, reg and the
+    order off the spec's walk: G - L is split, so R/J is Cohen-Macaulay with
+    pd 2, or pd 1 when principal, and some order has every step one variable."""
 
     @settings(max_examples=300)
     @given(block_specs(max_n=16, max_loops=16))
     def test_matches_the_order_search_and_an_explicit_linear_order(self, spec):
         ideal = kprime_cover_ideal(spec)
-        rep = invariants(ideal, spec)
+        rep = invariants(spec)
         assert rep.pd == (1 if ideal.is_principal else 2) and rep.cm == (rep.pd == rep.h)
         # without the spec the order search runs, and it agrees wherever it decides
         searched = invariants(ideal)
@@ -338,12 +341,46 @@ class TestBlockSpecClosedForm:
         order = sorted(ideal.masks, key=lambda m: bool(m & ~inside))
         cert = check_linear_quotients(ideal, [_mask_indices(m) for m in order])
         assert cert.linear and cert.q == rep.q
-        # the CLI's certificate, read off the walk, is linear, and it is the
+        # the spec's certificate, read off the walk, is linear, and it is the
         # order search's own (at most 10 generators here, so the search answers)
-        walked = cli._walk_certificate(spec, ideal)
+        walked = find_linear_order(spec)
         checked = check_linear_quotients(ideal, walked.order)
         assert checked.linear and checked.steps == walked.steps and walked.q == rep.q
         assert walked == find_linear_order(ideal)
+
+    @settings(max_examples=300)
+    @given(block_specs())
+    def test_spec_answers_are_those_of_its_ideal(self, spec):
+        ideal = kprime_cover_ideal(spec)
+        cert = find_linear_order(spec)
+        checked = check_linear_quotients(ideal, cert.order)
+        assert cert.linear and checked.linear
+        assert (checked.steps, checked.q) == (cert.steps, cert.q) and cert.q <= 1
+        # at most 9 centers, so at most 10 generators: the ideal's search answers
+        assert cert == find_linear_order(ideal)
+        assert invariants(spec) == invariants(ideal, spec)
+
+    def test_one_leaf_blocks_get_their_order_with_no_search(self, monkeypatch):
+        # 14 generators: the ideal's own search is refused, the spec's order
+        # is read off its walk, with no colon step and no closed-form mask
+        spec = KPrimeSpec(range(2, 27, 2))
+        with pytest.raises(InconclusiveError, match="14 generators"):
+            find_linear_order(kprime_cover_ideal(spec))
+        calls = []
+
+        def refuse(*args):
+            calls.append(args)
+            raise AssertionError("no colon step or closed form is needed")
+
+        monkeypatch.setattr(quotients, "_linear_step", refuse)
+        monkeypatch.setattr(covers, "kprime_cover_ideal", refuse)
+        cert = find_linear_order(spec)
+        assert calls == [] and (cert.q, cert.linear, len(cert.order)) == (1, True, 14)
+        # the omit-one cover of center 2, then C + L with step (X1), its one
+        # leaf, then the other omit-one covers in walk order, each step (X_a)
+        centers = tuple(range(2, 27, 2))
+        assert cert.order[:2] == ((1, *centers[1:]), centers)
+        assert [s.gens for s in cert.steps] == [((1,),), *(((a,),) for a in centers[1:])]
 
     def test_reaches_no_colon_step(self, monkeypatch):
         steps = []

@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "ValidationError",
     "check_linear_quotients",
     "cover_ideal_by_intersection",
-    "expand_kprime",
     "find_linear_order",
     "h_of",
     "invariants",
@@ -174,3 +173,21 @@ def test_invariant_report_defaults_its_six_trailing_fields_to_none():
     assert report.to_json_dict() == {"n": 5, "h": 2, "dim": 3, "route": "bounds-only",
                                      "q": None, "pd": None, "depth": None, "reg": None,
                                      "reg_bounds": None, "cm": None}
+
+
+_GRAPH, _SPEC = coverideals.LoopGraph(3, [(1, 2)]), coverideals.KPrimeSpec([2, 4])
+
+
+@pytest.mark.parametrize("call, source, message", [
+    (coverideals.invariants, _GRAPH, "^cannot compute invariants for LoopGraph$"),
+    (coverideals.find_linear_order, _GRAPH, "^cannot find a linear order for LoopGraph$"),
+    (coverideals.min_patrols, _GRAPH, "^cannot compute patrols for LoopGraph$"),
+    (coverideals.h_of, _GRAPH, "^h_of takes a MonomialIdeal, not LoopGraph$"),
+    (coverideals.h_of, _SPEC, "^h_of takes a MonomialIdeal, not KPrimeSpec$"),
+    (coverideals.kprime_cover_ideal, _GRAPH, "^the closed form takes a KPrimeSpec, not LoopGraph$"),
+], ids=["invariants", "find_linear_order", "min_patrols", "h_of-graph", "h_of-spec",
+        "kprime_cover_ideal"])
+def test_wrong_input_types_are_validation_errors(call, source, message):
+    # a graph goes through a route first, and h of a spec is invariants(spec).h
+    with pytest.raises(coverideals.ValidationError, match=message):
+        call(source)
