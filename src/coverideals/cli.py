@@ -184,43 +184,41 @@ def classify_input(data):
     raise ValidationError("input JSON is not a graph, a block spec, or an ideal")
 
 
-def _closed_form(obj, route: str) -> bool:
-    return isinstance(obj, KPrimeSpec) and route in ("auto", "closed-form")
-
-
-def compute_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int, ...]]:
-    """Resolve the input to its ideal of vertex covers and copies, honoring the route."""
+def compute_cover_ideal(obj, route: str, build: bool = True) -> tuple[
+        MonomialIdeal | None, str, tuple[int, ...], KPrimeSpec | MonomialIdeal]:
+    """Resolve the input on the route: its ideal of vertex covers, the route's
+    name, the copies kept in its ring, and the source that the library answers
+    from, a block spec itself on every route, else the ideal. The closed form
+    is guarded off the walk before its masks exist, and built only if
+    ``build``; a graph route always runs, so that its refusal stands."""
     if isinstance(obj, _IdealInput):
         if route != "auto":
             raise ValidationError("route overrides do not apply to ideal input")
-        return obj.ideal, "ideal-input", obj.copies
-    if _closed_form(obj, route):
-        return kprime_cover_ideal(obj), "closed-form", ()
+        return obj.ideal, "ideal-input", obj.copies, obj.ideal
+    spec = isinstance(obj, KPrimeSpec)
+    if spec and route in ("auto", "closed-form"):
+        if not build:
+            return None, "closed-form", (), obj
+        _walk_index_guard(obj)
+        return kprime_cover_ideal(obj), "closed-form", (), obj
     if route == "closed-form":
         raise ValidationError("the closed-form route requires a block-spec input")
     if route == "bruteforce":
-        return minimal_covers_bruteforce(obj), "bruteforce", ()
-    return cover_ideal_by_intersection(obj), "intersection", ()
+        ideal = minimal_covers_bruteforce(obj)
+    else:
+        ideal, route = cover_ideal_by_intersection(obj), "intersection"
+    return ideal, route, (), obj if spec else ideal
 
 
-def _printed_cover_ideal(obj, route: str) -> tuple[MonomialIdeal, str, tuple[int, ...]]:
-    if _closed_form(obj, route):  # sized off the walk; the graph routes guard themselves
-        _walk_index_guard(obj)
-    return compute_cover_ideal(obj, route)
-
-
-def _invariants(obj, ideal: MonomialIdeal, copies) -> InvariantReport:
-    """The invariants in the input's ring; a block spec's are read off its walk."""
-    rep = invariants(obj if isinstance(obj, KPrimeSpec) else ideal)
-    if not copies:
-        return rep
+def _shifted(rep: InvariantReport, copies) -> InvariantReport:
+    """The report in the input's ring: n, dim and depth shifted back by the copies."""
     c = len(copies)
     return rep._replace(n=rep.n - c, dim=rep.dim - c,
-                        depth=None if rep.depth is None else rep.depth - c)
+                        depth=None if rep.depth is None else rep.depth - c) if c else rep
 
 
 def run_cover_ideal(obj, args):
-    ideal, route, copies = _printed_cover_ideal(obj, args.route)
+    ideal, route, copies, _ = compute_cover_ideal(obj, args.route)
     return {"route": route, "ideal": _ideal_json(ideal, copies)}
 
 
@@ -231,8 +229,8 @@ def _cover_ideal_text(report):
 
 
 def run_invariants(obj, args):
-    ideal, route, copies = _printed_cover_ideal(obj, args.route)
-    return {"route": route, "invariants": _invariants(obj, ideal, copies).to_json_dict(),
+    ideal, route, copies, source = compute_cover_ideal(obj, args.route)
+    return {"route": route, "invariants": _shifted(invariants(source), copies).to_json_dict(),
             "ideal": _ideal_json(ideal, copies)}
 
 
@@ -249,8 +247,8 @@ def _fmt(value) -> str:
 
 
 def run_linear_quotients(obj, args):
-    ideal, route, copies = _printed_cover_ideal(obj, args.route)
-    cert = find_linear_order(obj if isinstance(obj, KPrimeSpec) else ideal)
+    ideal, route, copies, source = compute_cover_ideal(obj, args.route)
+    cert = find_linear_order(source)
     report = {"route": route, "ideal": _ideal_json(ideal, copies)}
     if cert is None:
         return {**report, "linear": False, "verdict": "absence"}
@@ -277,11 +275,8 @@ def _linear_quotients_text(report):
 def run_cm_check(obj, args):
     if args.loops is not None and args.base_ideal is None:
         raise ValidationError("--loops applies only to the saturation check; pass --base-ideal")
-    if _closed_form(obj, args.route):  # read off the spec's walk: no mask is built
-        rep, route = invariants(obj), "closed-form"
-    else:
-        ideal, route, copies = compute_cover_ideal(obj, args.route)
-        rep = _invariants(obj, ideal, copies)
+    _, route, copies, source = compute_cover_ideal(obj, args.route, build=False)
+    rep = _shifted(invariants(source), copies)
     report = {"route": route, "invariants": rep.to_json_dict()}
     if args.base_ideal is not None:
         # once the loops hold a minimal cover w of the loopless base graph, the
@@ -337,14 +332,10 @@ def _resolve_loops(obj, args, n: int):
 
 
 def run_patrol(obj, args):
-    if _closed_form(obj, args.route):  # only the lowest-degree covers are built
-        solution, route = min_patrols(obj), "closed-form"
-    else:
-        ideal, route, copies = compute_cover_ideal(obj, args.route)
-        if copies:  # a minimal generator holds a power
-            raise ValidationError("patrol selection needs a squarefree (vertex-cover) ideal")
-        solution = min_patrols(ideal)
-    return {"route": route, "patrol": solution.to_json_dict()}
+    _, route, copies, source = compute_cover_ideal(obj, args.route, build=False)
+    if copies:  # a minimal generator holds a power
+        raise ValidationError("patrol selection needs a squarefree (vertex-cover) ideal")
+    return {"route": route, "patrol": min_patrols(source).to_json_dict()}
 
 
 def _patrol_text(report):
@@ -357,10 +348,11 @@ def _patrol_text(report):
 def run_oracle_verify(obj, args):
     if isinstance(obj, _IdealInput):
         raise ValidationError("oracle-verify needs a graph or block-spec input")
-    routes = ("intersection", "bruteforce")
+    # the graph routes refuse off the walk in O(m); once both pass, the closed
+    # form's covers x n are within their output guard, so it refuses no more
+    results = {name: compute_cover_ideal(obj, name)[0] for name in ("intersection", "bruteforce")}
     if isinstance(obj, KPrimeSpec):
-        routes = ("closed-form",) + routes
-    results = {name: compute_cover_ideal(obj, name)[0] for name in routes}
+        results = {"closed-form": compute_cover_ideal(obj, "closed-form")[0], **results}
     ideals = list(results.values())
     agree = all(i == ideals[0] for i in ideals)
     report = {"agree": agree,

@@ -99,6 +99,8 @@ def _free_graph(g: LoopGraph | KPrimeSpec, route: str) -> tuple[list[int], dict[
     ``runs`` maps each shift to the mask of its positions, and a lift costs
     one AND and one shift per run, never O(n)."""
     spec = isinstance(g, KPrimeSpec)
+    if not spec and not isinstance(g, LoopGraph):
+        raise ValidationError(f"{route} takes a LoopGraph or a KPrimeSpec, not {type(g).__name__}")
     f = _spec_free_count(g) if spec else 0  # a spec's f is counted before any edge is read
     if f <= BRUTE_FORCE_LIMIT:
         open_edges = _spec_open_edges(g) if spec else g.open_edges

@@ -46,16 +46,14 @@ def _ints(values: Iterable) -> list[int]:
 
 
 def _indices_mask(indices: Iterable[int]) -> int:
-    """Bitmask of positive 1-based indices, built in O(largest index) as a
-    binary numeral rather than by OR-ing wide integers."""
+    """Bitmask of positive 1-based indices, built in O(largest index): each
+    bit is set in a bytearray of n/8 bytes, read as one little-endian
+    integer, rather than in an n-digit numeral or by OR-ing wide integers."""
     indices = list(indices)
-    top = max(indices, default=0)
-    if not top:
-        return 0
-    digits = bytearray(b"0" * top)
+    buf = bytearray((max(indices, default=0) + 7) >> 3)
     for i in indices:
-        digits[top - i] = 49  # ord("1")
-    return int(digits, 2)
+        buf[(i - 1) >> 3] |= 1 << ((i - 1) & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _support_mask(indices: Iterable[int], n: int) -> int:

@@ -96,6 +96,8 @@ def _variables_ideal(n: int, variables: int) -> MonomialIdeal:
 def _order_masks(order, ideal: MonomialIdeal) -> list[int] | None:
     """The masks of an order's index sequences, each checked as a generator
     of the ideal's ring; None unless they are its minimal generators, each once."""
+    if not isinstance(ideal, MonomialIdeal):
+        raise ValidationError(f"an order belongs to a MonomialIdeal, not {type(ideal).__name__}")
     masks = [_support_mask(u, ideal.n) for u in order]
     return masks if sorted(masks) == sorted(ideal.masks) else None
 
@@ -217,6 +219,9 @@ def resolution_shifts(
     cones over a linear order: a generator of degree d whose colon step has
     r variables contributes C(r, i) copies of shift d + i in homological
     degree i, for 0 <= i <= r."""
+    if not isinstance(cert, QuotientCertificate):
+        raise ValidationError(f"resolution shifts take a QuotientCertificate, not "
+                              f"{type(cert).__name__}")
     if not cert.linear:
         raise ValidationError("resolution shifts require a linear-quotient certificate")
     if ideal is not None and _order_masks(cert.order, ideal) is None:

@@ -25,6 +25,7 @@ from helpers import (
     FIVE_CENTER_ALPHAS,
     FIVE_CENTER_LOOPS,
     SATURATED_LOOPS,
+    block_specs,
     count_spec_walks,
     ideal_of,
 )
@@ -77,6 +78,32 @@ class TestCoverIdeal:
             assert code == 0 and report["route"] == route
             reports[route] = report["ideal"]
         assert reports["closed-form"] == reports["bruteforce"] == reports["intersection"]
+
+    @settings(max_examples=60)
+    @given(block_specs(), st.sampled_from(("patrol", "cm-check", "invariants",
+                                           "linear-quotients")),
+           st.sampled_from(("text", "json")))
+    def test_a_spec_answers_alike_on_every_route(self, spec, verb, fmt):
+        # each answer is read off the walk; the route names only the code
+        # that built the printed ideal, the same ideal on every route
+        payload = json.dumps({"alphas": list(spec.alphas), "loops": list(spec.loops)})
+        outputs = {}
+        for route in cli.ROUTES:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main([verb, "--json", payload, "--format", fmt, "--route", route]) == 0
+            outputs[route] = out.getvalue()
+        routes = {"auto": "closed-form"}
+        for route, text in outputs.items():
+            if fmt == "json":
+                report = json.loads(text)
+                assert report.pop("route") == routes.get(route, route)
+                outputs[route] = report
+            else:
+                first, _, rest = text.partition("\n")
+                assert first.startswith(f"route: {routes.get(route, route)}")
+                outputs[route] = rest
+        assert len({json.dumps(o, sort_keys=True) for o in outputs.values()}) == 1
 
     def test_closed_form_requires_spec_input(self, capsys):
         code, _ = run_cli(capsys, "cover-ideal", "--json", TRIANGLE_JSON,
@@ -613,6 +640,19 @@ class TestExitCodesAndDeterminism:
         assert cli.main(["cover-ideal", "--route", "bruteforce", "--json", looped]) == 0
         assert capsys.readouterr().out == "route: bruteforce\ngenerators (1):\n  X1000000\n"
 
+    def test_oracle_verify_refuses_off_the_walk_before_any_mask(self, capsys):
+        # the graph routes run first and count f off the walk in O(m); the
+        # closed form would build a 10^8-bit mask of C + L before they ran
+        tracemalloc.start()
+        try:
+            code, err = run_error(capsys, "oracle-verify", "--json", '{"alphas":[1,100000000]}')
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (2, "error: prime intersection refused for f=100000000 free "
+                                  "vertices > 25; use the structured closed form\n")
+        assert peak < 5 * 2**20
+
     def test_graph_past_the_hitting_set_guard_gets_h_from_the_loop_rule(self, capsys):
         # brute force accepts f = 2 at n = 30, and the hitting-set search sees
         # only those 2 occurring variables, so h agrees with the loop rule
@@ -655,10 +695,13 @@ class TestExitCodesAndDeterminism:
         # masks at n = 10^8 would take 12.5 GB
         spec = json.dumps({"alphas": list(range(1, 1001)) + [10**8], "loops": [10**8]})
         start = time.perf_counter()
-        for verb in ("cover-ideal", "oracle-verify"):
-            code, err = run_error(capsys, verb, "--json", spec)
-            assert code == 2 and err == ("error: closed form refused for 1000 generators x "
-                                         "n=100000000 > 4294967296 mask bits\n")
+        code, err = run_error(capsys, "cover-ideal", "--json", spec)
+        assert code == 2 and err == ("error: closed form refused for 1000 generators x "
+                                     "n=100000000 > 4294967296 mask bits\n")
+        # oracle-verify runs the graph routes first, and they refuse off the walk
+        code, err = run_error(capsys, "oracle-verify", "--json", spec)
+        assert code == 2 and err == ("error: prime intersection refused for f=1000 free "
+                                     "vertices > 25; use the structured closed form\n")
         # cm-check reads its answer off the spec's walk and builds no mask
         code, out = run_cli(capsys, "cm-check", "--json", spec)
         assert code == 0 and out.endswith("\ncohen_macaulay: false\n")
@@ -717,8 +760,8 @@ class TestExitCodesAndDeterminism:
         assert code == 0 and report["invariants"]["h"] == 12
 
     def test_out_of_memory_is_exit_two(self):
-        # the variable X_(10^10) needs a 10 GB mask buffer, past a 1.5 GB
-        # address-space limit
+        # the variable X_(10^10) needs a 1.25 GB mask buffer and as large an
+        # integer, past a 1.5 GB address-space limit
         resource = pytest.importorskip("resource")
         limit = 1_500_000_000
 

@@ -385,6 +385,18 @@ class TestKPrimeRoute:
         twin = kprime_cover_ideal(KPrimeSpec(alphas + [10**6], [10**6]))
         assert len(twin.masks) == 1000 and twin.masks[0].bit_count() == 1000
 
+    def test_mask_of_n_bits_costs_n_over_8_bytes(self):
+        # the C + L mask at n = 10^8 is built as 12.5 MB of bytes, then an
+        # integer of as many; an ASCII numeral of n digits took 100 MB
+        tracemalloc.start()
+        try:
+            ideal = kprime_cover_ideal(KPrimeSpec([1, 10**8], [10**8]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ideal.gens == ((10**8,),)
+        assert peak < 48 * 2**20
+
     def test_saturated_spec_is_principal(self):
         ideal = kprime_cover_ideal(five_center_spec(SATURATED_LOOPS))
         assert ideal == ideal_of(12, SATURATED_GEN)

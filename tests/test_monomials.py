@@ -13,7 +13,13 @@ from coverideals import (
     cli,
 )
 from coverideals.cli import classify_input
-from coverideals.monomials import _canonical, _mask_indices, _minimal_masks, _support_mask
+from coverideals.monomials import (
+    _canonical,
+    _indices_mask,
+    _mask_indices,
+    _minimal_masks,
+    _support_mask,
+)
 from helpers import (
     FIVE_CENTER_GENS,
     all_monomials,
@@ -310,7 +316,9 @@ class TestMaskIndices:
     def test_edges_against_the_binary_numeral(self, bits):
         mask = sum(1 << b for b in bits)
         assert _mask_indices(mask) == bin_scan_indices(mask) == [b + 1 for b in bits]
+        assert _indices_mask(b + 1 for b in bits) == mask
 
     @given(st.integers(0, 1 << 300))
     def test_random_against_the_binary_numeral(self, mask):
         assert _mask_indices(mask) == bin_scan_indices(mask)
+        assert _indices_mask(_mask_indices(mask)) == mask

@@ -176,6 +176,7 @@ def test_invariant_report_defaults_its_six_trailing_fields_to_none():
 
 
 _GRAPH, _SPEC = coverideals.LoopGraph(3, [(1, 2)]), coverideals.KPrimeSpec([2, 4])
+_ORDER_OF = "^an order belongs to a MonomialIdeal, not KPrimeSpec$"
 
 
 @pytest.mark.parametrize("call, source, message", [
@@ -185,8 +186,17 @@ _GRAPH, _SPEC = coverideals.LoopGraph(3, [(1, 2)]), coverideals.KPrimeSpec([2, 4
     (coverideals.h_of, _GRAPH, "^h_of takes a MonomialIdeal, not LoopGraph$"),
     (coverideals.h_of, _SPEC, "^h_of takes a MonomialIdeal, not KPrimeSpec$"),
     (coverideals.kprime_cover_ideal, _GRAPH, "^the closed form takes a KPrimeSpec, not LoopGraph$"),
+    (coverideals.cover_ideal_by_intersection, _IDEAL,
+     "^prime intersection takes a LoopGraph or a KPrimeSpec, not MonomialIdeal$"),
+    (coverideals.minimal_covers_bruteforce, _IDEAL,
+     "^brute force takes a LoopGraph or a KPrimeSpec, not MonomialIdeal$"),
+    (lambda spec: coverideals.check_linear_quotients(spec, [(1,)]), _SPEC, _ORDER_OF),
+    (coverideals.resolution_shifts, _SPEC,
+     "^resolution shifts take a QuotientCertificate, not KPrimeSpec$"),
+    (lambda spec: coverideals.resolution_shifts(_CERT, spec), _SPEC, _ORDER_OF),
 ], ids=["invariants", "find_linear_order", "min_patrols", "h_of-graph", "h_of-spec",
-        "kprime_cover_ideal"])
+        "kprime_cover_ideal", "intersection", "bruteforce", "check_linear_quotients",
+        "resolution_shifts-cert", "resolution_shifts-ideal"])
 def test_wrong_input_types_are_validation_errors(call, source, message):
     # a graph goes through a route first, and h of a spec is invariants(spec).h
     with pytest.raises(coverideals.ValidationError, match=message):
