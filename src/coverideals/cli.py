@@ -42,9 +42,8 @@ from json.encoder import encode_basestring_ascii
 from operator import or_
 
 from .covers import (
-    _walk_index_guard,
+    _walk_covers,
     cover_ideal_by_intersection,
-    kprime_cover_ideal,
     min_patrols,
     minimal_covers_bruteforce,
 )
@@ -161,7 +160,10 @@ def _compact(ix: list[int]) -> str:
     return "".join(f"X{i}^{a}" if (a := len([*run])) > 1 else f"X{i}" for i, run in groupby(ix))
 
 
-def _ideal_json(ideal: MonomialIdeal, copies) -> dict:
+def _ideal_json(ideal: MonomialIdeal | KPrimeSpec, copies) -> dict:
+    """A printed ideal: a spec's covers off its walk, else generators in the input's ring."""
+    if isinstance(ideal, KPrimeSpec):
+        return {"n": ideal.n, "gens": [*map(list, _walk_covers(ideal))]}
     if not copies:
         return ideal.to_json_dict()
     return {"n": ideal.n - len(copies), "gens": [_indices(g, copies) for g in ideal.gens]}
@@ -184,23 +186,20 @@ def classify_input(data):
     raise ValidationError("input JSON is not a graph, a block spec, or an ideal")
 
 
-def compute_cover_ideal(obj, route: str, build: bool = True) -> tuple[
-        MonomialIdeal | None, str, tuple[int, ...], KPrimeSpec | MonomialIdeal]:
-    """Resolve the input on the route: its ideal of vertex covers, the route's
-    name, the copies kept in its ring, and the source that the library answers
-    from, a block spec itself on every route, else the ideal. The closed form
-    is guarded off the walk before its masks exist, and built only if
-    ``build``; a graph route always runs, so that its refusal stands."""
+def compute_cover_ideal(obj, route: str) -> tuple[
+        MonomialIdeal | KPrimeSpec, str, tuple[int, ...], KPrimeSpec | MonomialIdeal]:
+    """Resolve the input on the route: its ideal of vertex covers, or on the
+    closed form the block spec itself, whose walk ``_ideal_json`` prints; the
+    route's name, the copies kept in its ring, and the source that the library
+    answers from, a block spec itself on every route, else the ideal. A graph
+    route always runs, so that its refusal stands."""
     if isinstance(obj, _IdealInput):
         if route != "auto":
             raise ValidationError("route overrides do not apply to ideal input")
         return obj.ideal, "ideal-input", obj.copies, obj.ideal
     spec = isinstance(obj, KPrimeSpec)
     if spec and route in ("auto", "closed-form"):
-        if not build:
-            return None, "closed-form", (), obj
-        _walk_index_guard(obj)
-        return kprime_cover_ideal(obj), "closed-form", (), obj
+        return obj, "closed-form", (), obj
     if route == "closed-form":
         raise ValidationError("the closed-form route requires a block-spec input")
     if route == "bruteforce":
@@ -275,7 +274,7 @@ def _linear_quotients_text(report):
 def run_cm_check(obj, args):
     if args.loops is not None and args.base_ideal is None:
         raise ValidationError("--loops applies only to the saturation check; pass --base-ideal")
-    _, route, copies, source = compute_cover_ideal(obj, args.route, build=False)
+    _, route, copies, source = compute_cover_ideal(obj, args.route)
     rep = _shifted(invariants(source), copies)
     report = {"route": route, "invariants": rep.to_json_dict()}
     if args.base_ideal is not None:
@@ -332,7 +331,7 @@ def _resolve_loops(obj, args, n: int):
 
 
 def run_patrol(obj, args):
-    _, route, copies, source = compute_cover_ideal(obj, args.route, build=False)
+    _, route, copies, source = compute_cover_ideal(obj, args.route)
     if copies:  # a minimal generator holds a power
         raise ValidationError("patrol selection needs a squarefree (vertex-cover) ideal")
     return {"route": route, "patrol": min_patrols(source).to_json_dict()}
@@ -350,13 +349,12 @@ def run_oracle_verify(obj, args):
         raise ValidationError("oracle-verify needs a graph or block-spec input")
     # the graph routes refuse off the walk in O(m); once both pass, the closed
     # form's covers x n are within their output guard, so it refuses no more
-    results = {name: compute_cover_ideal(obj, name)[0] for name in ("intersection", "bruteforce")}
+    routes = {name: _ideal_json(compute_cover_ideal(obj, name)[0], ())
+              for name in ("intersection", "bruteforce")}
     if isinstance(obj, KPrimeSpec):
-        results = {"closed-form": compute_cover_ideal(obj, "closed-form")[0], **results}
-    ideals = list(results.values())
-    agree = all(i == ideals[0] for i in ideals)
-    report = {"agree": agree,
-              "routes": {name: ideal.to_json_dict() for name, ideal in results.items()}}
+        routes = {"closed-form": _ideal_json(obj, ()), **routes}
+    agree = all(printed == routes["intersection"] for printed in routes.values())
+    report = {"agree": agree, "routes": routes}
     if not agree:
         raise OracleDisagreementError("computation routes disagree", report=report)
     return report

@@ -14,10 +14,11 @@ maximal independent sets. Both hand one list of position masks per part to
 ``_cover_ideal``, which guards the output, multiplies the parts, lifts
 positions to vertex indices and adds x^L, then sorts with ``_canonical``.
 The closed form for complete-core-plus-stars graphs reads the walk that a
-``KPrimeSpec`` builds once, which yields its covers in canonical order, so
-no n-bit sort key is built. Each route finds exactly the minimal covers,
-every loop vertex in each, and hands them to the ideal as support masks in
-canonical order, neither minimalized nor sorted there.
+``KPrimeSpec`` builds once, which yields its covers in canonical order as
+index tuples (``_walk_covers``); only ``kprime_cover_ideal`` builds their
+n-bit masks. Each route finds exactly the minimal covers, every loop vertex
+in each, and hands them to the ideal as support masks in canonical order,
+neither minimalized nor sorted there.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 25
 # Both graph routes refuse covers * n past this before building a generator;
 # at f <= 25 there are at most 8,748 minimal covers (Moon-Moser), so only a
-# large n is refused. ``_walk_index_guard`` refuses a spec's covers past it.
+# large n is refused. ``_walk_covers`` refuses a spec's indices past it.
 _OUTPUT_LIMIT = 1 << 20
-# The closed form refuses generators * n past this many mask bits (512 MiB).
+# A caller refuses past this many bits (512 MiB) in the masks it builds:
+# ``kprime_cover_ideal`` counts generators * n, a linear order its steps.
 _MASK_BITS_LIMIT = 1 << 32
 
 
@@ -254,33 +256,29 @@ def _walk_cover(cl: tuple[int, ...], key: int, prev: int | None) -> tuple[int, .
     return (*cl[:bisect_right(cl, prev)], *range(prev + 1, a), *cl[bisect_right(cl, a):])
 
 
-def _walk_index_guard(spec: KPrimeSpec) -> None:
-    """Refuse covers of more than ``_OUTPUT_LIMIT`` indices, summed off the walk."""
+def _walk_covers(spec: KPrimeSpec) -> list[tuple[int, ...]]:
+    """The spec's minimal covers as index tuples, in canonical order; refused
+    past ``_OUTPUT_LIMIT`` indices, summed off the walk before any is built."""
     if (size := sum(degree for degree, _, _ in spec._walk)) > _OUTPUT_LIMIT:
         raise SizeGuardError(f"the ideal holds {size} indices > {_OUTPUT_LIMIT}, too many to print")
-
-
-def _mask_bits_guard(spec: KPrimeSpec) -> None:
-    """Refuse t covers of n bits past ``_MASK_BITS_LIMIT``, before any mask exists."""
-    if (t := len(spec._walk)) * spec.n > _MASK_BITS_LIMIT:
-        raise SizeGuardError(f"closed form refused for {t} generators x n={spec.n} > "
-                             f"{_MASK_BITS_LIMIT} mask bits")
+    return [_walk_cover(spec._cl, key, prev) for _, key, prev in spec._walk]
 
 
 def _walk_linear_order(spec: KPrimeSpec) -> tuple[list[tuple[int, ...]], list[int]]:
     """The walk's covers as index tuples, C + L moved up to second place, and
     each later step's one variable as a mask: X_a for the omit-one cover of
-    center a; for C + L, the first cover's one unlooped leaf (its u is 1)."""
-    _walk_index_guard(spec)
-    _mask_bits_guard(spec)
-    walk, cl = list(spec._walk), spec._cl
+    center a; for C + L, the first cover's one unlooped leaf (its u is 1).
+    A step's mask holds at most as many bits as its center's index, so the
+    centers' sum is bounded by ``_MASK_BITS_LIMIT`` before any step is built."""
+    order, walk = _walk_covers(spec), spec._walk
+    if (bits := sum(abs(key) for _, key, prev in walk if prev is not None)) > _MASK_BITS_LIMIT:
+        raise SizeGuardError(f"the linear order's steps hold {bits} mask bits > {_MASK_BITS_LIMIT}")
     top = next((i for i, (_, _, prev) in enumerate(walk) if prev is None), 0)
-    if top > 1:
-        walk.insert(1, walk.pop(top))
-    order = [_walk_cover(cl, key, prev) for _, key, prev in walk]
+    if top > 1:  # the other covers keep their order, and so do their steps
+        order.insert(1, order.pop(top))
     steps = [1 << (abs(key) - 1) for _, key, prev in walk[1:] if prev is not None]
     if top:
-        steps.insert(0, _indices_mask(set(order[0]).difference(cl)))
+        steps.insert(0, _indices_mask(set(order[0]).difference(spec._cl)))
     return order, steps
 
 
@@ -291,7 +289,9 @@ def kprime_cover_ideal(spec: KPrimeSpec) -> MonomialIdeal:
     Their t * n bits are bounded by ``_MASK_BITS_LIMIT`` before any exists."""
     if not isinstance(spec, KPrimeSpec):
         raise ValidationError(f"the closed form takes a KPrimeSpec, not {type(spec).__name__}")
-    _mask_bits_guard(spec)
+    if (t := len(spec._walk)) * spec.n > _MASK_BITS_LIMIT:
+        raise SizeGuardError(f"closed form refused for {t} generators x n={spec.n} > "
+                             f"{_MASK_BITS_LIMIT} mask bits")
     base = _indices_mask(spec._cl)
     masks = []
     for _, key, prev in spec._walk:

@@ -181,7 +181,7 @@ def find_linear_order(source: KPrimeSpec | MonomialIdeal) -> QuotientCertificate
     """A linear-quotient certificate, or None when provably none exists.
 
     A KPrimeSpec's order is read off its walk with no search, each later step
-    one variable; past the closed form's guards it is a SizeGuardError.
+    one variable; past 2^20 cover indices or 2^32 step bits, a SizeGuardError.
 
     For a MonomialIdeal the canonical order is tried first. When it fails,
     degree-nondecreasing orders are searched with backtracking: the c-th pick

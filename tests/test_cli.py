@@ -80,7 +80,7 @@ class TestCoverIdeal:
         assert reports["closed-form"] == reports["bruteforce"] == reports["intersection"]
 
     @settings(max_examples=60)
-    @given(block_specs(), st.sampled_from(("patrol", "cm-check", "invariants",
+    @given(block_specs(), st.sampled_from(("cover-ideal", "patrol", "cm-check", "invariants",
                                            "linear-quotients")),
            st.sampled_from(("text", "json")))
     def test_a_spec_answers_alike_on_every_route(self, spec, verb, fmt):
@@ -158,23 +158,22 @@ class TestLinearQuotients:
         assert lines[4:6] == ["  X1X4X6X8X10X12X14X16X18X20X22X24X26",
                               "  X2X4X6X8X10X12X14X16X18X20X22X24X26"]
 
-    @pytest.mark.parametrize("route, builds", [
+    @pytest.mark.parametrize("route, walks", [
         ("auto", 1), ("closed-form", 1), ("bruteforce", 0), ("intersection", 0)])
     def test_a_spec_builds_the_closed_form_at_most_once(self, capsys, monkeypatch, route,
-                                                        builds):
-        # the printed ideal comes from the route; the order, from the walk
-        calls = []
-
-        def counted(spec, original=covers.kprime_cover_ideal):
-            calls.append(spec)
-            return original(spec)
-
-        for module in (cli, covers):
-            monkeypatch.setattr(module, "kprime_cover_ideal", counted)
-        code, out = run_cli(capsys, "linear-quotients", "--route", route,
-                            "--json", FIVE_CENTER_JSON)
-        assert code == 0 and out.splitlines()[1:3] == ["linear quotients: yes", "q: 1"]
-        assert len(calls) == builds
+                                                        walks):
+        # no route builds the closed form's masks: the printed ideal is the
+        # graph route's, or on the closed form read off the walk once per
+        # call; the order and the invariants always come from the walk
+        built, printed = [], []
+        monkeypatch.setattr(covers, "kprime_cover_ideal", built.append)
+        monkeypatch.setattr(cli, "_walk_covers",
+                            lambda spec: printed.append(spec) or covers._walk_covers(spec))
+        for verb in ("cover-ideal", "invariants", "linear-quotients"):
+            code, report = run_json(capsys, verb, "--route", route, "--json", FIVE_CENTER_JSON)
+            assert code == 0 and report["ideal"]["gens"][-1] == [1, 2, 5, 6, 8, 9, 12]
+        assert report["certificate"]["q"] == 1
+        assert (built, len(printed)) == ([], 3 * walks)
 
     def test_absence_verdict(self, capsys):
         ideal_json = json.dumps({"n": 4, "gens": [[1, 2], [3, 4]]})
@@ -691,13 +690,10 @@ class TestExitCodesAndDeterminism:
         assert capsys.readouterr().out.startswith("route: closed-form\ngenerators (2):\n")
 
     def test_closed_form_mask_budget_is_exit_two(self, capsys):
-        # 1,000 generators of 1,000 indices pass the print guard, but their
-        # masks at n = 10^8 would take 12.5 GB
+        # 1,000 generators of 1,000 indices pass the print guard; their masks
+        # at n = 10^8 would take 12.5 GB, but no verb builds them
         spec = json.dumps({"alphas": list(range(1, 1001)) + [10**8], "loops": [10**8]})
         start = time.perf_counter()
-        code, err = run_error(capsys, "cover-ideal", "--json", spec)
-        assert code == 2 and err == ("error: closed form refused for 1000 generators x "
-                                     "n=100000000 > 4294967296 mask bits\n")
         # oracle-verify runs the graph routes first, and they refuse off the walk
         code, err = run_error(capsys, "oracle-verify", "--json", spec)
         assert code == 2 and err == ("error: prime intersection refused for f=1000 free "
@@ -707,8 +703,32 @@ class TestExitCodesAndDeterminism:
         assert code == 0 and out.endswith("\ncohen_macaulay: false\n")
         assert time.perf_counter() - start < 1.0
 
+    def test_the_mask_budget_spec_is_printed_off_its_walk(self, capsys):
+        # the same spec's ideal and linear order are read off its walk as
+        # index tuples: 10^6 indices printed, and no mask of n bits built
+        spec = json.dumps({"alphas": list(range(1, 1001)) + [10**8], "loops": [10**8]})
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "cover-ideal", "--json", spec)
+        assert code == 0 and out.splitlines()[1] == "generators (1000):"
+        code, out = run_cli(capsys, "linear-quotients", "--json", spec)
+        assert code == 0 and out.splitlines()[1:3] == ["linear quotients: yes", "q: 1"]
+        assert time.perf_counter() - start < 2.0
+
+    def test_a_huge_spec_is_printed_off_its_walk(self, capsys):
+        # one generator, x^L = X(10^8): the closed form's mask of it would
+        # peak at 38 MB, the walk's index tuple at a few bytes
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, "cover-ideal", "--json",
+                                '{"alphas":[1,100000000],"loops":[100000000]}')
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out == "route: closed-form\ngenerators (1):\n  X100000000\n"
+        assert peak < 5 * 2**20
+
     def test_each_spec_is_walked_once(self, capsys, monkeypatch):
-        # the print guard, the closed form and invariants read one walk
+        # invariants and the printed ideal, with its guard, read one walk
         built = count_spec_walks(monkeypatch)
         assert cli.main(["invariants", "--json", FIVE_CENTER_JSON]) == 0
         assert capsys.readouterr().out.startswith("route: closed-form / linear-quotients\n")

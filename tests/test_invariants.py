@@ -382,6 +382,18 @@ class TestBlockSpecClosedForm:
         assert cert.order[:2] == ((1, *centers[1:]), centers)
         assert [s.gens for s in cert.steps] == [((1,),), *(((a,),) for a in centers[1:])]
 
+    def test_a_linear_order_bounds_only_the_step_masks_it_builds(self):
+        # 1,000 bare centers below a looped n = 10^8: the closed form's masks
+        # would hold 10^11 bits, the order's steps hold 1 + 2 + ... + 1,000
+        cert = find_linear_order(KPrimeSpec(list(range(1, 1001)) + [10**8], [10**8]))
+        assert (cert.q, len(cert.order), len(cert.order[0])) == (1, 1000, 1000)
+        # two covers of two indices, but the steps X(9,999,999,999) and
+        # X(10^10) would hold 2 * 10^10 bits: refused before either is built
+        with pytest.raises(SizeGuardError) as refused:
+            find_linear_order(KPrimeSpec([9999999998, 9999999999, 10**10], [9999999998]))
+        assert str(refused.value) == ("the linear order's steps hold 19999999999 mask bits "
+                                      "> 4294967296")
+
     def test_reaches_no_colon_step(self, monkeypatch):
         steps = []
 
