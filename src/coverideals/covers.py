@@ -8,9 +8,9 @@ routes take a ``LoopGraph`` or a ``KPrimeSpec`` and read G - L through
 free vertex's closed neighbourhood as a mask of free-vertex positions.
 Beyond that the routes are deliberately independent, so that each can serve
 as an oracle for the others: brute force decides every subset of the free
-vertices at once, bit-parallel on Python integers; the intersection route
-lists each connected component's minimal covers, the complements of its
-maximal independent sets. Both hand one list of position masks per part to
+vertices at once, bit-parallel on Python integers, in O(f * 2^f / 64)
+machine words; the intersection route lists each connected component's
+minimal covers, the complements of its maximal independent sets. Both hand one list of position masks per part to
 ``_cover_ideal``, which guards the output, multiplies the parts, lifts
 positions to vertex indices and adds x^L, then sorts with ``_canonical``.
 The closed form for complete-core-plus-stars graphs reads the walk that a
@@ -28,7 +28,6 @@ from collections import namedtuple
 from functools import reduce
 from itertools import chain, combinations, takewhile
 from math import prod
-from operator import and_
 
 from .errors import SizeGuardError, ValidationError
 from .graphs import KPrimeSpec, LoopGraph
@@ -140,20 +139,15 @@ def _cover_ideal(g: LoopGraph | KPrimeSpec, route: str, runs: dict[int, int],
     return MonomialIdeal._trusted(g.n, _canonical(lifted))
 
 
-_LOW_PATTERNS = (0xAA, 0xCC, 0xF0)
-
-
-def _membership(k: int, f: int) -> int:
-    """The 2^f-bit integer whose bit s is set iff bit k of s is, built from
-    a repeated byte pattern: 0xAA, 0xCC or 0xF0 for k < 3, else 2^(k-3)
-    zero bytes followed by as many 0xFF bytes."""
-    if f < 3:
-        return _LOW_PATTERNS[k] & ((1 << (1 << f)) - 1)
-    nbytes = 1 << (f - 3)
-    if k < 3:
-        return int.from_bytes(bytes([_LOW_PATTERNS[k]]) * nbytes, "little")
-    run = 1 << (k - 3)
-    return int.from_bytes((bytes(run) + b"\xff" * run) * (nbytes // (2 * run)), "little")
+def _supersets(a: int, f: int) -> int:
+    """The 2^f-bit integer whose bit s is set iff s holds every bit of a,
+    built by doubling: the table over positions below u + 1 is the one over
+    positions below u, shifted up by 2^u, with its low half kept iff a
+    lacks bit u."""
+    table = 1
+    for u in range(f):
+        table = (0 if a >> u & 1 else table) | table << (1 << u)
+    return table
 
 
 def minimal_covers_bruteforce(g: LoopGraph | KPrimeSpec) -> MonomialIdeal:
@@ -162,21 +156,21 @@ def minimal_covers_bruteforce(g: LoopGraph | KPrimeSpec) -> MonomialIdeal:
     once.
 
     Subset s holds free vertex k iff bit k of s is set, so s is a position
-    mask, and a 2^f-bit integer holds one bit per subset:
-    ``_membership(k, f)`` has bit s set iff s holds k, and ``nb`` ANDs those
-    of k's neighbours. s is a cover iff it holds k or all of k's neighbours,
-    for every k; a cover is redundant at k iff it holds k and all of k's
-    neighbours, since dropping k leaves a cover. The minimal covers are the
-    covers redundant at no vertex. That costs O(|E| * 2^f / 64) machine
-    words, with a few 2^f-bit integers live at a time (4 MB each at f = 25).
+    mask, and a 2^f-bit integer holds one bit per subset: ``has`` has bit s
+    set iff s holds k, and ``nb`` iff s holds all of k's neighbours, each
+    one ``_supersets`` table. s is a cover iff it holds k or all of k's
+    neighbours, for every k; a cover is redundant at k iff it holds k and
+    all of k's neighbours, since dropping k leaves a cover. The minimal
+    covers are the covers redundant at no vertex. That costs O(f * 2^f / 64)
+    machine words, with a few 2^f-bit integers live at a time (4 MB each at
+    f = 25).
     """
     closed, runs = _free_graph(g, "brute force")
     f = len(closed)
     covers = (1 << (1 << f)) - 1
     redundant = 0
     for k, near in enumerate(closed):
-        has = _membership(k, f)
-        nb = reduce(and_, (_membership(u, f) for u in range(f) if u != k and near >> u & 1))
+        has, nb = _supersets(1 << k, f), _supersets(near ^ 1 << k, f)
         covers &= has | nb
         redundant |= has & nb
     # subset s is the set bit at 1-based position s + 1 of the table
@@ -200,24 +194,27 @@ def _component_covers(closed: list[int], component: int) -> list[int]:
     covers, stack = [], [(0, component, 0)]
     while stack:
         chosen, cand, done = stack.pop()
-        if not cand:
+        while cand:
+            fewest, pool = cand.bit_count() + 1, cand | done
+            while pool:
+                low = pool & -pool
+                pool ^= low
+                near = cand & closed[low.bit_length() - 1]
+                if (size := near.bit_count()) < fewest:
+                    branches, fewest = near, size
+                    if size < 2:
+                        break
+            if not fewest:  # a vertex of done sees no candidate: nothing new is maximal here
+                break
+            while (low := branches & -branches) != branches:
+                near = closed[low.bit_length() - 1]
+                stack.append((chosen | low, cand & ~near, done & ~near))
+                cand, done, branches = cand ^ low, done | low, branches ^ low
+            near = closed[low.bit_length() - 1]  # the last branch is followed in place
+            chosen, cand, done = chosen | low, cand & ~near, done & ~near
+        else:
             if not done:
                 covers.append(component ^ chosen)
-            continue
-        fewest, pool = cand.bit_count() + 1, cand | done
-        while pool:
-            low = pool & -pool
-            pool ^= low
-            near = cand & closed[low.bit_length() - 1]
-            if (size := near.bit_count()) < fewest:
-                branches, fewest = near, size
-                if size < 2:
-                    break
-        while branches:
-            low = branches & -branches
-            near = closed[low.bit_length() - 1]
-            stack.append((chosen | low, cand & ~near, done & ~near))
-            cand, done, branches = cand ^ low, done | low, branches ^ low
     return covers
 
 

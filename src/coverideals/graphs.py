@@ -11,8 +11,10 @@ Counts and vertices must be ints: a float or a string is refused.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from collections.abc import Iterable
+from itertools import repeat
 
 from .errors import ValidationError
 from .monomials import _ints
@@ -35,8 +37,10 @@ class LoopGraph:
 
     Edges are unordered pairs of distinct vertices; loops are listed apart.
     Values are immutable, with edges and loops stored sorted and deduplicated.
-    ``open_edges`` are the edges of G - L, those with no looped end, in the
-    same order; it costs O(|E|), never O(n).
+    Each edge is keyed by the int lo * (n + 1) + hi, whose order is that of
+    its (lo, hi) pair, so the edges are deduplicated and sorted as ints and
+    decoded once by divmod. ``open_edges`` are the edges of G - L, those with
+    no looped end, in the same order; neither costs O(n).
     """
 
     __slots__ = ("n", "edges", "loops", "open_edges")
@@ -45,23 +49,23 @@ class LoopGraph:
         (n,) = _ints((n,))
         if n < 1:
             raise ValidationError("vertex count must be positive")
-        es = set()
+        base, keys = n + 1, set()
         for e in edges:
-            pair = _ints(e)
+            try:
+                pair = [*map(operator.index, e)]
+            except TypeError as exc:
+                raise ValidationError(str(exc)) from None
             if len(pair) != 2:
                 raise ValidationError(f"edge {tuple(pair)} is not a pair of vertices")
             i, j = pair
-            if i < j:
-                lo, hi = pair
-            elif i > j:
-                hi, lo = pair
-            else:
+            lo, hi = (i, j) if i < j else (j, i)
+            if lo == hi:
                 raise ValidationError(f"edge {{{i},{j}}} is a loop; loops are listed separately")
             if lo < 1 or hi > n:
                 raise ValidationError(f"edge {{{i},{j}}} leaves the vertex range 1..{n}")
-            es.add((lo, hi))
+            keys.add(lo * base + hi)
         self.n = n
-        self.edges = tuple(sorted(es))
+        self.edges = tuple(map(divmod, sorted(keys), repeat(base)))
         self.loops = _loop_set(loops, n)
         ls = set(self.loops)
         self.open_edges = self.edges if not ls else tuple(

@@ -89,12 +89,9 @@ def _canonical(masks: Iterable[int]) -> list[int]:
     masks = list(masks)
     if len(masks) > 1:
         nbytes = (max(masks).bit_length() + 7) // 8
-
-        def key(mask: int) -> tuple[int, int]:
-            reversed_bits = mask.to_bytes(nbytes, "little").translate(_REVERSED_BYTE)
-            return mask.bit_count(), -int.from_bytes(reversed_bits, "big")
-
-        masks.sort(key=key)
+        masks.sort(key=lambda mask: int.from_bytes(
+            mask.to_bytes(nbytes, "little").translate(_REVERSED_BYTE), "big"), reverse=True)
+        masks.sort(key=int.bit_count)  # stable, so equal degrees keep the first order
     return masks
 
 

@@ -22,7 +22,7 @@ from coverideals import (
     min_patrols,
     minimal_covers_bruteforce,
 )
-from coverideals.covers import _MASK_BITS_LIMIT, _spec_free_count, _spec_open_edges
+from coverideals.covers import _MASK_BITS_LIMIT, _spec_free_count, _spec_open_edges, _supersets
 from coverideals.monomials import _canonical
 from helpers import (
     CITY_OPTIMUM,
@@ -152,6 +152,13 @@ class TestBruteForce:
         expected = brute_minimal_covers(g.n, g.edges, g.loops)
         covers = list(minimal_covers_bruteforce(g).gens)
         assert covers == [tuple(sorted(s)) for s in expected]
+
+    @pytest.mark.parametrize("f", range(7))
+    def test_superset_tables(self, f):
+        for a in range(1 << f):
+            table = sum(1 << s for s in range(1 << f)
+                        if all(s >> u & 1 for u in range(f) if a >> u & 1))
+            assert _supersets(a, f) == table
 
     def test_builds_only_the_returned_ideal(self, monkeypatch):
         g = LoopGraph(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (5, 6), (6, 7)], [7])

@@ -4,6 +4,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coverideals import (
     KPrimeSpec,
@@ -24,7 +26,62 @@ from helpers import (
 )
 
 
+@st.composite
+def shuffled_edges(draw):
+    """(n, edges, loops): distinct pairs of 1..n, n up to 10^30, each given
+    in either orientation as a tuple or a list, some repeated, shuffled."""
+    n = draw(st.one_of(st.integers(2, 8), st.integers(2, 10**30)))
+    vertex = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), max_size=12))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=6))
+    rnd = draw(st.randoms(use_true_random=False))
+    rnd.shuffle(pairs)
+    edges = [rnd.choice((tuple, list))(p[::rnd.choice((1, -1))]) for p in pairs]
+    return n, edges, draw(st.lists(vertex, max_size=3))
+
+
+@st.composite
+def bad_edges(draw, n):
+    """An edge that ``LoopGraph(n, ...)`` refuses, with the message it raises."""
+    v = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["pair", "loop", "range", "int"]))
+    if kind == "pair":
+        e = draw(st.lists(st.integers(1, n), max_size=4).filter(lambda e: len(e) != 2))
+        return e, f"edge {tuple(e)} is not a pair of vertices"
+    if kind == "loop":
+        return (v, v), f"edge {{{v},{v}}} is a loop; loops are listed separately"
+    if kind == "range":
+        e = draw(st.permutations([v, draw(st.sampled_from([0, -v, n + 1, n + v]))]))
+        return e, f"edge {{{e[0]},{e[1]}}} leaves the vertex range 1..{n}"
+    bad = draw(st.sampled_from(["1", 1.5, None]))
+    e = draw(st.permutations([v, bad]))
+    return e, f"'{type(bad).__name__}' object cannot be interpreted as an integer"
+
+
 class TestLoopGraph:
+    @given(shuffled_edges())
+    def test_edges_normalize_to_the_sorted_distinct_pairs(self, data):
+        n, edges, loops = data
+        g = LoopGraph(n, edges, loops)
+        pairs = tuple(sorted({(min(e), max(e)) for e in edges}))
+        looped = set(loops)
+        assert g.edges == pairs
+        assert g.open_edges == tuple(e for e in pairs if not looped.intersection(e))
+        same = LoopGraph(n, pairs, sorted(looped))
+        assert g == same and hash(g) == hash(same)
+
+    @given(shuffled_edges(), st.data())
+    def test_the_first_bad_edge_names_the_error(self, good, data):
+        n, edges, _ = good
+        first, second = data.draw(bad_edges(n)), data.draw(bad_edges(n))
+        at = data.draw(st.integers(0, len(edges)))
+        later = data.draw(st.integers(at, len(edges)))
+        edges = edges[:at] + [first[0]] + edges[at:later] + [second[0]] + edges[later:]
+        with pytest.raises(ValidationError) as refused:
+            LoopGraph(n, edges)
+        assert str(refused.value) == first[1]
+
     def test_normalizes_edges_and_loops(self):
         g = LoopGraph(4, [(2, 1), (1, 2), [3, 4]], [4, 2, 2])
         assert g.edges == ((1, 2), (3, 4))

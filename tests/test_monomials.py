@@ -322,3 +322,15 @@ class TestMaskIndices:
     def test_random_against_the_binary_numeral(self, mask):
         assert _mask_indices(mask) == bin_scan_indices(mask)
         assert _indices_mask(_mask_indices(mask)) == mask
+
+
+class TestCanonical:
+    @given(st.lists(st.one_of(
+        st.integers(0, 1 << 130),
+        st.frozensets(st.integers(0, 129), max_size=4).map(lambda bits: sum(1 << b for b in bits)),
+    ), max_size=30))
+    def test_degree_then_index_tuple(self, masks):
+        # masks past 64 bits included; few bits from a wide range force ties
+        def key(mask):
+            return mask.bit_count(), [b + 1 for b in range(mask.bit_length()) if mask >> b & 1]
+        assert _canonical(masks) == sorted(masks, key=key)
