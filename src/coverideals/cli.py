@@ -37,9 +37,9 @@ import sys
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import reduce
-from itertools import chain, groupby
+from itertools import accumulate, chain, compress, groupby, repeat
 from json.encoder import encode_basestring_ascii
-from operator import or_
+from operator import eq, or_, sub
 
 from .covers import (
     _walk_covers,
@@ -56,7 +56,13 @@ from .errors import (
 )
 from .graphs import KPrimeSpec, LoopGraph
 from .invariants import InvariantReport, invariants
-from .monomials import MonomialIdeal, _indices_mask, _mask_indices, _support_mask
+from .monomials import (
+    MonomialIdeal,
+    _indices_mask,
+    _mask_indices,
+    _minimal_masks,
+    _support_mask,
+)
 from .quotients import find_linear_order, resolution_shifts
 
 ROUTES = ("auto", "bruteforce", "intersection", "closed-form")
@@ -108,20 +114,22 @@ _IdealInput = namedtuple("_IdealInput", "ideal copies")
 
 
 def _ideal_from_json(data, polarize: bool = False) -> _IdealInput:
-    """Parse ideal JSON; a repeated index is refused unless ``polarize``."""
+    """Parse ideal JSON; a repeated index is refused unless ``polarize``.
+    Polarizing, each index list becomes one support mask, cut only where it
+    repeats an index, and the masks are minimalized once."""
     _check_fields(data, n=0, gens=2)
     if not isinstance(data, dict) or "n" not in data or "gens" not in data:
         raise ValidationError('ideal JSON needs the keys "n" and "gens"')
     n, gens = data["n"], data["gens"]
-    try:
+    if not polarize or n < 1:  # the constructor refuses n < 1 first
         return _IdealInput(MonomialIdeal(n, gens), ())
-    except ValidationError:  # a repeated index, n < 1, or an error raised again below
-        if not polarize or n < 1:
-            raise
-    for ix in gens:  # every other check, in the same order
-        _support_mask(dict.fromkeys(ix), n)
-    index_lists, copies = _polarize(n, gens)
-    ideal = MonomialIdeal(n + len(copies), index_lists)
+    for ix in gens:  # the constructor's range check, in the same order
+        if ix and (min(ix) < 1 or max(ix) > n):
+            _support_mask(ix, n)
+    masks, copies = _polarize(gens)
+    ideal = MonomialIdeal._trusted(n + len(copies), _minimal_masks(masks))
+    if not copies:
+        return _IdealInput(ideal, copies)
     # drop each copy that no minimal generator holds: the positions above it
     # move down one, which keeps the generators minimal and in canonical order
     held, copy_mask = reduce(or_, ideal.masks), _indices_mask(copies)
@@ -132,24 +140,51 @@ def _ideal_from_json(data, polarize: bool = False) -> _IdealInput:
     return _IdealInput(ideal, copies)
 
 
-def _polarize(n: int, index_lists) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Distinct index lists in 1..n + len(copies) for index lists in 1..n
-    that may repeat an index, and the ascending copies."""
-    counts = [Counter(ix) for ix in index_lists]
-    # each variable's largest count: the last of its pairs in ascending order
-    top = dict(sorted(chain.from_iterable(c.items() for c in counts)))
-    first, copies = {}, []
-    for i, a in top.items():
-        first[i] = i + len(copies)
-        copies += range(first[i] + 1, first[i] + a)
-    return [[first[i] + k for i, a in c.items() for k in range(a)] for c in counts], tuple(copies)
+def _polarize(index_lists) -> tuple[list[int], tuple[int, ...]]:
+    """The polarized masks of index lists in 1..n that may repeat an index,
+    and the ascending copies. Each list's support is one mask, cut at the
+    owners of copies by big-integer slices: the cut at owner o moves the
+    bits above o up by o's copies and sets the copies the list holds right
+    above o. Cutting at the middle owner first keeps the work O(L/64 log r)
+    words for a mask of L bits and r owners, all in C, with Python steps
+    only where the mask has bits."""
+    supports = [_indices_mask(ix) for ix in index_lists]  # a repeat sets its bit once
+    held = [Counter()] * len(supports)  # per list, the copies it holds of each index
+    for k, (ix, mask) in enumerate(zip(index_lists, supports)):
+        if len(ix) != mask.bit_count():
+            s = sorted(ix)
+            held[k] = Counter(compress(s, map(eq, s, s[1:])))  # once per equal neighbour
+    if not any(held):  # squarefree: each support is its generator
+        return supports, ()
+    top: dict[int, int] = {}  # each owner's copies
+    for copies_held in held:
+        for i, a in copies_held.items():
+            top[i] = max(top.get(i, a), a)
+    owners = sorted(top)
+    below = [0, *accumulate(map(top.__getitem__, owners))]  # the copies of the first k owners
+    copies = tuple(chain.from_iterable(
+        range(i + below[k] + 1, i + below[k + 1] + 1) for k, i in enumerate(owners)))
+
+    def spread(mask: int, base: int, lo: int, hi: int, copies_held: Counter) -> int:
+        # mask's bit j is index base + j + 1, and owners[lo:hi] lie in its range
+        if lo == hi or not mask:
+            return mask
+        mid = (lo + hi) >> 1
+        cut = owners[mid] - base  # the bits above owner mid
+        low = spread(mask & ((1 << cut) - 1), base, lo, mid, copies_held)
+        high = spread(mask >> cut, owners[mid], mid + 1, hi, copies_held)
+        return (low | ((1 << copies_held[owners[mid]]) - 1) << (cut + below[mid] - below[lo])
+                | high << (cut + below[mid + 1] - below[lo]))
+
+    return [spread(mask, 0, 0, len(owners), c) for mask, c in zip(supports, held)], copies
 
 
 def _indices(g: tuple[int, ...], copies) -> list[int]:
-    """The index sequence in the input's ring: index p names X_{p - (copies <= p)}."""
+    """The index sequence in the input's ring: index p names X_{p - (copies <= p)},
+    each shift found by a bisect in C."""
     if not copies:
         return list(g)
-    return [p - bisect_right(copies, p) for p in g]
+    return [*map(sub, g, map(bisect_right, repeat(copies), g))]
 
 
 def _compact(ix: list[int]) -> str:
@@ -248,15 +283,21 @@ def _fmt(value) -> str:
 def run_linear_quotients(obj, args):
     ideal, route, copies, source = compute_cover_ideal(obj, args.route)
     cert = find_linear_order(source)
-    report = {"route": route, "ideal": _ideal_json(ideal, copies)}
     if cert is None:
-        return {**report, "linear": False, "verdict": "absence"}
-    # each step is generated by variables, one index apiece
-    report["certificate"] = {
+        return {"route": route, "ideal": _ideal_json(ideal, copies),
+                "linear": False, "verdict": "absence"}
+    if isinstance(source, MonomialIdeal):
+        # the source is the printed ideal, and the order lists each of its
+        # generators once: sorted by degree, then index, it is the canonical order
+        printed = {"n": ideal.n - len(copies), "gens": [
+            _indices(u, copies) for u in sorted(cert.order, key=lambda u: (len(u), u))]}
+    else:  # a spec's walk, or a graph route's ideal of the spec
+        printed = _ideal_json(ideal, copies)
+    # each step is generated by variables: the OR of its generators is their mask
+    return {"route": route, "ideal": printed, "certificate": {
         "order": [_indices(u, copies) for u in cert.order], "q": cert.q, "linear": True,
-        "steps": [[i for g in s.gens for i in _indices(g, copies)] for s in cert.steps]}
-    report["resolution"] = resolution_shifts(cert).to_json_dict()
-    return report
+        "steps": [_indices(_mask_indices(reduce(or_, s.masks)), copies) for s in cert.steps]},
+        "resolution": resolution_shifts(cert).to_json_dict()}
 
 
 def _linear_quotients_text(report):
@@ -349,11 +390,14 @@ def run_oracle_verify(obj, args):
         raise ValidationError("oracle-verify needs a graph or block-spec input")
     # the graph routes refuse off the walk in O(m); once both pass, the closed
     # form's covers x n are within their output guard, so it refuses no more
-    routes = {name: _ideal_json(compute_cover_ideal(obj, name)[0], ())
-              for name in ("intersection", "bruteforce")}
+    ideals = {name: compute_cover_ideal(obj, name)[0] for name in ("intersection", "bruteforce")}
+    agreed = _ideal_json(ideals["intersection"], ())
+    # equal ideals share one printed form; only a disagreeing route is printed apart
+    routes = {name: agreed if ideal == ideals["intersection"] else _ideal_json(ideal, ())
+              for name, ideal in ideals.items()}
     if isinstance(obj, KPrimeSpec):
         routes = {"closed-form": _ideal_json(obj, ()), **routes}
-    agree = all(printed == routes["intersection"] for printed in routes.values())
+    agree = all(printed == agreed for printed in routes.values())
     report = {"agree": agree, "routes": routes}
     if not agree:
         raise OracleDisagreementError("computation routes disagree", report=report)
@@ -385,8 +429,9 @@ _TEXT = dict(zip(HANDLERS, (_cover_ideal_text, _invariants_text, _linear_quotien
 def _json(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for dicts with str keys,
     lists, tuples, strs, ints, bools and None. The stdlib's indented encoder
-    runs in pure Python; here a list of ints is one join and a str is escaped
-    in C."""
+    runs in pure Python; here a list of ints is one join, a list of nonempty
+    int lists (a report's generators) one join per inner list, and a str is
+    escaped in C."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
@@ -400,9 +445,15 @@ def _json(value, pad: str = "\n") -> str:
     if kind is dict:
         items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    items = map(int.__repr__, value) if set(map(type, value)) == {int} else [
-        _json(v, inner) for v in value]
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+    kinds, sep = set(map(type, value)), "," + inner
+    if kinds == {int}:
+        items = map(int.__repr__, value)
+    elif kinds == {list} and all(value) and set(map(type, chain.from_iterable(value))) == {int}:
+        row = sep + "  "
+        items = ["[" + row[1:] + row.join(map(int.__repr__, v)) + inner + "]" for v in value]
+    else:
+        items = [_json(v, inner) for v in value]
+    return "[" + inner + sep.join(items) + pad + "]"
 
 
 def render(verb: str, report: dict, fmt: str) -> str:

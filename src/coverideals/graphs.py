@@ -32,6 +32,18 @@ def _loop_set(loops: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(sorted(ls))
 
 
+def _refuse_edge(e, n: int) -> None:
+    """Raise the error for an edge that is not a pair of distinct vertices
+    in 1..n, its checks in this order: ints, a pair, no loop, the range."""
+    pair = _ints(e)
+    if len(pair) != 2:
+        raise ValidationError(f"edge {tuple(pair)} is not a pair of vertices")
+    i, j = pair
+    if i == j:
+        raise ValidationError(f"edge {{{i},{j}}} is a loop; loops are listed separately")
+    raise ValidationError(f"edge {{{i},{j}}} leaves the vertex range 1..{n}")
+
+
 class LoopGraph:
     """An undirected graph on vertices 1..n with an optional loop at any vertex.
 
@@ -39,8 +51,10 @@ class LoopGraph:
     Values are immutable, with edges and loops stored sorted and deduplicated.
     Each edge is keyed by the int lo * (n + 1) + hi, whose order is that of
     its (lo, hi) pair, so the edges are deduplicated and sorted as ints and
-    decoded once by divmod. ``open_edges`` are the edges of G - L, those with
-    no looped end, in the same order; neither costs O(n).
+    decoded once by divmod. An edge is checked by one comparison chain,
+    either way round; only a refused one is read again for its message.
+    ``open_edges`` are the edges of G - L, those with no looped end, in the
+    same order; neither costs O(n).
     """
 
     __slots__ = ("n", "edges", "loops", "open_edges")
@@ -49,21 +63,20 @@ class LoopGraph:
         (n,) = _ints((n,))
         if n < 1:
             raise ValidationError("vertex count must be positive")
-        base, keys = n + 1, set()
+        base, keys, index = n + 1, set(), operator.index
         for e in edges:
             try:
-                pair = [*map(operator.index, e)]
-            except TypeError as exc:
-                raise ValidationError(str(exc)) from None
-            if len(pair) != 2:
-                raise ValidationError(f"edge {tuple(pair)} is not a pair of vertices")
-            i, j = pair
-            lo, hi = (i, j) if i < j else (j, i)
-            if lo == hi:
-                raise ValidationError(f"edge {{{i},{j}}} is a loop; loops are listed separately")
-            if lo < 1 or hi > n:
-                raise ValidationError(f"edge {{{i},{j}}} leaves the vertex range 1..{n}")
-            keys.add(lo * base + hi)
+                i, j = e
+                i, j = index(i), index(j)
+                if 0 < i < j <= n:
+                    keys.add(i * base + j)
+                    continue
+                if 0 < j < i <= n:
+                    keys.add(j * base + i)
+                    continue
+            except (TypeError, ValueError):  # not two items, or one is not an int
+                pass
+            _refuse_edge(e, n)
         self.n = n
         self.edges = tuple(map(divmod, sorted(keys), repeat(base)))
         self.loops = _loop_set(loops, n)

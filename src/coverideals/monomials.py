@@ -9,6 +9,10 @@ Representation. Every ideal of vertex covers is squarefree, and so is every
 monomial here: it is a support bitmask (bit i-1 set iff X_i divides it).
 Divisibility, the colon reduction and the degree are ``a & ~b == 0``,
 ``a & ~b`` and ``bit_count()``, each running in C over n/64 machine words.
+Indices and masks convert both ways on two paths: a mask of at most 64
+bits, one machine word, is built by OR-ing shifted bits and read by peeling
+its lowest bit; a wider one goes through a bytearray of (largest index)/8
+bytes and a byte table that skips zero bytes.
 ``MonomialIdeal`` holds the canonical tuple ``masks``, which every layer
 reads; generators cross the API as tuples of distinct 1-based indices, in
 and out (``gens``). A repeated index is refused: the CLI polarizes ideal
@@ -46,11 +50,18 @@ def _ints(values: Iterable) -> list[int]:
 
 
 def _indices_mask(indices: Iterable[int]) -> int:
-    """Bitmask of positive 1-based indices, built in O(largest index): each
-    bit is set in a bytearray of n/8 bytes, read as one little-endian
-    integer, rather than in an n-digit numeral or by OR-ing wide integers."""
+    """Bitmask of positive 1-based indices; a repeated index sets its bit
+    once. Up to index 64 the shifted bits are ORed into one word; past it
+    each bit is set in a bytearray of (largest index)/8 bytes, read as one
+    little-endian integer, so the cost is O(largest index / 8), never that
+    of an n-digit numeral or of OR-ing wide integers."""
     indices = list(indices)
-    buf = bytearray((max(indices, default=0) + 7) >> 3)
+    if not indices or (top := max(indices)) <= 64:
+        mask = 0
+        for i in indices:
+            mask |= 1 << (i - 1)
+        return mask
+    buf = bytearray((top + 7) >> 3)
     for i in indices:
         buf[(i - 1) >> 3] |= 1 << ((i - 1) & 7)
     return int.from_bytes(buf, "little")
@@ -71,7 +82,17 @@ def _support_mask(indices: Iterable[int], n: int) -> int:
 
 
 def _mask_indices(mask: int) -> list[int]:
-    """1-based positions of the set bits, ascending, read off a byte table."""
+    """1-based positions of the set bits, ascending. A mask of one word is
+    read by peeling its lowest bit, O(bits set); a wider one byte by byte
+    from a table that skips zero bytes, O(bit length / 8) in C plus the bits
+    set, where peeling would cost O(bits set x bit length / 64)."""
+    if mask < 1 << 64:  # 1 << 64 is folded at compile time
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length())
+            mask ^= low
+        return out
     data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
     out: list[int] = []
     for hit in _NONZERO_BYTE.finditer(data):

@@ -410,6 +410,98 @@ def kpoly_from_shifts(shifts):
 
 
 # ---------------------------------------------------------------------------
+# Hochster's formula: graded Betti numbers from simplicial homology, on plain
+# sets held as int bitsets, with no library code
+
+HOCHSTER_PRIME = 2**31 - 1
+
+
+def rank_mod_p(rows):
+    """The rank over GF(2^31 - 1) of a sparse matrix, each row a dict from
+    column to entry: each row is reduced by the pivot rows at its lowest
+    column until it is zero or starts a new pivot row."""
+    p, pivots = HOCHSTER_PRIME, {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inverse = pow(row[col], p - 2, p)
+                pivots[col] = {c: v * inverse % p for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivot.items():
+                w = (row.get(c, 0) - factor * v) % p
+                if w:
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
+def hochster_betti(n, gens):
+    """The graded Betti numbers of the squarefree ideal with these index
+    tuples in n variables, as a Counter {(i, j): beta_ij(I)}, by Hochster's
+    formula beta_{i,s}(I) = dim H~_{|s|-i-2}(D_s) over GF(2^31 - 1)
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12): D is
+    the Stanley-Reisner complex of I, the vertex sets that hold no
+    generator, and D_s its faces inside s. A vertex of s in no generator
+    inside s is a cone point of D_s, whose reduced homology then vanishes,
+    so only the unions of generators are read. The unit ideal is R itself."""
+    supports = {sum(1 << (i - 1) for i in set(g)) for g in gens}
+    if 0 in supports:
+        return Counter({(0, 0): 1})
+    faces = [f for f in range(1 << n) if all(g & f != g for g in supports)]
+    betti = Counter()
+    for s in range(1, 1 << n):
+        union = 0
+        for g in supports:
+            if g & s == g:
+                union |= g
+        if union != s:
+            continue
+        by_size = {}  # the faces of D_s by vertex count, the empty face included
+        for f in faces:
+            if not f & ~s:
+                by_size.setdefault(f.bit_count(), []).append(f)
+        column = {f: k for level in by_size.values() for k, f in enumerate(level)}
+        ranks = {}  # the boundary from faces of k vertices to those of k - 1
+        for k, level in by_size.items():
+            rows = []
+            for f in level:
+                row, sign, rest = {}, 1, f
+                while rest:  # drop each vertex in ascending order, signs alternating
+                    low = rest & -rest
+                    rest ^= low
+                    row[column[f ^ low]] = sign % HOCHSTER_PRIME
+                    sign = -sign
+                rows.append(row)
+            ranks[k] = rank_mod_p(rows) if k else 0
+        for k, level in by_size.items():
+            homology = len(level) - ranks[k] - ranks.get(k + 1, 0)
+            if homology:  # H~ of dimension k - 1 = |s| - i - 2
+                betti[s.bit_count() - k - 1, s.bit_count()] += homology
+    return betti
+
+
+def hochster_levels(n, gens):
+    """The graded shifts per homological degree, generators first, as
+    ``ResolutionShifts.levels`` lists them: shift j beta_ij times in level i."""
+    betti = hochster_betti(n, gens)
+    top = max(i for i, _ in betti)
+    return tuple(tuple(sorted(j for (i, j), b in betti.items() if i == level for _ in range(b)))
+                 for level in range(top + 1))
+
+
+def hochster_h(n, gens):
+    """The height of the squarefree ideal: n minus the most vertices of a
+    face of its Stanley-Reisner complex, which is dim R/I."""
+    supports = [sum(1 << (i - 1) for i in set(g)) for g in gens]
+    return n - max(f.bit_count() for f in range(1 << n) if all(g & f != g for g in supports))
+
+
+# ---------------------------------------------------------------------------
 # random instances (plain seeded RNG so counts and runtime stay fixed)
 
 def random_loop_graph(rng, n_lo=1, n_hi=10, edge_p=0.35, loop_p=0.25):

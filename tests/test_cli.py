@@ -9,6 +9,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -533,12 +535,19 @@ class TestOneReportPerCall:
     @given(_JSON_VALUES)
     @example({"kéy \"q\"\n\x00": [True, False, None, 2**64 + 1, -(2**70)], "": {}, "a": ()})
     @example([[], {}, [[1, 2], []], ("x \U0001f600",)])
+    # int lists beside an empty list or a bool list: only a list of nonempty
+    # int lists is written one join per inner list
+    @example([[1, 2], []])
+    @example([[], [3]])
+    @example([[1, 2], [True]])
+    @example([[True], [2, 3]])
+    @example({"gens": [[1, 64], [65, 70]], "steps": [[2], [], [False, 1]]})
     def test_writer_equals_json_dumps(self, value):
         assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
-    def test_json_format_transcribes_each_generator_once(self, capsys, monkeypatch):
-        # each of the 5-path's 4 minimal covers becomes indices once, for the
-        # report, and no X-notation is built for JSON
+    @staticmethod
+    def five_path_decodes(capsys, monkeypatch, verb):
+        """The JSON report of the verb on the 5-path, and how many masks it decoded."""
         calls = []
 
         def counted(mask, original=cli._mask_indices):
@@ -549,8 +558,25 @@ class TestOneReportPerCall:
             monkeypatch.setattr(module, "_mask_indices", counted)
         monkeypatch.setattr(cli, "_compact", lambda ix: pytest.fail("X-notation built"))
         path = '{"n":5,"edges":[[1,2],[2,3],[3,4],[4,5]]}'
-        code, report = run_json(capsys, "cover-ideal", "--json", path)
-        assert code == 0 and len(report["ideal"]["gens"]) == 4 and len(calls) == 4
+        code, report = run_json(capsys, verb, "--json", path)
+        gens = report["routes"]["intersection"] if verb == "oracle-verify" else report["ideal"]
+        assert code == 0 and gens["gens"] == [[2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5]]
+        return report, len(calls)
+
+    def test_json_format_transcribes_each_generator_once(self, capsys, monkeypatch):
+        # each of the 5-path's 4 minimal covers becomes indices once, for the
+        # report, and no X-notation is built for JSON
+        assert self.five_path_decodes(capsys, monkeypatch, "cover-ideal")[1] == 4
+
+    @pytest.mark.parametrize("verb, decodes", [
+        # the 4 covers, compared as ideals and printed once, and brute force's table
+        ("oracle-verify", 5),
+        # the 4 covers, read off the certificate's order, and its 3 steps
+        ("linear-quotients", 7),
+    ])
+    def test_every_verb_transcribes_each_generator_once(self, capsys, monkeypatch, verb,
+                                                        decodes):
+        assert self.five_path_decodes(capsys, monkeypatch, verb)[1] == decodes
 
     def test_text_format_never_reaches_the_writer(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_json", lambda *a: pytest.fail("JSON written for text"))
@@ -571,6 +597,44 @@ class TestOneReportPerCall:
         assert code == 0 and out == ("route: closed-form / linear-quotients\n"
                                      "cohen_macaulay: true\n")
         assert peak < 20 * 2**20
+
+
+def polarize_by_index(index_lists):
+    """The per-index reference for ``cli._polarize``: each variable's largest
+    count fixes its copies, numbered right after it, and every index of a
+    list moves up by the copies below it; the masks and the ascending copies."""
+    counts = [Counter(ix) for ix in index_lists]
+    top = dict(sorted(chain.from_iterable(c.items() for c in counts)))
+    first, copies = {}, []
+    for i, a in top.items():
+        first[i] = i + len(copies)
+        copies += range(first[i] + 1, first[i] + a)
+    lists = [[first[i] + k for i, a in c.items() for k in range(a)] for c in counts]
+    return [sum(1 << (p - 1) for p in ix) for ix in lists], tuple(copies)
+
+
+class TestPolarizationOnMasks:
+    @settings(max_examples=150)
+    @given(st.integers(1, 150).flatmap(lambda n: st.lists(
+        st.lists(st.integers(1, n), max_size=8), min_size=1, max_size=6)))
+    @example([[1, 1]])
+    @example([[64, 64, 65, 65, 65], [1, 64], [65, 130, 130]])
+    @example([[2, 3], [1, 1, 1, 4]])
+    def test_masks_equal_the_per_index_reference(self, index_lists):
+        assert cli._polarize(index_lists) == polarize_by_index(index_lists)
+
+    def test_one_repeat_in_a_long_list(self):
+        # one owner cuts a 10^5-bit support once: every index above it moves up one
+        n = 10**5
+        (mask,), copies = cli._polarize([[7, *range(1, n + 1)]])
+        assert copies == (8,) and mask == (1 << (n + 1)) - 1
+
+    def test_the_printed_ideal_is_the_input(self, capsys):
+        gens = [[1, 1, 70], [64, 64, 64, 65], [2, 65, 65, 130]]
+        code, report = run_json(capsys, "cover-ideal", "--json",
+                                json.dumps({"n": 130, "gens": gens}))
+        # in the canonical order of the polarized ring, where X2 precedes X64's copies
+        assert code == 0 and report["ideal"] == {"n": 130, "gens": [gens[0], gens[2], gens[1]]}
 
 
 class TestExitCodesAndDeterminism:
@@ -766,7 +830,8 @@ class TestExitCodesAndDeterminism:
             runs.append(minimal(masks))
             return runs[-1]
 
-        monkeypatch.setattr(monomials, "_minimal_masks", counting)
+        for module in (monomials, cli):  # the constructor's, and polarization's on masks
+            monkeypatch.setattr(module, "_minimal_masks", counting)
         payload = '{"n":3,"gens":[[1],[1,1,2],[2,2,3],[3,3]]}'
         code, out = run_cli(capsys, "cover-ideal", "--json", payload)
         assert code == 0 and out == "route: ideal-input\ngenerators (3):\n  X1\n  X3^2\n  X2^2X3\n"

@@ -46,10 +46,10 @@ def polarize(n, vectors):
     """The CLI's polarization of exponent vectors in n variables, all in one
     ring: its size, the support mask of each vector, and a map from an index
     sequence back to its exponent vector."""
-    index_lists, copies = cli._polarize(n, [dense_indices(v) for v in vectors])
+    masks, copies = cli._polarize([dense_indices(v) for v in vectors])
     ring = n + len(copies)
-    return (ring, [_support_mask(ix, ring) for ix in index_lists],
-            lambda g: dense_vector(cli._indices(g, copies), n))
+    assert all(m >> ring == 0 for m in masks)  # every polarized mask lies in the ring
+    return ring, masks, lambda g: dense_vector(cli._indices(g, copies), n)
 
 
 @st.composite
@@ -202,9 +202,9 @@ class TestMonomial:
         # X7 and its copy, which prints as X7 again
         with pytest.raises(ValidationError, match="index repeats"):
             mono([7, 7], 8)
-        (m,), copies = cli._polarize(8, [[7, 7]])
-        assert (m, copies) == ([7, 8], (8,))
-        assert cli._indices(m, copies) == [7, 7]
+        (m,), copies = cli._polarize([[7, 7]])
+        assert (_mask_indices(m), copies) == ([7, 8], (8,))
+        assert cli._indices(_mask_indices(m), copies) == [7, 7]
         with pytest.raises(ValidationError):
             MonomialIdeal(3, [[0]])
         with pytest.raises(ValidationError):
@@ -312,11 +312,28 @@ class TestMaskIndices:
         list(range(64)),
         # a sparse 2^20-bit table: long zero runs, bits on byte edges
         [0, 8, (1 << 19) - 1, 1 << 19, (1 << 20) - 1],
+        # the one-word path ends at 64 bits, index 64; the byte path starts at index 65
+        [62],
+        list(range(63)),
+        [63],
+        [0, 63],
+        [64],
+        [63, 64],
+        list(range(65)),
     ])
     def test_edges_against_the_binary_numeral(self, bits):
         mask = sum(1 << b for b in bits)
         assert _mask_indices(mask) == bin_scan_indices(mask) == [b + 1 for b in bits]
         assert _indices_mask(b + 1 for b in bits) == mask
+
+    @pytest.mark.parametrize("indices, mask", [
+        ([1, 1], 1),  # an OR: cm-check --loops 1,1 names vertex 1 once
+        ([64, 64, 1], 1 | 1 << 63),
+        ([65, 65, 1], 1 | 1 << 64),
+        ([], 0),
+    ])
+    def test_a_repeated_index_sets_its_bit_once(self, indices, mask):
+        assert _indices_mask(indices) == mask
 
     @given(st.integers(0, 1 << 300))
     def test_random_against_the_binary_numeral(self, mask):
