@@ -8,6 +8,8 @@ sequences) is tried first; a pruned backtracking search covers orders the
 canonical one misses. An ideal with linear quotients has them in some
 degree-nondecreasing order (Jahan–Zheng, J. Combin. Theory Ser. A 117, 2010,
 Lemma 2.1), so the search only permutes generators within a degree class.
+Before it searches, one pass over each generator's reductions by the
+generators of degree at most its own proves many absences with no search.
 One private decision on the canonical masks returns the chosen positions
 and step variable masks: ``find_linear_order`` builds its certificate from
 them, and ``invariants`` reads q off them with no ideal built. A block
@@ -36,9 +38,11 @@ __all__ = [
     "resolution_shifts",
 ]
 
-# Past this many generators the order search is refused as inconclusive.
-# It visits at most the sum of 2^|class| prefix sets over the degree classes,
-# so the cap bounds the worst case, one class of 12, at 4,096 prefixes.
+# Past this many generators the order search is refused as inconclusive, and
+# so is the O(t^2) pass that proves absences before it. Where that pass lets
+# the search run, it visits at most the sum of 2^|class| prefix sets over the
+# degree classes, so the cap bounds the worst case, one class of 12, at
+# 4,096 prefixes.
 BACKTRACK_GENERATOR_LIMIT = 12
 
 
@@ -148,6 +152,24 @@ def _linear_order_steps(masks) -> tuple[list[int], list[int]] | None:
     # the c-th pick comes from the degree class of canonical position c
     degrees = [m.bit_count() for m in masks]
     classes = [range(bisect_left(degrees, d), bisect_right(degrees, d)) for d in degrees]
+    # before any search, the necessary condition of find_linear_order's
+    # docstring: V_u is the OR of the single-variable reductions v & ~u over
+    # v of degree <= deg u, and every lower-degree reduction must meet it
+    firsts = 0  # generators with V_u = 0: each one can only come first
+    for u, cls in zip(masks, classes):
+        keep = ~u
+        variables = 0
+        for v in masks[:cls.stop]:
+            w = v & keep
+            if not w & (w - 1):
+                variables |= w
+        if not variables:
+            firsts += 1
+            if firsts > 1:
+                return None
+        for v in masks[:cls.start]:
+            if not v & keep & variables:
+                return None
     chosen: list[int] = []  # positions in masks, in order
     step_masks = []  # the step of each chosen generator, 0 for the first
     dead: set[int] = set()  # exhausted prefixes, as bitsets of positions
@@ -183,16 +205,27 @@ def find_linear_order(source: KPrimeSpec | MonomialIdeal) -> QuotientCertificate
     A KPrimeSpec's order is read off its walk with no search, each later step
     one variable; past 2^20 cover indices or 2^32 step bits, a SizeGuardError.
 
-    For a MonomialIdeal the canonical order is tried first. When it fails,
-    degree-nondecreasing orders are searched with backtracking: the c-th pick
-    comes from the degree class of canonical position c, which loses no ideal
-    with linear quotients (Jahan–Zheng, JCTA 117, 2010, Lemma 2.1). A prefix
-    whose next colon step is not variable-generated is pruned; feasibility from
-    a prefix depends only on the prefix as a set, so exhausted sets are
-    memoized. Candidates are taken in canonical rank, so the returned order is
-    the first linear one of the searched orders in that rank. Beyond
-    ``BACKTRACK_GENERATOR_LIMIT`` generators the search is refused with
-    InconclusiveError, which is distinct from a definitive absence.
+    For a MonomialIdeal the canonical order is tried first. When it fails, one
+    pass checks a necessary condition. In a degree-nondecreasing order every
+    predecessor of u has degree at most deg u, and every generator of lower
+    degree precedes u. A colon step of u is generated by the single-variable
+    reductions v & ~u of its predecessors v, so its variables lie in V_u, the
+    OR of the single-variable reductions over all v of degree at most deg u,
+    and each lower-degree reduction must meet them, so it meets V_u. A
+    generator with V_u = 0 has no variable to meet a nonzero reduction with, so
+    it can only come first. So None is returned, with no search, when some
+    lower-degree reduction misses V_u or when two generators have V_u = 0
+    (outside the lowest degree class, V_u = 0 already fails the first test).
+    Otherwise degree-nondecreasing orders are searched with backtracking: the
+    c-th pick comes from the degree class of canonical position c, which loses
+    no ideal with linear quotients (Jahan–Zheng, JCTA 117, 2010, Lemma 2.1). A
+    prefix whose next colon step is not variable-generated is pruned;
+    feasibility from a prefix depends only on the prefix as a set, so exhausted
+    sets are memoized. Candidates are taken in canonical rank, so the returned
+    order is the first linear one of the searched orders in that rank. Beyond
+    ``BACKTRACK_GENERATOR_LIMIT`` generators the pass and the search are
+    refused with InconclusiveError, which is distinct from a definitive
+    absence.
 
     Each step is decided once, as the mask of its variables. The certificate is
     built from the order that passed: only its steps become ideals, one

@@ -16,6 +16,7 @@ from coverideals import (
     MonomialIdeal,
     ValidationError,
     check_linear_quotients,
+    cover_ideal_by_intersection,
     find_linear_order,
     invariants,
     kprime_cover_ideal,
@@ -296,6 +297,66 @@ class TestMaskStepsAgainstDenseOracle:
         built = count_ideal_builds(monkeypatch)
         cert = find_linear_order(ideal)
         assert list(cert.steps) == built
+
+
+def refused_before_the_search(ideal):
+    """Whether ``_linear_order_steps`` returns None with no colon step past
+    the canonical pass's, which stops at its first failing step; the search
+    itself would run at least one more."""
+    masks = list(ideal.masks)
+    steps = (quotients._linear_step(masks[:j], masks[j]) for j in range(1, len(masks)))
+    canonical = next((j for j, step in enumerate(steps, start=1) if step is None), None)
+    if canonical is None:
+        return False
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_linear_steps(mp)
+        decided = quotients._linear_order_steps(masks)
+    return decided is None and len(calls) == canonical
+
+
+# the cover ideal of a 7-vertex graph with a loop at 7: four generators
+# whose lower-degree reductions miss every single-variable reduction
+LOOPED_NO_ORDER = cover_ideal_by_intersection(LoopGraph(
+    7, [(1, 2), (1, 5), (2, 4), (3, 6), (4, 5), (4, 6), (5, 6)], [7]))
+# 9 generators with no linear order that every generator's lower-degree
+# reductions leave open, so only the search proves the absence
+NO_LINEAR_ORDER_9 = (
+    (4, 8), (5, 7), (5, 8), (6, 10), (7, 8), (7, 10), (8, 9), (1, 3, 4, 7), (3, 4, 7, 9),
+)
+
+
+class TestAbsenceBeforeTheSearch:
+    """One pass over each generator's reductions by the generators of degree
+    at most its own proves some absences before any search step."""
+
+    @given(squarefree_ideals())
+    @example(COPRIME_PAIR)
+    @example(LOOPED_NO_ORDER)
+    @settings(max_examples=300)
+    def test_refused_ideals_have_no_linear_order_at_all(self, ideal):
+        # the oracle searches every order, not only degree-nondecreasing ones
+        assume(len(ideal.gens) <= 8)
+        if refused_before_the_search(ideal):
+            assert dense_find_linear_order(dense_gens(ideal)) is None
+
+    def test_the_examples_are_refused(self):
+        assert refused_before_the_search(COPRIME_PAIR)
+        assert refused_before_the_search(LOOPED_NO_ORDER)
+
+    def test_absence_at_the_limit_takes_one_colon_step(self, monkeypatch):
+        # the canonical pass fails at its first step, and the pass refuses
+        ideal = ideal_of(12, *NO_LINEAR_ORDER_12)
+        calls = count_linear_steps(monkeypatch)
+        assert find_linear_order(ideal) is None
+        assert len(calls) == 1
+
+    def test_an_absence_the_pass_leaves_open_is_searched(self, monkeypatch):
+        ideal = ideal_of(10, *NO_LINEAR_ORDER_9)
+        assert not refused_before_the_search(ideal)
+        calls = count_linear_steps(monkeypatch)
+        assert find_linear_order(ideal) is None
+        assert len(calls) > len(ideal.gens)  # more than the canonical pass can take
+        assert dense_find_linear_order(dense_gens(ideal)) is None
 
 
 # the 24 edges of K8 less the 4-cycle 1-2-3-4: the complement holds a
