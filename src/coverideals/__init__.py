@@ -4,65 +4,21 @@ Core objects: exact monomial/ideal arithmetic, loop graphs and their
 complete-core-plus-stars block specs, three independent routes to the ideal
 of vertex covers, linear-quotient analysis with resolution shifts, graded
 invariants with Cohen-Macaulay verdicts, and minimum-patrol cover selection.
+Each public name is listed once, in its own module's ``__all__``.
 """
 
-from .covers import (
-    BRUTE_FORCE_LIMIT,
-    PatrolSolution,
-    cover_ideal_by_intersection,
-    kprime_cover_ideal,
-    min_patrols,
-    minimal_covers_bruteforce,
-)
-from .errors import (
-    CoverIdealsError,
-    InconclusiveError,
-    OracleDisagreementError,
-    SizeGuardError,
-    ValidationError,
-)
-from .graphs import KPrimeSpec, LoopGraph
-from .invariants import (
-    HITTING_SET_LIMIT,
-    InvariantReport,
-    h_of,
-    invariants,
-)
-from .monomials import MonomialIdeal
-from .quotients import (
-    BACKTRACK_GENERATOR_LIMIT,
-    QuotientCertificate,
-    ResolutionShifts,
-    check_linear_quotients,
-    find_linear_order,
-    resolution_shifts,
-)
+from . import covers, errors, graphs, invariants, monomials, quotients
+
+# read before the star imports: the one from .invariants rebinds `invariants`
+# from the module to the function
+__all__ = [name for module in (covers, errors, graphs, invariants, monomials, quotients)
+           for name in module.__all__]
+
+from .covers import *
+from .errors import *
+from .graphs import *
+from .invariants import *
+from .monomials import *
+from .quotients import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BACKTRACK_GENERATOR_LIMIT",
-    "BRUTE_FORCE_LIMIT",
-    "HITTING_SET_LIMIT",
-    "CoverIdealsError",
-    "InconclusiveError",
-    "InvariantReport",
-    "KPrimeSpec",
-    "LoopGraph",
-    "MonomialIdeal",
-    "OracleDisagreementError",
-    "PatrolSolution",
-    "QuotientCertificate",
-    "ResolutionShifts",
-    "SizeGuardError",
-    "ValidationError",
-    "check_linear_quotients",
-    "cover_ideal_by_intersection",
-    "find_linear_order",
-    "h_of",
-    "invariants",
-    "kprime_cover_ideal",
-    "min_patrols",
-    "minimal_covers_bruteforce",
-    "resolution_shifts",
-]

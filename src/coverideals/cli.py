@@ -16,7 +16,8 @@ Verbs:
 
 --opt=VALUE is --opt VALUE, and a later value wins. The input is a JSON object:
 a graph {"n": .., "edges": [[i,j], ..], "loops": [..]}, a block spec
-{"alphas": [..], "loops": [..]}, or a monomial ideal {"n": .., "gens": [[..], ..]}.
+{"alphas": [..], "loops": [..]}, or a monomial ideal {"n": .., "gens": [[..], ..]};
+"alphas", then "gens", picks the kind, and a key of another kind is refused.
 Each call builds one report: --format json prints it, --format text a view of it.
 
 In ideal JSON a repeated index raises the exponent ([7, 7] is X7^2), and the
@@ -204,14 +205,24 @@ def _ideal_json(ideal: MonomialIdeal | KPrimeSpec, copies) -> dict:
     return {"n": ideal.n - len(copies), "gens": [_indices(g, copies) for g in ideal.gens]}
 
 
+# The kinds' keys: block spec "alphas", "loops"; ideal "n", "gens"; graph "n",
+# "edges", "loops". "alphas", then "gens", picks the kind, which refuses the
+# keys that only other kinds take.
+_FOREIGN_KEYS = {"block spec": {"n", "gens", "edges"}, "ideal": {"edges", "loops"}, "graph": ()}
+
+
 def classify_input(data):
-    """The graph, block spec or ideal that a parsed JSON object describes."""
+    """The graph, block spec or ideal that a parsed JSON object describes;
+    a key of another kind is refused before any field is read."""
     if not isinstance(data, dict):
         raise ValidationError("input JSON must be an object")
-    if "alphas" in data:
+    kind = "block spec" if "alphas" in data else "ideal" if "gens" in data else "graph"
+    if foreign := sorted(data.keys() & _FOREIGN_KEYS[kind]):
+        raise ValidationError(f"{kind} JSON takes no key " + ", ".join(map(json.dumps, foreign)))
+    if kind == "block spec":
         _check_fields(data, alphas=1, loops=1)
         return KPrimeSpec(data["alphas"], data.get("loops", ()))
-    if "gens" in data:
+    if kind == "ideal":
         return _ideal_from_json(data, polarize=True)
     if "edges" in data or "loops" in data:
         _check_fields(data, n=0, edges=2, loops=1)

@@ -10,9 +10,10 @@ Beyond that the routes are deliberately independent, so that each can serve
 as an oracle for the others: brute force decides every subset of the free
 vertices at once, bit-parallel on Python integers, in O(f * 2^f / 64)
 machine words; the intersection route lists each connected component's
-minimal covers, the complements of its maximal independent sets. Both hand one list of position masks per part to
-``_cover_ideal``, which guards the output, multiplies the parts, lifts
-positions to vertex indices and adds x^L, then sorts with ``_canonical``.
+minimal covers, the complements of its maximal independent sets. Both
+hand one list of position masks per part to ``_cover_ideal``, which guards
+the output, multiplies the parts, lifts positions to vertex indices and
+adds x^L, then sorts with ``_canonical``.
 The closed form for complete-core-plus-stars graphs reads the walk that a
 ``KPrimeSpec`` builds once, which yields its covers in canonical order as
 index tuples (``_walk_covers``); only ``kprime_cover_ideal`` builds their

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["CoverIdealsError", "InconclusiveError", "OracleDisagreementError",
+           "SizeGuardError", "ValidationError"]
+
 
 class CoverIdealsError(Exception):
     """Base class for all errors raised by this package."""

@@ -97,23 +97,17 @@ def _variables_ideal(n: int, variables: int) -> MonomialIdeal:
     return MonomialIdeal._trusted(n, bits)
 
 
-def _order_masks(order, ideal: MonomialIdeal) -> list[int] | None:
-    """The masks of an order's index sequences, each checked as a generator
-    of the ideal's ring; None unless they are its minimal generators, each once."""
-    if not isinstance(ideal, MonomialIdeal):
-        raise ValidationError(f"an order belongs to a MonomialIdeal, not {type(ideal).__name__}")
-    masks = [_support_mask(u, ideal.n) for u in order]
-    return masks if sorted(masks) == sorted(ideal.masks) else None
-
-
 def check_linear_quotients(ideal: MonomialIdeal, order) -> QuotientCertificate:
     """Evaluate one ordering: all prefix colon ideals, q, and the linear flag.
 
-    A variable-generated step is built from its variable mask; any other
-    step from the minimal masks among its prefix's reductions v & ~u.
+    The order's index sequences must be the ideal's minimal generators, each
+    once. A variable-generated step is built from its variable mask; any
+    other step from the minimal masks among its prefix's reductions v & ~u.
     """
-    masks = _order_masks(order, ideal)
-    if masks is None:
+    if not isinstance(ideal, MonomialIdeal):
+        raise ValidationError(f"an order belongs to a MonomialIdeal, not {type(ideal).__name__}")
+    masks = [_support_mask(u, ideal.n) for u in order]
+    if sorted(masks) != sorted(ideal.masks):
         raise ValidationError("order is not a permutation of the minimal generators")
     n = ideal.n
     steps, linear = [], True
@@ -245,9 +239,7 @@ def find_linear_order(source: KPrimeSpec | MonomialIdeal) -> QuotientCertificate
     return QuotientCertificate(tuple(order), steps, q, True)
 
 
-def resolution_shifts(
-    cert: QuotientCertificate, ideal: MonomialIdeal | None = None
-) -> ResolutionShifts:
+def resolution_shifts(cert: QuotientCertificate) -> ResolutionShifts:
     """Graded shifts of the minimal free resolution built by iterated mapping
     cones over a linear order: a generator of degree d whose colon step has
     r variables contributes C(r, i) copies of shift d + i in homological
@@ -257,8 +249,6 @@ def resolution_shifts(
                               f"{type(cert).__name__}")
     if not cert.linear:
         raise ValidationError("resolution shifts require a linear-quotient certificate")
-    if ideal is not None and _order_masks(cert.order, ideal) is None:
-        raise ValidationError("certificate does not belong to this ideal")
     if not cert.order:
         return ResolutionShifts(())
     ranks = [0] + [len(s.masks) for s in cert.steps]

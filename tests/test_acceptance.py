@@ -79,7 +79,7 @@ def test_02_five_center_golden():
     assert (rep.pd, rep.depth, rep.dim, rep.reg) == (2, 10, 11, 6)
     assert rep.cm is False
 
-    shifts = resolution_shifts(cert, closed)
+    shifts = resolution_shifts(cert)
     assert shifts.levels == ((5, 6, 7), (7, 8))
     print("criterion 2 (five-center golden certificate and invariants): PASS")
 

@@ -642,6 +642,21 @@ class TestExitCodesAndDeterminism:
         assert cli.main(["invariants", "--json", '{"bogus": 1}']) == 1
         assert cli.main(["invariants", "--json", "not json"]) == 1
 
+    @pytest.mark.parametrize("payload, message", [
+        ('{"alphas":[1,2],"gens":[[1]]}', 'block spec JSON takes no key "gens"'),
+        ('{"n":3,"gens":[[1,2]],"edges":[[1,2]]}', 'ideal JSON takes no key "edges"'),
+        ('{"n":5,"gens":[[1,2]],"loops":[3]}', 'ideal JSON takes no key "loops"'),
+        ('{"n":3,"loops":[1]}', None),
+        ('{"alphas":[2,4],"loops":[1]}', None),
+    ])
+    def test_a_key_of_another_kind_is_refused(self, capsys, payload, message):
+        # the key is refused before any field is read, not dropped
+        if message is None:
+            assert run_cli(capsys, "cover-ideal", "--json", payload)[0] == 0
+        else:
+            code, err = run_error(capsys, "cover-ideal", "--json", payload)
+            assert (code, err) == (1, f"error: {message}\n")
+
     def test_size_guard_is_exit_two(self, capsys):
         # the guard counts the f = 26 free vertices of a matching, not n
         matching = json.dumps({"n": 26, "edges": [[2 * i - 1, 2 * i] for i in range(1, 14)]})
