@@ -21,11 +21,12 @@ a graph {"n": .., "edges": [[i,j], ..], "loops": [..]}, a block spec
 Each call builds one report: --format json prints it, --format text a view of it.
 
 In ideal JSON a repeated index raises the exponent ([7, 7] is X7^2), and the
-squarefree library gets its polarization: X_i^a is X_i times a - 1 copies of
-X_i, the t-th copy (from 0) owned by X_i at i + t + 1, so the canonical order
-carries over; only copies held by a minimal generator are kept. h, pd, reg,
-the verdicts and every colon step stay; n, depth and dim are shifted back,
-and index p prints as X_i for i = p - (copies <= p).
+squarefree library gets its polarization over positions: each index that
+occurs takes one, in ascending order, followed by one per extra power, so
+X_i^a holds i's first a positions and the canonical order carries over; only
+positions held by a minimal generator are kept. h, pd, reg, the verdicts and
+every colon step stay; n, depth and dim are shifted back by the kept extra
+positions, and each position prints as the index it stands for.
 
 Exit codes: 0 success or -h/--help (this text), 1 validation error, malformed
 command line or stdout closed by its reader, 2 size guard, undecided search or
@@ -35,12 +36,11 @@ out of memory, 3 route disagreement.
 import json
 import os
 import sys
-from bisect import bisect_right
 from collections import Counter, namedtuple
 from functools import reduce
-from itertools import accumulate, chain, compress, groupby, repeat
+from itertools import chain, compress, groupby
 from json.encoder import encode_basestring_ascii
-from operator import eq, or_, sub
+from operator import eq, or_
 
 from .covers import (
     _walk_covers,
@@ -110,82 +110,63 @@ def _check_fields(data, **depths: int) -> None:
             raise ValidationError(f'"{key}" must be {_SHAPES[depth]}')
 
 
-# parsed ideal JSON: the squarefree ideal and the ascending copies kept in its ring
-_IdealInput = namedtuple("_IdealInput", "ideal copies")
+# the ring that the library sees for ideal JSON: position p names the input
+# index labels[p] (labels[0] is unused), and each position is its own index
+# where labels is empty; copies counts the positions past n, one per extra
+# power that a minimal generator holds
+_Ring = namedtuple("_Ring", "labels copies")
+_PLAIN = _Ring((), 0)
+# parsed ideal JSON: the squarefree ideal over positions, and its ring
+_IdealInput = namedtuple("_IdealInput", "ideal ring")
 
 
-def _ideal_from_json(data, polarize: bool = False) -> _IdealInput:
-    """Parse ideal JSON; a repeated index is refused unless ``polarize``.
-    Polarizing, each index list becomes one support mask, cut only where it
-    repeats an index, and the masks are minimalized once."""
+def _ideal_from_json(data) -> _IdealInput:
+    """Parse ideal JSON, polarized over the indices that occur. Each takes a
+    position, in ascending order, followed by one position per extra power,
+    so X_i^a holds i's first a positions; the masks are minimalized once and
+    the positions that no minimal generator holds are dropped. Where no index
+    repeats and the largest is at most 64, or every index up to it occurs,
+    relabelling would not narrow the masks: the positions are the indices."""
     _check_fields(data, n=0, gens=2)
     if not isinstance(data, dict) or "n" not in data or "gens" not in data:
         raise ValidationError('ideal JSON needs the keys "n" and "gens"')
     n, gens = data["n"], data["gens"]
-    if not polarize or n < 1:  # the constructor refuses n < 1 first
-        return _IdealInput(MonomialIdeal(n, gens), ())
+    if n < 1:
+        MonomialIdeal(n)  # the constructor's refusal
     for ix in gens:  # the constructor's range check, in the same order
         if ix and (min(ix) < 1 or max(ix) > n):
             _support_mask(ix, n)
-    masks, copies = _polarize(gens)
-    ideal = MonomialIdeal._trusted(n + len(copies), _minimal_masks(masks))
-    if not copies:
-        return _IdealInput(ideal, copies)
-    # drop each copy that no minimal generator holds: the positions above it
-    # move down one, which keeps the generators minimal and in canonical order
-    held, copy_mask = reduce(or_, ideal.masks), _indices_mask(copies)
-    if dropped := _mask_indices(copy_mask & ~held):
-        copies = tuple(_indices(_mask_indices(copy_mask & held), dropped))
-        ideal = MonomialIdeal._trusted(n + len(copies), [
-            _indices_mask(_indices(_mask_indices(m), dropped)) for m in ideal.masks])
-    return _IdealInput(ideal, copies)
+    top = max(map(max, filter(None, gens)), default=0)
+    if top <= 64:
+        masks = [*map(_indices_mask, gens)]  # a repeat sets its bit once
+        if all(map(eq, map(len, gens), map(int.bit_count, masks))):
+            return _IdealInput(MonomialIdeal._trusted(n, _minimal_masks(masks)), _PLAIN)
+    occurring = set(chain.from_iterable(gens))
+    # each list's extra powers: per index, its equal neighbours once sorted
+    extras = [Counter(compress(s, map(eq, s, s[1:]))) for s in map(sorted, gens)]
+    if len(occurring) == top and not any(extras):
+        masks = _minimal_masks(map(_indices_mask, gens))
+        return _IdealInput(MonomialIdeal._trusted(n, masks), _PLAIN)
+    powers = reduce(Counter.__ior__, extras, Counter())  # each index's most extra powers
+    labels = (0, *sorted(chain(occurring, powers.elements())))
+    first = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))  # each index's first
+    # X_i^a on i's first a positions: i's first one, then its extra ones
+    masks = _minimal_masks(_indices_mask(chain(map(first.__getitem__, ix), *(
+        range(first[i] + 1, first[i] + e + 1) for i, e in extra.items())))
+        for ix, extra in zip(gens, extras))
+    held, width = reduce(or_, masks, 0), len(labels) - 1
+    if held != (1 << width) - 1:  # drop the positions no minimal generator holds
+        keep = [*map("1".__eq__, f"{held:0{width}b}"[::-1])]  # position p at p - 1
+        labels = (0, *compress(labels[1:], keep))
+        masks = [int("".join(compress(f"{m:0{width}b}"[::-1], keep))[::-1] or "0", 2)
+                 for m in masks]
+    copies = sum(map(eq, labels, labels[1:]))
+    return _IdealInput(MonomialIdeal._trusted(n + copies, masks), _Ring(labels, copies))
 
 
-def _polarize(index_lists) -> tuple[list[int], tuple[int, ...]]:
-    """The polarized masks of index lists in 1..n that may repeat an index,
-    and the ascending copies. Each list's support is one mask, cut at the
-    owners of copies by big-integer slices: the cut at owner o moves the
-    bits above o up by o's copies and sets the copies the list holds right
-    above o. Cutting at the middle owner first keeps the work O(L/64 log r)
-    words for a mask of L bits and r owners, all in C, with Python steps
-    only where the mask has bits."""
-    supports = [_indices_mask(ix) for ix in index_lists]  # a repeat sets its bit once
-    held = [Counter()] * len(supports)  # per list, the copies it holds of each index
-    for k, (ix, mask) in enumerate(zip(index_lists, supports)):
-        if len(ix) != mask.bit_count():
-            s = sorted(ix)
-            held[k] = Counter(compress(s, map(eq, s, s[1:])))  # once per equal neighbour
-    if not any(held):  # squarefree: each support is its generator
-        return supports, ()
-    top: dict[int, int] = {}  # each owner's copies
-    for copies_held in held:
-        for i, a in copies_held.items():
-            top[i] = max(top.get(i, a), a)
-    owners = sorted(top)
-    below = [0, *accumulate(map(top.__getitem__, owners))]  # the copies of the first k owners
-    copies = tuple(chain.from_iterable(
-        range(i + below[k] + 1, i + below[k + 1] + 1) for k, i in enumerate(owners)))
-
-    def spread(mask: int, base: int, lo: int, hi: int, copies_held: Counter) -> int:
-        # mask's bit j is index base + j + 1, and owners[lo:hi] lie in its range
-        if lo == hi or not mask:
-            return mask
-        mid = (lo + hi) >> 1
-        cut = owners[mid] - base  # the bits above owner mid
-        low = spread(mask & ((1 << cut) - 1), base, lo, mid, copies_held)
-        high = spread(mask >> cut, owners[mid], mid + 1, hi, copies_held)
-        return (low | ((1 << copies_held[owners[mid]]) - 1) << (cut + below[mid] - below[lo])
-                | high << (cut + below[mid + 1] - below[lo]))
-
-    return [spread(mask, 0, 0, len(owners), c) for mask, c in zip(supports, held)], copies
-
-
-def _indices(g: tuple[int, ...], copies) -> list[int]:
-    """The index sequence in the input's ring: index p names X_{p - (copies <= p)},
-    each shift found by a bisect in C."""
-    if not copies:
-        return list(g)
-    return [*map(sub, g, map(bisect_right, repeat(copies), g))]
+def _labelled(ix, labels) -> list[int]:
+    """The input indices that the positions ix name."""
+    return [*map(labels.__getitem__, ix)] if labels else list(ix)
 
 
 def _compact(ix: list[int]) -> str:
@@ -196,13 +177,14 @@ def _compact(ix: list[int]) -> str:
     return "".join(f"X{i}^{a}" if (a := len([*run])) > 1 else f"X{i}" for i, run in groupby(ix))
 
 
-def _ideal_json(ideal: MonomialIdeal | KPrimeSpec, copies) -> dict:
+def _ideal_json(ideal: MonomialIdeal | KPrimeSpec, ring: _Ring = _PLAIN) -> dict:
     """A printed ideal: a spec's covers off its walk, else generators in the input's ring."""
     if isinstance(ideal, KPrimeSpec):
         return {"n": ideal.n, "gens": [*map(list, _walk_covers(ideal))]}
-    if not copies:
+    if not ring.labels:
         return ideal.to_json_dict()
-    return {"n": ideal.n - len(copies), "gens": [_indices(g, copies) for g in ideal.gens]}
+    return {"n": ideal.n - ring.copies,
+            "gens": [_labelled(_mask_indices(m), ring.labels) for m in ideal.masks]}
 
 
 # The kinds' keys: block spec "alphas", "loops"; ideal "n", "gens"; graph "n",
@@ -223,7 +205,7 @@ def classify_input(data):
         _check_fields(data, alphas=1, loops=1)
         return KPrimeSpec(data["alphas"], data.get("loops", ()))
     if kind == "ideal":
-        return _ideal_from_json(data, polarize=True)
+        return _ideal_from_json(data)
     if "edges" in data or "loops" in data:
         _check_fields(data, n=0, edges=2, loops=1)
         if "n" not in data:
@@ -233,38 +215,37 @@ def classify_input(data):
 
 
 def compute_cover_ideal(obj, route: str) -> tuple[
-        MonomialIdeal | KPrimeSpec, str, tuple[int, ...], KPrimeSpec | MonomialIdeal]:
+        MonomialIdeal | KPrimeSpec, str, _Ring, KPrimeSpec | MonomialIdeal]:
     """Resolve the input on the route: its ideal of vertex covers, or on the
     closed form the block spec itself, whose walk ``_ideal_json`` prints; the
-    route's name, the copies kept in its ring, and the source that the library
+    route's name, the ring of its positions, and the source that the library
     answers from, a block spec itself on every route, else the ideal. A graph
     route always runs, so that its refusal stands."""
     if isinstance(obj, _IdealInput):
         if route != "auto":
             raise ValidationError("route overrides do not apply to ideal input")
-        return obj.ideal, "ideal-input", obj.copies, obj.ideal
+        return obj.ideal, "ideal-input", obj.ring, obj.ideal
     spec = isinstance(obj, KPrimeSpec)
     if spec and route in ("auto", "closed-form"):
-        return obj, "closed-form", (), obj
+        return obj, "closed-form", _PLAIN, obj
     if route == "closed-form":
         raise ValidationError("the closed-form route requires a block-spec input")
     if route == "bruteforce":
         ideal = minimal_covers_bruteforce(obj)
     else:
         ideal, route = cover_ideal_by_intersection(obj), "intersection"
-    return ideal, route, (), obj if spec else ideal
+    return ideal, route, _PLAIN, obj if spec else ideal
 
 
-def _shifted(rep: InvariantReport, copies) -> InvariantReport:
-    """The report in the input's ring: n, dim and depth shifted back by the copies."""
-    c = len(copies)
+def _shifted(rep: InvariantReport, c: int) -> InvariantReport:
+    """The report in the input's ring: n, dim and depth shifted back by the c copies."""
     return rep._replace(n=rep.n - c, dim=rep.dim - c,
                         depth=None if rep.depth is None else rep.depth - c) if c else rep
 
 
 def run_cover_ideal(obj, args):
-    ideal, route, copies, _ = compute_cover_ideal(obj, args.route)
-    return {"route": route, "ideal": _ideal_json(ideal, copies)}
+    ideal, route, ring, _ = compute_cover_ideal(obj, args.route)
+    return {"route": route, "ideal": _ideal_json(ideal, ring)}
 
 
 def _cover_ideal_text(report):
@@ -274,9 +255,9 @@ def _cover_ideal_text(report):
 
 
 def run_invariants(obj, args):
-    ideal, route, copies, source = compute_cover_ideal(obj, args.route)
-    return {"route": route, "invariants": _shifted(invariants(source), copies).to_json_dict(),
-            "ideal": _ideal_json(ideal, copies)}
+    ideal, route, ring, source = compute_cover_ideal(obj, args.route)
+    return {"route": route, "invariants": _shifted(invariants(source), ring.copies).to_json_dict(),
+            "ideal": _ideal_json(ideal, ring)}
 
 
 def _invariants_text(report):
@@ -292,22 +273,19 @@ def _fmt(value) -> str:
 
 
 def run_linear_quotients(obj, args):
-    ideal, route, copies, source = compute_cover_ideal(obj, args.route)
+    ideal, route, ring, source = compute_cover_ideal(obj, args.route)
     cert = find_linear_order(source)
     if cert is None:
-        return {"route": route, "ideal": _ideal_json(ideal, copies),
+        return {"route": route, "ideal": _ideal_json(ideal, ring),
                 "linear": False, "verdict": "absence"}
-    if isinstance(source, MonomialIdeal):
-        # the source is the printed ideal, and the order lists each of its
-        # generators once: sorted by degree, then index, it is the canonical order
-        printed = {"n": ideal.n - len(copies), "gens": [
-            _indices(u, copies) for u in sorted(cert.order, key=lambda u: (len(u), u))]}
-    else:  # a spec's walk, or a graph route's ideal of the spec
-        printed = _ideal_json(ideal, copies)
-    # each step is generated by variables: the OR of its generators is their mask
-    return {"route": route, "ideal": printed, "certificate": {
-        "order": [_indices(u, copies) for u in cert.order], "q": cert.q, "linear": True,
-        "steps": [_indices(_mask_indices(reduce(or_, s.masks)), copies) for s in cert.steps]},
+    # the order lists each generator of the printed ideal once: sorted by
+    # degree, then index, it is the canonical order; each step is generated
+    # by variables, so the OR of its generators is their mask
+    labels = ring.labels
+    printed = [_labelled(u, labels) for u in sorted(cert.order, key=lambda u: (len(u), u))]
+    return {"route": route, "ideal": {"n": ideal.n - ring.copies, "gens": printed}, "certificate": {
+        "order": [_labelled(u, labels) for u in cert.order], "q": cert.q, "linear": True,
+        "steps": [_labelled(_mask_indices(reduce(or_, s.masks)), labels) for s in cert.steps]},
         "resolution": resolution_shifts(cert).to_json_dict()}
 
 
@@ -326,20 +304,27 @@ def _linear_quotients_text(report):
 def run_cm_check(obj, args):
     if args.loops is not None and args.base_ideal is None:
         raise ValidationError("--loops applies only to the saturation check; pass --base-ideal")
-    _, route, copies, source = compute_cover_ideal(obj, args.route)
-    rep = _shifted(invariants(source), copies)
+    _, route, ring, source = compute_cover_ideal(obj, args.route)
+    rep = _shifted(invariants(source), ring.copies)
     report = {"route": route, "invariants": rep.to_json_dict()}
     if args.base_ideal is not None:
         # once the loops hold a minimal cover w of the loopless base graph, the
         # loop set is the one minimal cover left: J is principal, hence CM;
-        # a cover ideal is squarefree, so a base that repeats an index is refused
-        base = _ideal_from_json(load_payload(args.base_ideal)).ideal
+        # a cover ideal is squarefree, so a base whose minimal generators hold
+        # a power is refused
+        base, (labels, copies) = _ideal_from_json(load_payload(args.base_ideal))
+        if copies:
+            raise ValidationError("a variable index repeats in a squarefree monomial")
         loops = _resolve_loops(obj, args, base.n)
-        outside = ~_indices_mask(loops)
+        if labels:  # the positions of the loops that the base names
+            at = dict(zip(labels, range(len(labels))))
+            outside = ~_indices_mask([at[k] for k in loops if k in at])
+        else:
+            outside = ~_indices_mask(loops)
         # a mask, tested with "is not None": the unit witness 0 is falsy
         witness = next((w for w in base.masks if not w & outside), None)
         held = witness is not None
-        shown = _mask_indices(witness) if held else None
+        shown = _labelled(_mask_indices(witness), labels) if held else None
         # with the input's own loops, the true base has a witness iff G - L
         # has no edge, iff J is principal; any other base is not the input's
         if (isinstance(obj, (LoopGraph, KPrimeSpec)) and set(loops) == set(obj.loops)
@@ -383,10 +368,14 @@ def _resolve_loops(obj, args, n: int):
 
 
 def run_patrol(obj, args):
-    _, route, copies, source = compute_cover_ideal(obj, args.route)
+    _, route, (labels, copies), source = compute_cover_ideal(obj, args.route)
     if copies:  # a minimal generator holds a power
         raise ValidationError("patrol selection needs a squarefree (vertex-cover) ideal")
-    return {"route": route, "patrol": min_patrols(source).to_json_dict()}
+    patrol = min_patrols(source)
+    if labels:
+        patrol = patrol._replace(optimal_covers=[_labelled(c, labels)
+                                                 for c in patrol.optimal_covers])
+    return {"route": route, "patrol": patrol.to_json_dict()}
 
 
 def _patrol_text(report):
@@ -402,12 +391,12 @@ def run_oracle_verify(obj, args):
     # the graph routes refuse off the walk in O(m); once both pass, the closed
     # form's covers x n are within their output guard, so it refuses no more
     ideals = {name: compute_cover_ideal(obj, name)[0] for name in ("intersection", "bruteforce")}
-    agreed = _ideal_json(ideals["intersection"], ())
+    agreed = _ideal_json(ideals["intersection"])
     # equal ideals share one printed form; only a disagreeing route is printed apart
-    routes = {name: agreed if ideal == ideals["intersection"] else _ideal_json(ideal, ())
+    routes = {name: agreed if ideal == ideals["intersection"] else _ideal_json(ideal)
               for name, ideal in ideals.items()}
     if isinstance(obj, KPrimeSpec):
-        routes = {"closed-form": _ideal_json(obj, ()), **routes}
+        routes = {"closed-form": _ideal_json(obj), **routes}
     agree = all(printed == agreed for printed in routes.values())
     report = {"agree": agree, "routes": routes}
     if not agree:
@@ -483,8 +472,14 @@ _OPTIONS = {  # option: its attribute, the verbs that take it, its values (None:
 _Args = namedtuple("_Args", "format route input json base_ideal loops", defaults=(None,) * 4)
 
 
-def _parse_argv(argv) -> tuple[str, _Args]:
-    """The verb, then --opt VALUE or --opt=VALUE pairs; a later value wins."""
+def _parse_argv(argv) -> tuple[str, _Args] | None:
+    """The verb, then --opt VALUE or --opt=VALUE pairs; a later value wins.
+    None asks for help: -h or --help where the verb or an option name stands,
+    that is, anywhere but as the value after an option, which never starts with --."""
+    if ("-h" in argv or "--help" in argv) and any(
+            t == "--help" or t == "-h" and (k < 2 or argv[k - 1] not in _OPTIONS)
+            for k, t in enumerate(argv)):
+        return None
     if not argv or argv[0] not in HANDLERS:
         raise ValidationError("the first argument must be a verb: " + ", ".join(HANDLERS))
     verb, given, tokens = argv[0], {"format": "text", "route": "auto"}, iter(argv[1:])
@@ -514,11 +509,11 @@ def main(argv=None) -> int:
 
 
 def _run(argv: list[str]) -> int:
-    if "-h" in argv or "--help" in argv:
-        print(_HELP, end="")
-        return 0
     try:
-        verb, args = _parse_argv(argv)
+        if (parsed := _parse_argv(argv)) is None:
+            print(_HELP, end="")
+            return 0
+        verb, args = parsed
         obj = classify_input(load_payload(args.input, args.json))
         output = render(verb, HANDLERS[verb](obj, args), args.format)
     except OracleDisagreementError as exc:

@@ -33,21 +33,41 @@ def ideal_of(n, *index_lists):
 
 def polarized(n, index_lists):
     """The CLI's parse of ideal JSON whose index lists may repeat an index:
-    the pair (squarefree ideal, ascending copies) of the polarized ring."""
+    the pair (squarefree ideal over positions, ring), the ring's labels
+    naming the index of each position and its copies counting the extra
+    positions of powers."""
     return cli.classify_input({"n": n, "gens": [list(ix) for ix in index_lists]})
+
+
+def positions_by_index(index_lists):
+    """The per-index reference for the CLI's positions: every index that
+    occurs, ascending, followed by one position per extra power that some
+    list holds. The labels (labels[p] the index of position p, labels[0]
+    unused) and each list's ascending positions, X_i^a on i's first a."""
+    counts = [Counter(ix) for ix in index_lists]
+    powers = {}
+    for c in counts:
+        for i, a in c.items():
+            powers[i] = max(powers.get(i, 0), a)
+    labels, first = [0], {}
+    for i in sorted(powers):
+        first[i] = len(labels)
+        labels += [i] * powers[i]
+    return tuple(labels), [sorted(first[i] + k for i, a in c.items() for k in range(a))
+                           for c in counts]
 
 
 def input_gens(parsed):
     """The generators of a CLI-parsed ideal as index lists of the input's
     ring, a repeated index for each power."""
-    ideal, copies = parsed
-    return [cli._indices(g, copies) for g in ideal.gens]
+    ideal, ring = parsed
+    return [cli._labelled(g, ring.labels) for g in ideal.gens]
 
 
 def edge_ideal(g):
     """The edge ideal of a graph with loops: X_i*X_j per edge and X_k^2 per
     loop, so its loops give ideals with powers. The CLI polarizes it into a
-    pair (ideal, copies) with one copy per loop."""
+    pair (ideal, ring) with one copy per loop."""
     return polarized(g.n, [*g.edges, *((k, k) for k in g.loops)])
 
 
@@ -368,18 +388,18 @@ def dense_find_linear_order(gens):
     return None if found is None else dense_check_linear_quotients(found)
 
 
-def dense_gens(ideal, copies=()):
+def dense_gens(ideal, ring=cli._PLAIN):
     """The generators of a library ideal as exponent vectors of the input's
-    ring, its copies mapped back onto their owners."""
-    n = ideal.n - len(copies)
-    return [dense_vector(cli._indices(g, copies), n) for g in ideal.gens]
+    ring, each position read as the index it names."""
+    n = ideal.n - ring.copies
+    return [dense_vector(cli._labelled(g, ring.labels), n) for g in ideal.gens]
 
 
-def dense_certificate(cert, n, copies=()):
+def dense_certificate(cert, n, ring=cli._PLAIN):
     """A library certificate in the shape of dense_check_linear_quotients, as
     exponent vectors of the input's ring."""
     def vector(m):
-        return dense_vector(cli._indices(m, copies), n)
+        return dense_vector(cli._labelled(m, ring.labels), n)
 
     steps = tuple(tuple(map(vector, s.gens)) for s in cert.steps)
     return tuple(map(vector, cert.order)), steps, cert.q, cert.linear

@@ -30,6 +30,7 @@ from helpers import (
     block_specs,
     count_spec_walks,
     ideal_of,
+    positions_by_index,
 )
 
 FIVE_CENTER_JSON = json.dumps(
@@ -166,7 +167,8 @@ class TestLinearQuotients:
                                                         walks):
         # no route builds the closed form's masks: the printed ideal is the
         # graph route's, or on the closed form read off the walk once per
-        # call; the order and the invariants always come from the walk
+        # call, except by linear-quotients, which prints it off its
+        # certificate; the order and the invariants always come from the walk
         built, printed = [], []
         monkeypatch.setattr(covers, "kprime_cover_ideal", built.append)
         monkeypatch.setattr(cli, "_walk_covers",
@@ -175,7 +177,7 @@ class TestLinearQuotients:
             code, report = run_json(capsys, verb, "--route", route, "--json", FIVE_CENTER_JSON)
             assert code == 0 and report["ideal"]["gens"][-1] == [1, 2, 5, 6, 8, 9, 12]
         assert report["certificate"]["q"] == 1
-        assert (built, len(printed)) == ([], 3 * walks)
+        assert (built, len(printed)) == ([], 2 * walks)
 
     def test_absence_verdict(self, capsys):
         ideal_json = json.dumps({"n": 4, "gens": [[1, 2], [3, 4]]})
@@ -269,6 +271,9 @@ class TestCmCheck:
         # G - L keeps the edge {4,5}, yet the triangle's cover X1X2 lies in the loops
         ('{"n":5,"edges":[[4,5]],"loops":[1,2]}', '{"n":3,"gens":[[1,2],[1,3],[2,3]]}'),
         ('{"alphas":[2,3],"loops":[1]}', '{"n":3,"gens":[[1],[2,3]]}'),
+        # G - L has no edge, yet no cover lies in the loops; the base's
+        # positions 1, 2 stand for X1 and X70, and the loop X100 for none
+        ('{"n":100,"edges":[[1,100],[70,100]],"loops":[100]}', '{"n":100,"gens":[[1,70]]}'),
     ])
     def test_base_contradicting_the_input_is_one_error_line(self, tmp_path, capsys,
                                                             payload, base):
@@ -387,12 +392,25 @@ class TestArgv:
         assert spaced[0] == 0 and json.loads(spaced[1])["route"] == "intersection"
 
     @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["cm-check", "--help"],
-                                      ["frobnicate", "-h"]])
+                                      ["frobnicate", "-h"],
+                                      # where an option name stands, after bad options too
+                                      ["cover-ideal", "--json", "{}", "-h"],
+                                      ["cover-ideal", "--format", "xml", "--help"],
+                                      ["cover-ideal", "--bogus", "-h"],
+                                      # a value never starts with --, so this is no value
+                                      ["cover-ideal", "--json", "--help"]])
     def test_help_prints_the_module_docstring(self, capsys, argv):
         assert cli.main(argv) == 0
         captured = capsys.readouterr()
         assert captured.out == cli.__doc__ and captured.err == ""
         assert all(verb in captured.out for verb in cli.HANDLERS)
+
+    @pytest.mark.parametrize("option, message", [
+        ("--input", "error: cannot read -h: "), ("--json", "error: input is not valid JSON: ")])
+    def test_help_flag_as_an_option_value_is_that_value(self, capsys, option, message):
+        # -h where a value stands is the value: a path or JSON, refused like any other
+        code, err = run_error(capsys, "cover-ideal", option, "-h")
+        assert code == 1 and err.startswith(message)
 
     def test_help_survives_stripped_docstrings(self):
         # python -OO drops docstrings; the help text is a string constant
@@ -599,35 +617,84 @@ class TestOneReportPerCall:
         assert peak < 20 * 2**20
 
 
-def polarize_by_index(index_lists):
-    """The per-index reference for ``cli._polarize``: each variable's largest
-    count fixes its copies, numbered right after it, and every index of a
-    list moves up by the copies below it; the masks and the ascending copies."""
-    counts = [Counter(ix) for ix in index_lists]
-    top = dict(sorted(chain.from_iterable(c.items() for c in counts)))
-    first, copies = {}, []
-    for i, a in top.items():
-        first[i] = i + len(copies)
-        copies += range(first[i] + 1, first[i] + a)
-    lists = [[first[i] + k for i, a in c.items() for k in range(a)] for c in counts]
-    return [sum(1 << (p - 1) for p in ix) for ix in lists], tuple(copies)
+@st.composite
+def ideal_lists(draw):
+    """n and index lists that may repeat an index: n up to 150, or 10^9 with
+    indices near either end or anywhere, so that positions skip most indices."""
+    n = draw(st.one_of(st.integers(1, 150), st.just(10**9)))
+    index = st.integers(1, n)
+    if n > 150:
+        index = st.one_of(st.integers(1, 70), st.integers(n - 70, n), index)
+    return n, draw(st.lists(st.lists(index, max_size=8), min_size=1, max_size=6))
+
+
+def parsed_by_index(n, index_lists):
+    """The per-index reference for ``cli._ideal_from_json``: the minimal
+    lists as multisets, in canonical order; positions of these alone, so
+    none is unheld, unless no index repeats and the largest is at most 64
+    or every index up to it occurs, where the positions are the indices.
+    The ring size, the generators over positions, the labels, and the
+    minimal lists as printed."""
+    printed = []  # a list divides another iff its counts are at most the other's
+    for s in sorted({tuple(sorted(ix)) for ix in index_lists}, key=lambda s: (len(s), s)):
+        if not any(Counter(k) <= Counter(s) for k in printed):
+            printed.append(list(s))
+    indices = set(chain.from_iterable(index_lists))
+    top = max(indices, default=0)
+    if all(len(set(ix)) == len(ix) for ix in index_lists) and (
+            top <= 64 or len(indices) == top):
+        return n, tuple(map(tuple, printed)), (), printed
+    labels, positions = positions_by_index(printed)
+    return n + len(labels) - len(set(labels)), tuple(map(tuple, positions)), labels, printed
 
 
 class TestPolarizationOnMasks:
-    @settings(max_examples=150)
-    @given(st.integers(1, 150).flatmap(lambda n: st.lists(
-        st.lists(st.integers(1, n), max_size=8), min_size=1, max_size=6)))
-    @example([[1, 1]])
-    @example([[64, 64, 65, 65, 65], [1, 64], [65, 130, 130]])
-    @example([[2, 3], [1, 1, 1, 4]])
-    def test_masks_equal_the_per_index_reference(self, index_lists):
-        assert cli._polarize(index_lists) == polarize_by_index(index_lists)
+    @settings(max_examples=200)
+    @given(ideal_lists())
+    @example((1, [[1, 1]]))
+    @example((130, [[64, 64, 65, 65, 65], [1, 64], [65, 130, 130]]))
+    @example((4, [[2, 3], [1, 1, 1, 4]]))
+    @example((3, [[2], [1, 3], [2, 2, 3]]))  # X2^2X3's copy of X2 is dropped
+    @example((70, [[1, 64], [65, 70], list(range(1, 71))]))  # every index occurs
+    @example((10**9, [[1, 10**9], [2, 10**9 - 1]]))
+    @example((10**9, [[], [5, 5]]))  # the unit ideal holds no position
+    def test_masks_equal_the_per_index_reference(self, data):
+        n, index_lists = data
+        ideal, ring = cli._ideal_from_json({"n": n, "gens": index_lists})
+        size, gens, labels, printed = parsed_by_index(n, index_lists)
+        assert (ideal.n, ideal.gens, ring) == (size, gens, (labels, size - n))
+        # every position prints as its index: the minimal lists come back
+        assert cli._ideal_json(ideal, ring) == {"n": n, "gens": printed}
 
     def test_one_repeat_in_a_long_list(self):
-        # one owner cuts a 10^5-bit support once: every index above it moves up one
+        # X7's copy is the position after X7's: every index above it moves up one
         n = 10**5
-        (mask,), copies = cli._polarize([[7, *range(1, n + 1)]])
-        assert copies == (8,) and mask == (1 << (n + 1)) - 1
+        ideal, (labels, copies) = cli._ideal_from_json({"n": n, "gens": [[7, *range(1, n + 1)]]})
+        assert ideal.masks == ((1 << (n + 1)) - 1,) and ideal.n == n + 1
+        assert (labels, copies) == ((0, *range(1, 8), *range(7, n + 1)), 1)
+
+    def test_positions_are_the_indices_named(self, capsys):
+        # two generators at n = 10^9 take 4 positions, not 10^9-bit masks
+        payload = '{"n":1000000000,"gens":[[1,1000000000],[2,999999999]]}'
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, "invariants", "--json", payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.startswith("route: ideal-input / bounds-only\n"
+                                            "n: 1000000000  h: 2  q: -\n")
+        assert peak < 20 * 2**20
+
+    def test_many_powers_beside_a_wide_index_within_a_second(self, capsys):
+        # 500 generators X_i^2 X_(10^6): 1,001 positions, so each pair test
+        # of the minimalization is 16 words, not 10^6 bits
+        gens = [[i, i, 10**6] for i in range(1, 501)]
+        start = time.perf_counter()
+        code, report = run_json(capsys, "cover-ideal", "--json",
+                                json.dumps({"n": 10**6, "gens": gens}))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and report["ideal"] == {"n": 10**6, "gens": gens}
 
     def test_the_printed_ideal_is_the_input(self, capsys):
         gens = [[1, 1, 70], [64, 64, 64, 65], [2, 65, 65, 130]]
@@ -635,6 +702,18 @@ class TestPolarizationOnMasks:
                                 json.dumps({"n": 130, "gens": gens}))
         # in the canonical order of the polarized ring, where X2 precedes X64's copies
         assert code == 0 and report["ideal"] == {"n": 130, "gens": [gens[0], gens[2], gens[1]]}
+
+    def test_sparse_positions_print_as_their_indices(self, tmp_path, capsys):
+        # positions 1, 2, 3 stand for X1, X70 and X100 in the patrol covers
+        # and in the saturation witness
+        ideal = '{"n":100,"gens":[[1,100],[70],[70,70,100]]}'
+        code, report = run_json(capsys, "patrol", "--json", ideal)
+        assert code == 0 and report["patrol"] == {"covering_number": 1, "optimal_covers": [[70]]}
+        base = tmp_path / "base.json"
+        base.write_text(ideal, encoding="utf-8")
+        code, report = run_json(capsys, "cm-check", "--json", '{"n":100,"gens":[[70]]}',
+                                "--base-ideal", str(base), "--loops", "1,70,99")
+        assert code == 0 and report["saturation"] == {"satisfied": True, "witness": [70]}
 
 
 class TestExitCodesAndDeterminism:
@@ -859,25 +938,19 @@ class TestExitCodesAndDeterminism:
         assert time.perf_counter() - start < 1.0
         assert code == 0 and report["invariants"]["h"] == 12
 
-    def test_out_of_memory_is_exit_two(self):
-        # the variable X_(10^10) needs a 1.25 GB mask buffer and as large an
-        # integer, past a 1.5 GB address-space limit
-        resource = pytest.importorskip("resource")
-        limit = 1_500_000_000
+    def test_out_of_memory_is_exit_two(self, capsys, monkeypatch):
+        # X_(10^10) takes one position, so the call answers; an allocation
+        # that fails anywhere in a call is exit 2 with one line
+        payload = '{"n":10000000000,"gens":[[10000000000]]}'
+        assert run_cli(capsys, "cover-ideal", "--json", payload) == (
+            0, "route: ideal-input\ngenerators (1):\n  X10000000000\n")
 
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        def exhausted(source):
+            raise MemoryError
 
-        src = str(Path(coverideals.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from coverideals import cli; "
-             "sys.exit(cli.main(sys.argv[1:]))",
-             "invariants", "--json", '{"n":10000000000,"gens":[[10000000000]]}'],
-            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr == "error: out of memory; the input is too large\n"
+        monkeypatch.setattr(cli, "invariants", exhausted)
+        assert run_error(capsys, "invariants", "--json", payload) == (
+            2, "error: out of memory; the input is too large\n")
 
     def test_input_file_not_utf8_is_exit_one(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -949,9 +1022,35 @@ class TestExitCodesAndDeterminism:
 
 # Exact stdout of each verb: text as printed, JSON as the report that the CLI
 # prints with indent 2 and sorted keys, then an optional argv tail, in which
-# BASE_IDEAL_FILE stands for a file holding BASE_IDEAL_JSON.
-BASE_IDEAL_FILE = object()
+# BASE_IDEAL_FILE stands for a file holding BASE_IDEAL_JSON, POWERED_BASE_FILE
+# for one holding (X2, X1X3), the cover ideal of the path 1-2-3, beside
+# X2^2X3, whose power no minimal generator keeps.
+BASE_IDEAL_FILE, POWERED_BASE_FILE = object(), object()
+BASE_FILES = {BASE_IDEAL_FILE: BASE_IDEAL_JSON,
+              POWERED_BASE_FILE: '{"n":3,"gens":[[2],[1,3],[2,2,3]]}'}
 GOLDEN_STDOUT = [
+    (
+        # a base is refused only for a power that a minimal generator keeps
+        "power-in-a-non-minimal-base-generator",
+        '{"n":3,"edges":[[1,2],[2,3]],"loops":[2]}',
+        "cm-check",
+        "route: intersection / principal\n"
+        "cohen_macaulay: true\n"
+        "loop saturation: satisfied, witness X2\n",
+        {"invariants": {"cm": True,
+                        "depth": 2,
+                        "dim": 2,
+                        "h": 1,
+                        "n": 3,
+                        "pd": 1,
+                        "q": 0,
+                        "reg": 0,
+                        "reg_bounds": [0, 2],
+                        "route": "principal"},
+         "route": "intersection",
+         "saturation": {"satisfied": True, "witness": [2]}},
+        "--base-ideal", POWERED_BASE_FILE,
+    ),
     (
         "five-center",
         FIVE_CENTER_JSON,
@@ -1308,9 +1407,11 @@ class TestGoldenStdout:
     @pytest.mark.parametrize("case", GOLDEN_STDOUT, ids=[f"{g[0]}-{g[2]}" for g in GOLDEN_STDOUT])
     def test_text_and_json_stdout(self, tmp_path, capsys, case):
         _, payload, verb, text, report, *tail = case
-        base = tmp_path / "base.json"
-        base.write_text(BASE_IDEAL_JSON, encoding="utf-8")
-        argv = [verb, "--json", payload, *(str(base) if a is BASE_IDEAL_FILE else a for a in tail)]
+        paths = {}
+        for k, (marker, content) in enumerate(BASE_FILES.items()):
+            paths[marker] = tmp_path / f"base-{k}.json"
+            paths[marker].write_text(content, encoding="utf-8")
+        argv = [verb, "--json", payload, *(str(paths[a]) if a in paths else a for a in tail)]
         assert run_cli(capsys, *argv) == (0, text)
         rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert run_cli(capsys, *argv, "--format", "json") == (0, rendered)

@@ -11,6 +11,7 @@ from coverideals import (
     KPrimeSpec,
     LoopGraph,
     ValidationError,
+    cli,
 )
 from coverideals.cli import classify_input
 from helpers import (
@@ -203,11 +204,12 @@ class TestEdgeIdeal:
 
     def test_triangle(self):
         g = LoopGraph(3, [(1, 2), (1, 3), (2, 3)])
-        assert edge_ideal(g) == (ideal_of(3, (1, 2), (1, 3), (2, 3)), ())
+        assert edge_ideal(g) == (ideal_of(3, (1, 2), (1, 3), (2, 3)), cli._PLAIN)
 
     def test_single_loop(self):
         g = LoopGraph(1, [], [1])
-        assert edge_ideal(g) == (ideal_of(2, (1, 2)), (2,))
+        # X1^2 on X1's two positions, the second one past n
+        assert edge_ideal(g) == (ideal_of(2, (1, 2)), cli._Ring((0, 1, 1), 1))
         assert input_gens(edge_ideal(g)) == [[1, 1]]
 
     def test_three_center_graph_ideal(self):
@@ -218,7 +220,7 @@ class TestEdgeIdeal:
         for k in (2, 5, 7, 11):
             assert [k, k] in gens
         squares = [ix for ix in gens if len(set(ix)) < len(ix)]
-        assert len(squares) == 4 == len(parsed.copies)
+        assert len(squares) == 4 == parsed.ring.copies
         assert all(len(g_) == 2 for g_ in parsed.ideal.gens)
 
     def test_generator_count_matches_edges_plus_loops(self):

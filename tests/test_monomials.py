@@ -39,17 +39,20 @@ from helpers import (
     input_gens,
     mono,
     polarized,
+    positions_by_index,
 )
 
 
 def polarize(n, vectors):
-    """The CLI's polarization of exponent vectors in n variables, all in one
-    ring: its size, the support mask of each vector, and a map from an index
-    sequence back to its exponent vector."""
-    masks, copies = cli._polarize([dense_indices(v) for v in vectors])
-    ring = n + len(copies)
+    """Exponent vectors in n variables polarized in one ring, as the CLI
+    does before it minimalizes: the ring's size, n plus the extra positions
+    of powers, the support mask of each vector over positions, and a map from
+    a position sequence back to its exponent vector."""
+    labels, positions = positions_by_index([dense_indices(v) for v in vectors])
+    ring = n + len(labels) - len(set(labels))
+    masks = [sum(1 << (p - 1) for p in ps) for ps in positions]
     assert all(m >> ring == 0 for m in masks)  # every polarized mask lies in the ring
-    return ring, masks, lambda g: dense_vector(cli._indices(g, copies), n)
+    return ring, masks, lambda g: dense_vector([labels[p] for p in g], n)
 
 
 @st.composite
@@ -198,13 +201,13 @@ class TestMonomial:
         assert dense_mul(q, b) == dense_lcm(a, b)
 
     def test_from_indices_counts_multiplicity(self):
-        # the library refuses a repeated index; the CLI polarizes it into
-        # X7 and its copy, which prints as X7 again
+        # the library refuses a repeated index; the CLI polarizes it onto
+        # X7's two positions, each of which prints as X7 again
         with pytest.raises(ValidationError, match="index repeats"):
             mono([7, 7], 8)
-        (m,), copies = cli._polarize([[7, 7]])
-        assert (_mask_indices(m), copies) == ([7, 8], (8,))
-        assert cli._indices(_mask_indices(m), copies) == [7, 7]
+        ideal, ring = polarized(8, [[7, 7]])
+        assert (ideal.n, ideal.gens, ring) == (9, ((1, 2),), ((0, 7, 7), 1))
+        assert cli._labelled(ideal.gens[0], ring.labels) == [7, 7]
         with pytest.raises(ValidationError):
             MonomialIdeal(3, [[0]])
         with pytest.raises(ValidationError):
@@ -291,10 +294,10 @@ class TestMonomialIdeal:
 
     def test_json_round_trip_with_squares(self):
         ideal = ideal_of(4, (1, 2), (3, 4))
-        assert classify_input(ideal.to_json_dict()) == (ideal, ())
-        # X3^2 is polarized into X3 and its copy, the new X4; X4 becomes X5
+        assert classify_input(ideal.to_json_dict()) == (ideal, cli._PLAIN)
+        # X3^2 holds X3's two positions, 3 and 4, in a ring of n + 1 = 5
         parsed = classify_input({"n": 4, "gens": [[1, 2], [3, 3]]})
-        assert parsed == (ideal_of(5, (1, 2), (3, 4)), (4,))
+        assert parsed == (ideal_of(5, (1, 2), (3, 4)), ((0, 1, 2, 3, 3), 1))
         assert cli._ideal_json(*parsed) == {"n": 4, "gens": [[1, 2], [3, 3]]}
         with pytest.raises(ValidationError, match='needs the keys "n" and "gens"'):
             classify_input({"gens": [[1]]})

@@ -68,9 +68,9 @@ class TestCanonicalOrder:
 
     def test_powers_held_in_canonical_order(self):
         # polarized, X1^2 is X1 times its copy, the new X2, ahead of X1X3
-        ideal, copies = polarized(2, [(1, 2), (1, 1)])
+        ideal, ring = polarized(2, [(1, 2), (1, 1)])
         assert ideal.gens[0] == (1, 2)
-        assert [cli._compact(cli._indices(u, copies)) for u in ideal.gens] == ["X1^2", "X1X2"]
+        assert [cli._compact(cli._labelled(u, ring.labels)) for u in ideal.gens] == ["X1^2", "X1X2"]
 
 
 class TestCheckLinearQuotients:
@@ -142,7 +142,7 @@ class TestFindLinearOrder:
 @st.composite
 def ideals_with_powers(draw, max_n=5, max_gens=7):
     """At most max_gens generators with exponents up to 2, one of them a
-    square, polarized by the CLI into a pair (ideal, copies): the edge ideal
+    square, polarized by the CLI into a pair (ideal, ring): the edge ideal
     of a random graph with loops (X_k^2 per loop), or random generators of
     degree at least 2 next to a square that none of them divides."""
     n = draw(st.integers(2, max_n))
@@ -193,8 +193,8 @@ def count_linear_steps(monkeypatch):
 
 
 def as_parsed(ideal):
-    """A squarefree ideal as the CLI's pair (ideal, copies): no copies."""
-    return ideal, ()
+    """A squarefree ideal as the CLI's pair (ideal, ring): each position its own index."""
+    return cli._IdealInput(ideal, cli._PLAIN)
 
 
 class TestMaskStepsAgainstDenseOracle:
@@ -221,10 +221,10 @@ class TestMaskStepsAgainstDenseOracle:
     @settings(max_examples=150)
     def test_search_with_powers_decides_like_the_oracle(self, parsed):
         # polarize, search, map back: the dense search on the input's ring
-        ideal, copies = parsed
+        ideal, ring = parsed
         cert = find_linear_order(ideal)
-        oracle = dense_find_linear_order(dense_gens(ideal, copies))
-        assert (cert and dense_certificate(cert, ideal.n - len(copies), copies)) == oracle
+        oracle = dense_find_linear_order(dense_gens(ideal, ring))
+        assert (cert and dense_certificate(cert, ideal.n - ring.copies, ring)) == oracle
         if cert is not None:  # q of some order of the polarized supports
             assert cert.q in exhaustive_linear_qs(ideal)
 
@@ -234,14 +234,14 @@ class TestMaskStepsAgainstDenseOracle:
     @settings(max_examples=200)
     def test_returned_certificate_is_its_order_checked_again(self, parsed):
         # the two examples are rescued by the search, one of them with powers
-        ideal, copies = parsed
+        ideal, ring = parsed
         try:
             cert = find_linear_order(ideal)
         except InconclusiveError:
             return
         assume(cert is not None)
         assert cert == check_linear_quotients(ideal, cert.order)
-        mapped = dense_certificate(cert, ideal.n - len(copies), copies)
+        mapped = dense_certificate(cert, ideal.n - ring.copies, ring)
         assert mapped == dense_check_linear_quotients(mapped[0])
 
     def test_canonical_order_is_decided_once(self, monkeypatch):
@@ -272,7 +272,7 @@ class TestMaskStepsAgainstDenseOracle:
     @settings(max_examples=200)
     def test_returned_order_is_degree_nondecreasing(self, parsed):
         # Jahan-Zheng: some degree-nondecreasing order is linear whenever any is
-        ideal, copies = parsed
+        ideal, ring = parsed
         try:
             cert = find_linear_order(ideal)
         except InconclusiveError:
@@ -280,7 +280,7 @@ class TestMaskStepsAgainstDenseOracle:
         assume(cert is not None)
         degrees = [len(u) for u in cert.order]
         assert degrees == sorted(degrees)
-        order = dense_certificate(cert, ideal.n - len(copies), copies)[0]
+        order = dense_certificate(cert, ideal.n - ring.copies, ring)[0]
         assert dense_check_linear_quotients(order)[3]
 
     def test_rejected_orders_build_no_step_ideal(self, monkeypatch):
