@@ -125,8 +125,9 @@ def _ideal_from_json(data) -> _IdealInput:
     position, in ascending order, followed by one position per extra power,
     so X_i^a holds i's first a positions; the masks are minimalized once and
     the positions that no minimal generator holds are dropped. Where no index
-    repeats and the largest is at most 64, or every index up to it occurs,
-    relabelling would not narrow the masks: the positions are the indices."""
+    repeats and the largest is at most 64, each mask is one machine word as
+    it stands, so the positions are the indices: the label table would cost
+    small input more than it saves."""
     _check_fields(data, n=0, gens=2)
     if not isinstance(data, dict) or "n" not in data or "gens" not in data:
         raise ValidationError('ideal JSON needs the keys "n" and "gens"')
@@ -136,19 +137,14 @@ def _ideal_from_json(data) -> _IdealInput:
     for ix in gens:  # the constructor's range check, in the same order
         if ix and (min(ix) < 1 or max(ix) > n):
             _support_mask(ix, n)
-    top = max(map(max, filter(None, gens)), default=0)
-    if top <= 64:
+    if max(map(max, filter(None, gens)), default=0) <= 64:
         masks = [*map(_indices_mask, gens)]  # a repeat sets its bit once
         if all(map(eq, map(len, gens), map(int.bit_count, masks))):
             return _IdealInput(MonomialIdeal._trusted(n, _minimal_masks(masks)), _PLAIN)
-    occurring = set(chain.from_iterable(gens))
     # each list's extra powers: per index, its equal neighbours once sorted
     extras = [Counter(compress(s, map(eq, s, s[1:]))) for s in map(sorted, gens)]
-    if len(occurring) == top and not any(extras):
-        masks = _minimal_masks(map(_indices_mask, gens))
-        return _IdealInput(MonomialIdeal._trusted(n, masks), _PLAIN)
     powers = reduce(Counter.__ior__, extras, Counter())  # each index's most extra powers
-    labels = (0, *sorted(chain(occurring, powers.elements())))
+    labels = (0, *sorted(chain(set(chain.from_iterable(gens)), powers.elements())))
     first = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))  # each index's first
     # X_i^a on i's first a positions: i's first one, then its extra ones
     masks = _minimal_masks(_indices_mask(chain(map(first.__getitem__, ix), *(

@@ -10,7 +10,6 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -631,18 +630,14 @@ def ideal_lists(draw):
 def parsed_by_index(n, index_lists):
     """The per-index reference for ``cli._ideal_from_json``: the minimal
     lists as multisets, in canonical order; positions of these alone, so
-    none is unheld, unless no index repeats and the largest is at most 64
-    or every index up to it occurs, where the positions are the indices.
-    The ring size, the generators over positions, the labels, and the
-    minimal lists as printed."""
+    none is unheld, unless no index repeats and the largest is at most 64,
+    where the positions are the indices. The ring size, the generators over
+    positions, the labels, and the minimal lists as printed."""
     printed = []  # a list divides another iff its counts are at most the other's
     for s in sorted({tuple(sorted(ix)) for ix in index_lists}, key=lambda s: (len(s), s)):
         if not any(Counter(k) <= Counter(s) for k in printed):
             printed.append(list(s))
-    indices = set(chain.from_iterable(index_lists))
-    top = max(indices, default=0)
-    if all(len(set(ix)) == len(ix) for ix in index_lists) and (
-            top <= 64 or len(indices) == top):
+    if all(len(set(ix)) == len(ix) and max(ix, default=0) <= 64 for ix in index_lists):
         return n, tuple(map(tuple, printed)), (), printed
     labels, positions = positions_by_index(printed)
     return n + len(labels) - len(set(labels)), tuple(map(tuple, positions)), labels, printed
@@ -655,7 +650,7 @@ class TestPolarizationOnMasks:
     @example((130, [[64, 64, 65, 65, 65], [1, 64], [65, 130, 130]]))
     @example((4, [[2, 3], [1, 1, 1, 4]]))
     @example((3, [[2], [1, 3], [2, 2, 3]]))  # X2^2X3's copy of X2 is dropped
-    @example((70, [[1, 64], [65, 70], list(range(1, 71))]))  # every index occurs
+    @example((70, [[1, 64], [65, 70], list(range(1, 71))]))  # 4 of 70 indices held
     @example((10**9, [[1, 10**9], [2, 10**9 - 1]]))
     @example((10**9, [[], [5, 5]]))  # the unit ideal holds no position
     def test_masks_equal_the_per_index_reference(self, data):
@@ -951,6 +946,27 @@ class TestExitCodesAndDeterminism:
         monkeypatch.setattr(cli, "invariants", exhausted)
         assert run_error(capsys, "invariants", "--json", payload) == (
             2, "error: out of memory; the input is too large\n")
+
+    def test_a_real_allocation_failure_is_exit_two(self, tmp_path):
+        # X1^(10^6) costs a position per power, about 90 MB of address space
+        # in all; under a 50 MB limit an allocation fails in earnest
+        resource = pytest.importorskip("resource")
+        limit = 50_000_000
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps({"n": 1, "gens": [[1] * 10**6]}), encoding="utf-8")
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(coverideals.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from coverideals import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))", "invariants", "--input", str(path)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: out of memory; the input is too large\n"
 
     def test_input_file_not_utf8_is_exit_one(self, tmp_path, capsys):
         path = tmp_path / "g.json"
