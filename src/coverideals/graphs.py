@@ -107,12 +107,13 @@ class KPrimeSpec:
     whose center is its block's alpha; a block of size one is a bare center.
     Loops may sit on any vertex.
 
-    Construction also builds, once, the private ``_cl``, C + L (the centers
-    and loops) ascending, and ``_walk``, the minimal covers of the closed
-    form as (degree, tie key, prev) in canonical order, with one bisect per
-    center and no n-bit integer. The core forces all centers but one into any
-    cover, and a skipped center forces its block in. So an unlooped center
-    a of block (prev, a] with u_a unlooped leaves has the omit-one cover
+    Construction also builds, once, in one pass over the centers with a
+    bisect each, the private ``_cl``, C + L (the centers and loops) ascending,
+    ``_sigma``, the largest block, and ``_walk``, the minimal covers of the
+    closed form as (degree, tie key, prev) in canonical order, with no n-bit
+    integer. The core forces all centers but one into any cover, and a
+    skipped center forces its block in. So an unlooped center a of block
+    (prev, a] with u_a unlooped leaves has the omit-one cover
     (C + L + block) - a, of degree |C + L| - 1 + u_a, and C + L is minimal
     unless some u_a = 0. An equal-degree A precedes B iff the lowest bit of
     A ^ B lies in A. Omit-one covers of equal degree share u: at u = 0 the
@@ -121,7 +122,7 @@ class KPrimeSpec:
     prev None).
     """
 
-    __slots__ = ("alphas", "loops", "_cl", "_walk")
+    __slots__ = ("alphas", "loops", "_cl", "_sigma", "_walk")
 
     def __init__(self, alphas: Iterable[int], loops: Iterable[int] = ()):
         al = tuple(_ints(alphas))
@@ -129,22 +130,25 @@ class KPrimeSpec:
             raise ValidationError("at least two centers are required (m >= 2)")
         if al[0] < 1:
             raise ValidationError("centers must be positive vertex indices")
-        if any(b <= a for a, b in zip(al, al[1:])):
+        if not all(map(operator.lt, al, al[1:])):
             raise ValidationError(f"centers must be strictly increasing, got {al}")
         self.alphas = al
         self.loops = _loop_set(loops, al[-1])
         looped = set(self.loops)
         self._cl = cl = tuple(sorted(looped.union(al)))
-        walk, prev, before = [], 0, 0
+        walk, prev, before, top, sigma, minimal = [], 0, 0, len(cl) - 1, 0, True
         for a in al:
+            if a - prev > sigma:
+                sigma = a - prev
             leaves = a - bisect_right(cl, a)  # the vertices up to a outside C + L
             if a not in looped:
                 u = leaves - before
-                walk.append((len(cl) - 1 + u, a if u else -a, prev))
+                walk.append((top + u, a if u else -a, prev))
+                minimal = minimal and u
             prev, before = a, leaves
-        if all(degree >= len(cl) for degree, _, _ in walk):
-            walk.append((len(cl), al[-1] + 1, None))
-        self._walk = tuple(sorted(walk))
+        if minimal:
+            walk.append((top + 1, prev + 1, None))
+        self._sigma, self._walk = sigma, tuple(sorted(walk))
 
     @property
     def n(self) -> int:
@@ -157,7 +161,7 @@ class KPrimeSpec:
     @property
     def sigma(self) -> int:
         """Largest block size (vertices of the biggest star, center included)."""
-        return max(a - prev for prev, a in zip((0,) + self.alphas, self.alphas))
+        return self._sigma
 
     def __eq__(self, other) -> bool:
         return (

@@ -10,6 +10,7 @@ as exponent tuples here; the library sees them polarized by the CLI.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -86,6 +87,25 @@ def spec_blocks(spec):
     block i is the interval (alpha_{i-1}, alpha_i], the center its maximum."""
     return [(a, tuple(range(prev + 1, a + 1)))
             for prev, a in zip((0,) + spec.alphas, spec.alphas)]
+
+
+def multipass_spec_build(alphas, loops=()):
+    """(sigma, walk) of a block spec built in separate passes over the
+    centers: the walk without its C + L entry, a test of whether C + L is
+    minimal (no omit-one cover of degree below |C + L|), and the largest
+    block on its own. The library builds both in one pass."""
+    al, looped = tuple(alphas), set(loops)
+    cl = sorted(looped.union(al))
+    walk, prev, before = [], 0, 0
+    for a in al:
+        leaves = a - bisect_right(cl, a)
+        if a not in looped:
+            u = leaves - before
+            walk.append((len(cl) - 1 + u, a if u else -a, prev))
+        prev, before = a, leaves
+    if all(degree >= len(cl) for degree, _, _ in walk):
+        walk.append((len(cl), al[-1] + 1, None))
+    return max(a - prev for prev, a in zip((0,) + al, al)), tuple(sorted(walk))
 
 
 def spec_json(spec):

@@ -1,6 +1,7 @@
 """Loop graphs, block-spec expansion, and the edge-ideal helper of the tests."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -21,6 +22,7 @@ from helpers import (
     five_center_spec,
     ideal_of,
     input_gens,
+    multipass_spec_build,
     random_kprime,
     spec_blocks,
     three_center_spec,
@@ -147,14 +149,27 @@ class TestKPrimeSpec:
         assert set(spec.alphas) & set(spec.loops) == {8, 12}
 
     def test_rejects_invalid_specs(self):
-        with pytest.raises(ValidationError):
-            KPrimeSpec((5,))  # a lone star has no core
-        with pytest.raises(ValidationError):
-            KPrimeSpec((3, 3))
-        with pytest.raises(ValidationError):
-            KPrimeSpec((0, 3))
-        with pytest.raises(ValidationError):
-            KPrimeSpec((2, 4), loops=[9])
+        for alphas, loops, message in [
+            ((5,), (), "at least two centers are required (m >= 2)"),  # a lone star has no core
+            ((3, 3), (), "centers must be strictly increasing, got (3, 3)"),
+            ((0, 3), (), "centers must be positive vertex indices"),
+            ((2, 4), (9,), "loop at 9 leaves the vertex range 1..4"),
+            ((1.5, 3), (), "'float' object cannot be interpreted as an integer"),
+            # the order is checked before the loops are read
+            ((4, 2), (9,), "centers must be strictly increasing, got (4, 2)"),
+        ]:
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                KPrimeSpec(alphas, loops)
+
+    def test_one_pass_build_matches_multipass(self):
+        rng = random.Random(35)
+        for trial in range(300):
+            m = rng.randint(2, 200)
+            n = rng.randint(m, 4 * m + 50)
+            alphas = sorted(rng.sample(range(1, n), m - 1)) + [n]
+            loops = rng.sample(range(1, n + 1), rng.randint(1, m)) if trial % 2 else []
+            spec = KPrimeSpec(alphas, loops)
+            assert (spec.sigma, spec._walk) == multipass_spec_build(alphas, loops)
 
     def test_json_round_trip(self):
         spec = three_center_spec()

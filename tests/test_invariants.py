@@ -3,13 +3,17 @@
 import json
 import random
 import time
+import tracemalloc
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverideals import (
+    HITTING_SET_LIMIT,
     InconclusiveError,
     KPrimeSpec,
     LoopGraph,
@@ -90,11 +94,61 @@ class TestHOf:
         assert h_of(MonomialIdeal(n, gens)) == 1
 
     def test_guard_without_shared_variable(self):
-        # 13 disjoint pairs: 26 occurring variables, one past the guard
+        # the path (1,2), (2,3), ..., (26,27): 27 occurring variables, two
+        # past the guard, in one part, as every generator meets the next
         n = 30
-        ideal = MonomialIdeal(n, [(k, k + 1) for k in range(1, 27, 2)])
-        with pytest.raises(SizeGuardError, match="26 occurring variables > 25"):
+        ideal = MonomialIdeal(n, [(k, k + 1) for k in range(1, 27)])
+        with pytest.raises(SizeGuardError, match="27 occurring variables > 25"):
             h_of(ideal)
+
+    def test_guard_applies_per_disjoint_part(self):
+        # 13 disjoint pairs: 26 occurring variables, each part within the guard
+        assert h_of(MonomialIdeal(30, [(k, k + 1) for k in range(1, 27, 2)])) == 13
+        # a path past the guard beside a pair is refused for the path's part
+        ideal = MonomialIdeal(40, [*((k, k + 1) for k in range(1, 27)), (39, 40)])
+        with pytest.raises(SizeGuardError, match="27 occurring variables > 25"):
+            h_of(ideal)
+        # a part with a shared variable counts 1 however many variables it holds
+        star = [(1, k) for k in range(2, 30)]
+        assert h_of(MonomialIdeal(40, [*star, (30, 31), (32, 33)])) == 3
+
+    def test_disjoint_parts_add_against_brute_force(self):
+        # small random ideals on disjoint variable blocks, added until more
+        # than HITTING_SET_LIMIT variables occur in all
+        rng = random.Random(35)
+        for _ in range(40):
+            blocks, offset, occurring = [], 0, 0
+            while occurring <= HITTING_SET_LIMIT:
+                size = rng.randint(2, 8)
+                block = MonomialIdeal(size, [rng.sample(range(1, size + 1), rng.randint(1, size))
+                                             for _ in range(rng.randint(1, 6))])
+                blocks.append((offset, block))
+                offset += size
+                occurring += reduce(or_, block.masks).bit_count()
+            ideal = MonomialIdeal(offset, [tuple(start + i for i in g)
+                                           for start, block in blocks for g in block.gens])
+            assert h_of(ideal) == sum(brute_h(block) for _, block in blocks)
+
+    def test_wide_disjoint_generators_split_in_linear_time_and_memory(self):
+        # two generators of 20,000 indices each: the parts come from the
+        # positions set, not from 40,000 dict keys each as wide as the mask
+        k = 20000
+        ideal = MonomialIdeal(2 * k, [tuple(range(1, k + 1)), tuple(range(k + 1, 2 * k + 1))])
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            h = h_of(ideal)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h == 2 and elapsed < 1.0 and peak < 16 * 2**20
+
+    def test_forty_disjoint_pairs_at_a_billion(self, capsys):
+        n = 10**9
+        payload = json.dumps({"n": n, "gens": [[2 * k + 1, n - 2 * k] for k in range(40)]})
+        assert cli.main(["invariants", "--json", payload]) == 0
+        assert f"n: {n}  h: 40  q: -" in capsys.readouterr().out
 
     def test_guard_counts_occurring_variables_not_n(self, capsys):
         assert h_of(ideal_of(30, (1, 2), (3, 4))) == 2
